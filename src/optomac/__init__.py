@@ -13,7 +13,7 @@ The package layers, bottom up:
 * :mod:`optomac.protocol` - frame codec, receive vetting, arbitration and
   backoff reference models, per-node memory tables.
 * :mod:`optomac.nodes` - sensor/actuator protocol state machines.
-* :mod:`optomac.engine` - lockstep two-phase world simulation.
+* :mod:`optomac.engine` - world simulation stepped one subcycle at a time.
 * :mod:`optomac.learning` - four-phase commissioning pass that fills the
   memory tables.
 * :mod:`optomac.scenarios` - scripted therapy scenarios with metrics.

@@ -63,18 +63,12 @@ class DetectorReading:
     strong: tuple[str, ...] = ()   # sources individually >= theta_detect
     evidence: bool = False         # >= 2 distinct strong first-layer sources
 
-    @property
-    def sources(self) -> tuple[str, ...]:
-        return self.strong
-
 
 @dataclass(frozen=True)
 class ChannelTick:
     """What one node's detectors see during one clock cycle."""
     top: DetectorReading = DetectorReading()
     bottom: DetectorReading = DetectorReading()
-    fluor_top: float = 0.0
-    fluor_bottom: float = 0.0
 
     def data_power(self) -> float:
         return max(self.top.power, self.bottom.power)

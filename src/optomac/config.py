@@ -24,6 +24,7 @@ from .protocol import (
     NodeMemory,
     broadcast_address,
     controller_address,
+    frame_length,
     is_actuator_address,
 )
 from .timebase import ClockConfig
@@ -292,6 +293,10 @@ def parse(data: Any) -> WorldConfig:
 
     grid = _parse_grid(data.get("grid"), bad)
     clock = _parse_section(data.get("clock"), ClockConfig, "clock", bad)
+    if clock.bits_per_frame != frame_length():
+        bad.append(f"clock.bits_per_frame: must be the frame length "
+                   f"2*{ADDRESS_BITS}+3 = {frame_length()}, "
+                   f"got {clock.bits_per_frame}")
     channel = _parse_section(data.get("channel"), ChannelConfig, "channel", bad)
 
     seed = data.get("seed", 0)

@@ -1,9 +1,16 @@
-"""Lockstep world simulation.
+"""World simulation, stepped one subcycle at a time.
 
-Every clock cycle runs in two phases: first all nodes present their transmit
-bit for the cycle, then the channel superposes the simultaneous pulses and
-every node observes the result.  No node ever sees a partial cycle, so runs
-are reproducible bit-for-bit given the same seed and configuration.
+Frames are aligned to subcycles and a node starts one only at offset 0 of
+its own working subcycle, so the engine asks only those nodes for a bit at
+offset 0 and, for the rest of the frame, only the ones that then hold a
+frame.  Each cycle that carries light runs in two phases: the transmitters
+present their bit, then the channel superposes the simultaneous pulses and
+every node observes the result.  A subcycle without a transmitter, and the
+guard bits of one with a transmitter, carry no light and are passed over to
+the subcycle's last cycle, where every node closes the subcycle.  Detector
+readings are memoised per set of simultaneous emissions.  No node ever sees
+a partial cycle, so runs are reproducible bit-for-bit given the same seed
+and configuration.
 
 Timekeeping is phase-relative: the frame-synchronization pattern (a long gap
 in the external laser clock) restarts the subcycle phase, and a still longer
@@ -13,12 +20,11 @@ monotonic across gaps so protocol timers keep their meaning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import (
-    Arrival,
     ChannelConfig,
     ChannelTick,
     PowerMap,
@@ -29,7 +35,7 @@ from .channel import (
 from .geometry import NodePose
 from .metrics import Metrics
 from .nodes import Agent
-from .protocol import ADDRESS_BITS, Frame, Opcode, controller_address, parse_bits
+from .protocol import ADDRESS_BITS, Frame, controller_address, parse_bits
 from .timebase import ClockConfig, NonClockEvent, Subcycle, detect_nonclock, subcycle_of
 from .trace import NullTrace, TraceWriter
 
@@ -103,6 +109,8 @@ class World:
         self._controller_bits: list[int] = []
         self._controller_active = False
         self._evidence_seen: set[tuple[str, int, int]] = set()
+        self._ticks: dict[tuple, ChannelTick] = {}   # (rx, emissions) -> tick
+        self._fluor: dict[tuple[str, str], float] = {}
 
     # -- time ----------------------------------------------------------------
 
@@ -131,22 +139,28 @@ class World:
                      active: bool = True) -> None:
         self.stimuli[name] = Stimulus(name, np.asarray(position, dtype=float),
                                       intensity, active)
+        self._fluor = {k: v for k, v in self._fluor.items() if k[1] != name}
 
     def set_stimulus(self, name: str, active: bool) -> None:
         self.stimuli[name].active = active
 
     def _fluor_power_at(self, agent: Agent) -> float:
-        pose = self.poses[agent.name]
         total = 0.0
         for stim in self.stimuli.values():
-            if not stim.active:
-                continue
-            d = float(np.linalg.norm(pose.position - stim.position))
-            if d <= 0.0:
-                continue
-            total += received_power(stim.intensity, 1.0, d,
-                                    self.channel_cfg.mu)
+            if stim.active:
+                total += self._fluor_from(agent.name, stim)
         return total
+
+    def _fluor_from(self, rx: str, stim: Stimulus) -> float:
+        """Fluorescence power one stimulus delivers at ``rx``, computed once."""
+        key = (rx, stim.name)
+        power = self._fluor.get(key)
+        if power is None:
+            d = float(np.linalg.norm(self.poses[rx].position - stim.position))
+            power = (received_power(stim.intensity, 1.0, d, self.channel_cfg.mu)
+                     if d > 0.0 else 0.0)
+            self._fluor[key] = power
+        return power
 
     # -- main loop -------------------------------------------------------------
 
@@ -161,67 +175,97 @@ class World:
             if gaps and gaps[0].cycle == self.cycle:
                 self._apply_gap(gaps.pop(0))
                 continue
-            self._step()
-            self.cycle += 1
+            self._run_subcycle(min(end, gaps[0].cycle) if gaps else end)
 
-    def _step(self) -> None:
+    def _run_subcycle(self, stop: int) -> None:
+        """Run from the current cycle to the end of its subcycle or ``stop``.
+
+        Only the nodes whose working mode is this subcycle emit at offset 0,
+        and afterwards only those that then hold a frame, over the frame's
+        bits.  Nothing else can happen before the subcycle's last cycle, so
+        a subcycle without a transmitter and the guard bits are passed over.
+        A subcycle cut short by ``stop`` skips its end-of-subcycle work.
+        """
         sub, off, ic = self._phase()
-        agents = self.agents.values()
+        start = self.cycle - off
+        last = start + self.clock.subcycle_len - 1
+        senders = [a for a in self.agents.values() if a.mode == sub]
+        first = self.cycle
         if off == 0:
-            for agent in agents:
-                agent.begin_subcycle(sub)
-            self._controller_bits = [0] * self.clock.bits_per_frame
-            self._controller_active = False
-            if sub == Subcycle.T1:
-                self.scenario.on_icycle_start(self, ic)
+            self._begin_subcycle(sub, ic)
+            self._emit_cycle(senders, sub, 0, ic)
+            first += 1
+        transmitters = [a for a in senders if a.inflight is not None]
+        if transmitters:
+            for cycle in range(first, min(start + self.clock.bits_per_frame,
+                                          stop)):
+                self.cycle = cycle
+                self._emit_cycle(transmitters, sub, cycle - start, ic)
+        if stop > last:
+            self.cycle = last
+            self._end_subcycle(sub, ic)
+        self.cycle = min(stop, last + 1)
 
+    def _begin_subcycle(self, sub: Subcycle, ic: int) -> None:
+        for agent in self.agents.values():
+            agent.begin_subcycle(sub)
+        self._controller_bits = [0] * self.clock.bits_per_frame
+        self._controller_active = False
+        if sub == Subcycle.T1:
+            self.scenario.on_icycle_start(self, ic)
+
+    def _emit_cycle(self, transmitters: list[Agent], sub: Subcycle, off: int,
+                    ic: int) -> None:
         emissions = []
-        for agent in agents:
+        for agent in transmitters:
             sent = agent.emit(sub, off, ic, self.cycle)
             if sent is not None and sent[0] == 1:
                 emissions.append((agent.name, sent[1]))
+        if not emissions:
+            return
+        if any(self._controller_hears is None or tx in self._controller_hears
+               for tx, _ in emissions):
+            self._controller_bits[off] = 1
+            self._controller_active = True
+        key = tuple(emissions)
+        for agent in self.agents.values():
+            tick = self._tick_for(agent.name, key)
+            if tick.top.evidence or tick.bottom.evidence:
+                seen = (agent.name, ic, int(sub))
+                if seen not in self._evidence_seen:
+                    self._evidence_seen.add(seen)
+                    self.metrics.collisions += 1
+            agent.observe(tick, sub, off, ic, self.cycle)
+        if self.trace.wants("power"):
+            self.trace.event(self.cycle, "power",
+                             sources=sorted(n for n, _ in emissions))
 
-        if emissions:
-            if off < self.clock.bits_per_frame and any(
-                    self._controller_hears is None or tx in self._controller_hears
-                    for tx, _ in emissions):
-                self._controller_bits[off] = 1
-                self._controller_active = True
+    def _end_subcycle(self, sub: Subcycle, ic: int) -> None:
+        agents = self.agents.values()
+        for agent in agents:
+            agent.end_subcycle(sub, ic, self.cycle)
+        if self._controller_active and sub != Subcycle.T4:
+            self._controller_decode()
+        if sub == Subcycle.T4:
             for agent in agents:
-                tick = self._tick_for(agent.name, emissions)
-                if tick.top.evidence or tick.bottom.evidence:
-                    key = (agent.name, ic, int(sub))
-                    if key not in self._evidence_seen:
-                        self._evidence_seen.add(key)
-                        self.metrics.collisions += 1
-                agent.observe(tick, sub, off, ic, self.cycle)
-            if self.trace.wants("power"):
-                self.trace.event(self.cycle, "power",
-                                 sources=sorted(n for n, _ in emissions))
+                if not agent.is_actuator:
+                    detected = (self._fluor_power_at(agent)
+                                >= self.channel_cfg.theta_fluor)
+                    agent.on_second_layer(detected, ic, self.cycle)
+            self.scenario.on_icycle_end(self, ic)
 
-        if off == self.clock.subcycle_len - 1:
-            for agent in agents:
-                agent.end_subcycle(sub, ic, self.cycle)
-            if self._controller_active and sub != Subcycle.T4:
-                self._controller_decode()
-            if sub == Subcycle.T4:
-                for agent in agents:
-                    if not agent.is_actuator:
-                        detected = (self._fluor_power_at(agent)
-                                    >= self.channel_cfg.theta_fluor)
-                        agent.on_second_layer(detected, ic, self.cycle)
-                self.scenario.on_icycle_end(self, ic)
-
-    def _tick_for(self, rx: str, emissions: list[tuple[str, int]]) -> ChannelTick:
-        arrivals: list[Arrival] = []
-        for tx, pattern in emissions:
-            if tx != rx:
-                arrivals.append(self.power_map.arrival(tx, pattern, rx))
-        if not arrivals:
-            return _ZERO_TICK
-        top, bottom = superpose(arrivals, self.channel_cfg)
-        return ChannelTick(top=top, bottom=bottom,
-                           fluor_top=0.0, fluor_bottom=0.0)
+    def _tick_for(self, rx: str,
+                  emissions: tuple[tuple[str, int], ...]) -> ChannelTick:
+        """What ``rx`` sees while ``emissions`` pulse, memoised per world."""
+        key = (rx, emissions)
+        tick = self._ticks.get(key)
+        if tick is None:
+            arrivals = [self.power_map.arrival(tx, pattern, rx)
+                        for tx, pattern in emissions if tx != rx]
+            tick = (ChannelTick(*superpose(arrivals, self.channel_cfg))
+                    if arrivals else _ZERO_TICK)
+            self._ticks[key] = tick
+        return tick
 
     def _controller_decode(self) -> None:
         """Decode the frame the ex-vivo controller saw this subcycle.

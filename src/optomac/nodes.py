@@ -141,6 +141,12 @@ class Agent:
 
         self.queue: list[Outgoing] = []
         self.inflight: _Inflight | None = None
+        # receive buffers of the current subcycle; a side that is not
+        # active holds only zeros
+        self._rx_top = [0] * clock.bits_per_frame
+        self._rx_bottom = [0] * clock.bits_per_frame
+        self._rx_top_active = False
+        self._rx_bottom_active = False
         self.chains: list[CommandChain] = []
         self.blocked_by: int | None = None
         self.blocked_since_ic = 0
@@ -241,16 +247,19 @@ class Agent:
 
     def begin_subcycle(self, sub: Subcycle) -> None:
         n = self.clock.bits_per_frame
-        self._rx_top = [0] * n
-        self._rx_bottom = [0] * n
-        self._rx_top_active = False
-        self._rx_bottom_active = False
+        if self._rx_top_active:
+            self._rx_top = [0] * n
+            self._rx_top_active = False
+        if self._rx_bottom_active:
+            self._rx_bottom = [0] * n
+            self._rx_bottom_active = False
 
     def end_subcycle(self, sub: Subcycle, ic: int, cycle: int) -> None:
         if sub == self.mode:
             self._finish_own_subcycle(ic, cycle)
         elif sub != Subcycle.T4:
-            self._receive_subcycle(ic, cycle)
+            if self._rx_top_active or self._rx_bottom_active:
+                self._receive_subcycle(ic, cycle)
             self._tick_windows(ic, cycle)
         if (self.blocked_by is not None
                 and ic - self.blocked_since_ic >= BLOCKED_BACKSTOP_ICS):

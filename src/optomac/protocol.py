@@ -35,6 +35,11 @@ class Opcode(enum.IntEnum):
     POSN = 0b000
 
 
+def frame_length(w: int = ADDRESS_BITS) -> int:
+    """Bits in one frame: recipient and transmitter addresses plus opcode."""
+    return 2 * w + 3
+
+
 def broadcast_address(w: int = ADDRESS_BITS) -> int:
     return (1 << w) - 1
 
@@ -70,14 +75,14 @@ def frame_bits(frame: Frame, w: int = ADDRESS_BITS) -> Bits:
 
 
 def parse_bits(bits: Bits, w: int = ADDRESS_BITS) -> Frame:
-    if len(bits) != 2 * w + 3 or any(b not in (0, 1) for b in bits):
+    if len(bits) != frame_length(w) or any(b not in (0, 1) for b in bits):
         raise ValueError("malformed frame bits")
     as_int = lambda chunk: int("".join(map(str, chunk)), 2)
     return Frame(as_int(bits[:w]), Opcode(as_int(bits[w:w + 3])), as_int(bits[w + 3:]))
 
 
 def is_block_bits(bits: Bits, w: int = ADDRESS_BITS) -> bool:
-    return len(bits) == 2 * w + 3 and all(bits[: w + 3])
+    return len(bits) == frame_length(w) and all(bits[: w + 3])
 
 
 def posn_frame(payload: int, w: int = ADDRESS_BITS) -> Frame:

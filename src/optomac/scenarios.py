@@ -357,6 +357,8 @@ class PhotothermalDriver(ScenarioDriver):
         self.trigger_cycles: dict[str, int] = {}
         scan = self.cfg.grid.scan_cells()
         self._cell_of_position = {idx: cell for idx, cell in enumerate(scan)}
+        self._fluorescent_cells = [(c, cell_of(c.spec.position, self.cfg.grid))
+                                   for c in self.clusters if c.is_fluorescent]
 
     # node-side hooks --------------------------------------------------------
 
@@ -407,9 +409,8 @@ class PhotothermalDriver(ScenarioDriver):
     def on_icycle_end(self, world: World, ic: int) -> None:
         for position in sorted(self.tasks):
             cell = self._cell_of_position[position]
-            targets = [c for c in self.clusters if c.active
-                       and c.is_fluorescent
-                       and cell_of(c.spec.position, self.cfg.grid) == cell]
+            targets = [c for c, c_cell in self._fluorescent_cells
+                       if c.active and c_cell == cell]
             if not targets:
                 del self.tasks[position]
                 self.trace.event(world.cycle, "dose", position=position,

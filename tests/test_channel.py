@@ -91,7 +91,6 @@ def test_superpose_collision_evidence():
     assert top.evidence
     assert bottom.strong == ("c",)
     assert not bottom.evidence
-    assert top.sources == top.strong
 
 
 def test_superpose_separates_sides():

@@ -102,3 +102,17 @@ def test_invalid_config_document_exits_two(tmp_path, capsys):
     path.write_text('{"nodes": []}')
     assert main(["--config", str(path)]) == 2
     assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bits", [10, 12])
+def test_frame_length_mismatch_exits_two(tmp_path, capsys, bits):
+    path = tmp_path / "deploy.json"
+    save(drug_delivery_config(), path)
+    doc = json.loads(path.read_text())
+    doc["clock"]["bits_per_frame"] = bits
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("optomac: ")
+    assert f"clock.bits_per_frame: must be the frame length 2*4+3 = 11, " \
+           f"got {bits}" in err

@@ -1,5 +1,6 @@
-"""Lockstep world: end-to-end delivery, arbitration, gaps, second layer."""
+"""World engine: end-to-end delivery, arbitration, gaps, second layer."""
 
+import hashlib
 import json
 import math
 
@@ -240,3 +241,90 @@ def test_run_returns_shared_metrics():
     assert out is world.metrics
     assert world.cycle == 48
     assert world.current_ic == 1
+
+
+# -- subcycle stepping edge cases ----------------------------------------------
+#
+# The engine passes over silent subcycles and guard bits in one step.  Each
+# case below pins the power-level trace, the metrics and the final clock of
+# a run whose jumps must stop at a gap, at a ``run_cycles`` boundary or
+# around an external ``start_chain``; the digests were recorded with an
+# engine that stepped every clock cycle of every node.
+
+
+def clique_specs():
+    side = 2.0
+    return [
+        ("s1", 0b0001, False, Subcycle.T1, (0.0, 0.0, 0.0)),
+        ("s2", 0b0010, False, Subcycle.T1, (side, 0.0, 0.0)),
+        ("s3", 0b0011, False, Subcycle.T1, (side / 2, side * math.sqrt(3) / 2,
+                                            0.0)),
+        ("a", 0b1000, True, Subcycle.T2, (side / 2, side * math.sqrt(3) / 6,
+                                          0.0)),
+    ]
+
+
+def world_digest(world, trace):
+    h = hashlib.sha256()
+    h.update(trace.getvalue().encode())
+    h.update(world.metrics.to_json().encode())
+    h.update(repr((world.cycle, world.phase_origin, world.current_ic,
+                   world.learning_mode, world.controller_frames)).encode())
+    return h.hexdigest()
+
+
+def traced_world(specs, variant=Variant.HANDSHAKE, **kwargs):
+    trace = TraceWriter("power")
+    world, _ = make_world(specs, variant, trace=trace, **kwargs)
+    return world, trace
+
+
+def test_gap_inside_silent_subcycle():
+    # cycle 29 is inside T3, where no node of the pair has a working mode
+    world, trace = traced_world(pair_specs(),
+                                laser_gaps=[LaserGap(29, 8)])
+    world.agents["s"].start_chain(0b1000)
+    world.run(4)
+    assert world.metrics.delivered == 1
+    assert world_digest(world, trace) == (
+        "5b27e8e37a270efec258cf12817a48f2825d1cd4524a6530ba17bee6a3024f4d")
+
+
+def test_gap_inside_busy_subcycle_skips_its_end():
+    # s is mid-NOTIFY at cycle 5; the gap cuts T1 short, so no end_subcycle
+    # runs for it and the frame stays in flight into the next T1
+    world, trace = traced_world(pair_specs(),
+                                laser_gaps=[LaserGap(5, 8)])
+    world.agents["s"].start_chain(0b1000)
+    world.run(4)
+    events = [json.loads(line) for line in trace.getvalue().splitlines()]
+    assert [e["cycle"] for e in events if e["kind"] == "tx_start"][0] == 0
+    assert not any(e["kind"] == "tx_done" and e["cycle"] < 13 for e in events)
+    assert world_digest(world, trace) == (
+        "31edb6f177d43c381d2e8c6a2f8a1b8d4c8a0e1d65832e42156d4197be3d04c8")
+
+
+def test_uneven_run_chunks_match_one_call():
+    digests = []
+    for chunks in ((5, 7, 13) * 8, (sum((5, 7, 13) * 8),)):
+        world, trace = traced_world(clique_specs(), Variant.BASIC,
+                                    laser_gaps=[LaserGap(62, 9)])
+        for name in ("s1", "s2", "s3"):
+            world.agents[name].start_chain(0b1000)
+        for n in chunks:
+            world.run_cycles(n)
+        digests.append(world_digest(world, trace))
+    assert digests[0] == digests[1] == (
+        "72d52fdb6e9d1eb3ee5cfccb696605c8a6cf5b5409049bf88b3a2d476ba0e4bc")
+
+
+def test_start_chain_between_run_calls():
+    world, trace = traced_world(clique_specs())
+    world.run_cycles(30)                       # stops inside T3
+    world.agents["s2"].start_chain(0b1000, cycle=world.cycle)
+    world.run_cycles(17)                       # stops inside the next T1
+    world.agents["s1"].start_chain(0b1000, cycle=world.cycle)
+    world.run_cycles(300)
+    assert world.metrics.delivered == 2
+    assert world_digest(world, trace) == (
+        "8746b09071ad54c1600e45b7ca5e3e4ceb824615109bdff26c994d74a80a473f")
