@@ -72,9 +72,6 @@ class ElementArray:
     def __len__(self) -> int:
         return len(self.positions)
 
-    def weights_for(self, voltages) -> np.ndarray:
-        return np.array([element_amplitude(v, self.element) for v in voltages])
-
 
 def array_factor(arr: ElementArray, weights, direction) -> complex:
     """Coherent sum of element contributions toward a unit direction."""

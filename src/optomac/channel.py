@@ -27,16 +27,14 @@ class ChannelConfig:
     theta_detect: float = 0.01  # first-layer detector threshold
     theta_fluor: float = 1e-4   # fluorescence detection threshold
     tx_power: float = 1.0       # first-layer emitter power
-    fluor_power: float = 0.01   # emission of one activated cluster
-    theta_command: float = 1e-4  # second-layer command receiver threshold
 
     def __post_init__(self) -> None:
         if self.mu < 0:
             raise ValueError("mu must be non-negative")
         if not 0 < self.theta_fluor < self.theta_detect:
             raise ValueError("need 0 < theta_fluor < theta_detect")
-        if not 0 < self.fluor_power < self.tx_power:
-            raise ValueError("need 0 < fluor_power < tx_power")
+        if self.tx_power <= 0:
+            raise ValueError("tx_power must be positive")
 
 
 def received_power(tx_power: float, gain: float, distance: float, mu: float) -> float:

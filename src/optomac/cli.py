@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from . import config as config_mod
-from .config import ConfigError, WorldConfig
+from .config import ConfigError, WorldConfig, build_parts
 from .scenarios import SCENARIO_HORIZON_ICS, ScenarioResult, run_scenario
 from .trace import LEVELS, TraceWriter
 
@@ -84,10 +84,10 @@ def _load_config(args) -> WorldConfig:
     return default_config(args.scenario)
 
 
-def _patterns_text(result: ScenarioResult) -> str:
+def _patterns_text(cfg: WorldConfig, tables) -> str:
     out = io.StringIO()
-    for spec in result.cfg.nodes:
-        table = result.parts.tables[spec.name]
+    for spec in cfg.nodes:
+        table = tables[spec.name]
         out.write(f"node {spec.name} address "
                   f"{config_mod.format_address(spec.address)}\n")
         out.write(table.to_text())
@@ -99,7 +99,7 @@ def _artifact_map(result: ScenarioResult, trace: TraceWriter) -> dict[str, str]:
         "trace.jsonl": trace.getvalue(),
         "metrics.json": result.metrics.to_json() + "\n",
         "memory.txt": result.memory_snapshot(),
-        "patterns.txt": _patterns_text(result),
+        "patterns.txt": _patterns_text(result.cfg, result.parts.tables),
     }
 
 
@@ -154,10 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.dump_patterns:
-        trace = TraceWriter("summary")
-        result = run_scenario(args.scenario, cfg=cfg, protocol=args.protocol,
-                              seed=seeds[0], max_cycles=1, trace=trace)
-        sys.stdout.write(_patterns_text(result))
+        sys.stdout.write(_patterns_text(cfg, build_parts(cfg).tables))
         return 0
 
     sweep = len(seeds) > 1

@@ -11,7 +11,7 @@ be fixed in one pass.  ``to_dict``/``parse`` round-trip losslessly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any
@@ -416,17 +416,8 @@ def to_dict(cfg: WorldConfig) -> dict:
     doc: dict[str, Any] = {
         "grid": {"cell_radius": cfg.grid.cell_radius,
                  "rows": [list(r) for r in cfg.grid.rows]},
-        "clock": {"bits_per_frame": cfg.clock.bits_per_frame,
-                  "guard_bits": cfg.clock.guard_bits,
-                  "pulse_rate_hz": cfg.clock.pulse_rate_hz,
-                  "g_sync": cfg.clock.g_sync,
-                  "g_mode": cfg.clock.g_mode},
-        "channel": {"mu": cfg.channel.mu,
-                    "theta_detect": cfg.channel.theta_detect,
-                    "theta_fluor": cfg.channel.theta_fluor,
-                    "tx_power": cfg.channel.tx_power,
-                    "fluor_power": cfg.channel.fluor_power,
-                    "theta_command": cfg.channel.theta_command},
+        "clock": asdict(cfg.clock),
+        "channel": asdict(cfg.channel),
         "seed": cfg.seed,
         "protocol": cfg.protocol,
         "nodes": [_node_dict(n) for n in cfg.nodes],

@@ -20,6 +20,7 @@ monotonic across gaps so protocol timers keep their meaning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,21 +145,28 @@ class World:
     def set_stimulus(self, name: str, active: bool) -> None:
         self.stimuli[name].active = active
 
-    def _fluor_power_at(self, agent: Agent) -> float:
+    def _fluorescence_at(self, agent: Agent) -> float:
         total = 0.0
         for stim in self.stimuli.values():
             if stim.active:
-                total += self._fluor_from(agent.name, stim)
+                total += self.fluor_from(agent.name, stim)
         return total
 
-    def _fluor_from(self, rx: str, stim: Stimulus) -> float:
-        """Fluorescence power one stimulus delivers at ``rx``, computed once."""
+    def fluor_from(self, rx: str, stim: Stimulus) -> float:
+        """Fluorescence power one stimulus delivers at ``rx``, computed once.
+
+        A lit source at the node's own position (a cluster inside the cell
+        that carries the node) floods its detector: the power is infinite.
+        """
         key = (rx, stim.name)
         power = self._fluor.get(key)
         if power is None:
             d = float(np.linalg.norm(self.poses[rx].position - stim.position))
-            power = (received_power(stim.intensity, 1.0, d, self.channel_cfg.mu)
-                     if d > 0.0 else 0.0)
+            if d > 0.0:
+                power = received_power(stim.intensity, 1.0, d,
+                                       self.channel_cfg.mu)
+            else:
+                power = math.inf if stim.intensity > 0.0 else 0.0
             self._fluor[key] = power
         return power
 
@@ -249,7 +257,7 @@ class World:
         if sub == Subcycle.T4:
             for agent in agents:
                 if not agent.is_actuator:
-                    detected = (self._fluor_power_at(agent)
+                    detected = (self._fluorescence_at(agent)
                                 >= self.channel_cfg.theta_fluor)
                     agent.on_second_layer(detected, ic, self.cycle)
             self.scenario.on_icycle_end(self, ic)

@@ -104,7 +104,6 @@ class NodePose:
     position: tuple[float, float, float]
     normal: tuple[float, float, float] = (0.0, 0.0, 1.0)
     cell: Cell = (0, 0)
-    position_id: int = -1
 
     def __post_init__(self) -> None:
         n = math.sqrt(sum(c * c for c in self.normal))
@@ -134,20 +133,3 @@ def geometry_between(a: NodePose, b: NodePose) -> PathGeometry:
     incoming = sum(-uc * nc for uc, nc in zip(u, b.normal))
     side = "top" if incoming >= 0 else "bottom"
     return PathGeometry(dist, u, side)  # type: ignore[arg-type]
-
-
-def assign_positions(grid: HexGrid, poses: dict[str, NodePose]) -> dict[str, int]:
-    """Stamp cell and position_id on every pose from the row-major scan.
-
-    Raises if a node's lateral position falls outside the scanned extent.
-    """
-    order = {cell: i for i, cell in enumerate(grid.scan_cells())}
-    out: dict[str, int] = {}
-    for name, pose in poses.items():
-        cell = cell_of(pose.position, grid)
-        if cell not in order:
-            raise ValueError(f"node {name} at cell {cell} is outside the grid extent")
-        pose.cell = cell
-        pose.position_id = order[cell]
-        out[name] = pose.position_id
-    return out

@@ -64,7 +64,6 @@ def run_position_learning(grid: HexGrid, poses: dict[str, NodePose],
         cell = cell_of(pose.position, grid)
         if cell in scan:
             pose.cell = cell
-            pose.position_id = scan[cell]
             memories[name].position_id = scan[cell]
             report.position_frames.append((name, posn_frame(scan[cell])))
         else:
@@ -72,8 +71,7 @@ def run_position_learning(grid: HexGrid, poses: dict[str, NodePose],
             report.flags.append(f"{name}: outside scanned grid, unpositioned")
 
 
-def run_topology_learning(poses: dict[str, NodePose],
-                          memories: dict[str, NodeMemory], tables,
+def run_topology_learning(memories: dict[str, NodeMemory], tables,
                           cfg: ChannelConfig, pm: PowerMap,
                           report: LearningReport) -> None:
     """Probe every pattern; physical = union of acknowledged recipients."""
@@ -97,8 +95,7 @@ def run_topology_learning(poses: dict[str, NodePose],
                     " is not physically reachable")
 
 
-def run_direction_learning(poses: dict[str, NodePose],
-                           memories: dict[str, NodeMemory], tables,
+def run_direction_learning(memories: dict[str, NodeMemory], tables,
                            cfg: ChannelConfig, pm: PowerMap,
                            report: LearningReport) -> None:
     """Trial every pattern per physical recipient; store the argmax id."""
@@ -148,8 +145,8 @@ def run_learning(grid: HexGrid, poses: dict[str, NodePose],
     pm = power_map if power_map is not None else build_power_map(poses, tables, cfg)
     report = LearningReport()
     run_position_learning(grid, poses, memories, report)
-    run_topology_learning(poses, memories, tables, cfg, pm, report)
-    run_direction_learning(poses, memories, tables, cfg, pm, report)
+    run_topology_learning(memories, tables, cfg, pm, report)
+    run_direction_learning(memories, tables, cfg, pm, report)
     run_mode_learning(poses, memories, report)
     return report
 

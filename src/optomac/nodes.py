@@ -152,7 +152,6 @@ class Agent:
         self.blocked_since_ic = 0
         # actuator bookkeeping
         self.reserved_for: int | None = None
-        self.pending_actuations: list[dict] = []
         self.command_counts: dict[int, int] = {}
         # sensor second-layer latch
         self.latched = False

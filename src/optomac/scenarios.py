@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import received_power
+from .channel import ChannelConfig, received_power
 from .config import (
     ClusterSpec,
     NodeSpec,
@@ -79,10 +79,6 @@ SCENARIO_HORIZON_ICS = {
 # -- synthetic fixture builders ---------------------------------------------
 
 
-def _attenuation(distance: float, mu: float = 0.5) -> float:
-    return math.exp(-mu * distance) / (4.0 * math.pi * distance * distance)
-
-
 def _bump_row(peak_deg: float, height: float) -> tuple[float, ...]:
     az = np.arange(0.0, 360.0, AZIMUTH_STEP_DEG)
     dist = np.abs(az - peak_deg)
@@ -101,9 +97,12 @@ def _flat_row(height: float) -> tuple[float, ...]:
     return (round(height, 6),) * n
 
 
-def _link_height(distance: float, theta: float = 0.01) -> float:
-    """Peak gain that clears the detector threshold with the link margin."""
-    return LINK_MARGIN * theta / _attenuation(distance)
+def _link_height(distance: float) -> float:
+    """Peak gain that clears the detector threshold with the link margin,
+    under the default channel every synthetic fixture uses."""
+    channel = ChannelConfig()
+    return (LINK_MARGIN * channel.theta_detect
+            / received_power(1.0, 1.0, distance, channel.mu))
 
 
 def _azimuth_between(a, b) -> float:
@@ -462,22 +461,13 @@ class DrugDeliveryDriver(ScenarioDriver):
         target = self._command_target(agent)
         if target is None or agent.name in self.detect_cycles:
             return
-        self.detect_cycles[agent.name] = self.world.cycle
+        world = self.world
+        self.detect_cycles[agent.name] = world.cycle
         self.sensor_clusters[agent.name] = [
-            c.name for c in self.clusters
-            if c.active and c.is_fluorescent
-            and self._detectable(c, agent.name)]
-        agent.start_chain(target, tag="stage1", cycle=self.world.cycle)
-
-    def _detectable(self, cluster: SecondLayerCluster, sensor: str) -> bool:
-        pose = self.parts.poses[sensor]
-        d = float(np.linalg.norm(np.asarray(pose.position)
-                                 - np.asarray(cluster.spec.position)))
-        if d <= 0.0:
-            return True
-        power = received_power(cluster.spec.emit_power, 1.0, d,
-                               self.cfg.channel.mu)
-        return power >= self.cfg.channel.theta_fluor
+            name for name, stim in world.stimuli.items()
+            if stim.active and world.fluor_from(agent.name, stim)
+            >= self.cfg.channel.theta_fluor]
+        agent.start_chain(target, tag="stage1", cycle=world.cycle)
 
     def on_chain_done(self, agent: Agent, chain: CommandChain,
                       cycle: int) -> None:

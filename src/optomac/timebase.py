@@ -32,7 +32,6 @@ class NonClockEvent(enum.Enum):
 class ClockConfig:
     bits_per_frame: int = 11
     guard_bits: int = 1
-    pulse_rate_hz: float = 1e6
     g_sync: int = 8
     g_mode: int = 32
 

@@ -67,8 +67,9 @@ def test_channel_config_validation():
         ChannelConfig(mu=-0.1)
     with pytest.raises(ValueError):
         ChannelConfig(theta_fluor=0.02)           # above theta_detect
-    with pytest.raises(ValueError):
-        ChannelConfig(fluor_power=2.0)            # above tx_power
+    for tx_power in (0.0, -1.0):
+        with pytest.raises(ValueError, match="tx_power"):
+            ChannelConfig(tx_power=tx_power)
 
 
 def test_superpose_sums_subthreshold_power():

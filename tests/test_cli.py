@@ -1,5 +1,6 @@
 """Command line front end: artifacts, verification, sweeps, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
@@ -79,6 +80,13 @@ def test_dump_patterns(capsys):
     assert "pattern 0 mask -" in out
 
 
+def test_dump_patterns_needs_no_scenario(tmp_path, capsys):
+    path = tmp_path / "deploy.json"
+    save(dataclasses.replace(drug_delivery_config(), scenario=None), path)
+    assert main(["--config", str(path), "--dump-patterns"]) == 0
+    assert capsys.readouterr().out.startswith("node s1 address 0001\n")
+
+
 def test_timeout_exits_nonzero(capsys):
     assert main(["--scenario", "hidden_terminal", "--protocol", "handshake",
                  "--seed", "0", "--max-cycles", "48"]) == 1
@@ -116,3 +124,16 @@ def test_frame_length_mismatch_exits_two(tmp_path, capsys, bits):
     assert err.startswith("optomac: ")
     assert f"clock.bits_per_frame: must be the frame length 2*4+3 = 11, " \
            f"got {bits}" in err
+
+
+@pytest.mark.parametrize("section,key", [("clock", "pulse_rate_hz"),
+                                         ("channel", "fluor_power"),
+                                         ("channel", "theta_command")])
+def test_removed_keys_exit_two(tmp_path, capsys, section, key):
+    path = tmp_path / "deploy.json"
+    save(drug_delivery_config(), path)
+    doc = json.loads(path.read_text())
+    doc[section][key] = 1e-4
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "--seed", "0"]) == 2
+    assert f"{section}.{key}: unknown key" in capsys.readouterr().err

@@ -5,6 +5,8 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from optomac.channel import ChannelConfig
 from optomac.config import _FlatTable
@@ -139,6 +141,48 @@ def test_live_arbitration_matches_contention_oracle():
     assert (m.issued, m.delivered, m.exits) == (3, 3, 3)
     assert [name for name, _ in hooks.done] == ["s3", "s2", "s1"]
     assert m.collisions > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+                min_size=2, max_size=4, unique=True),
+       st.floats(0.5, 20.0))
+def test_live_arbitration_matches_oracle_on_random_deployments(points, gain):
+    sensors = [f"s{i + 1}" for i in range(len(points))]
+    specs = [(name, i + 1, False, Subcycle.T1, (x / 2, y / 2, 0.0))
+             for i, (name, (x, y)) in enumerate(zip(sensors, points))]
+    specs.append(("a", 0b1000, True, Subcycle.T2, (0.0, 0.0, 5.0)))
+    trace = TraceWriter("events")
+    world, _ = make_world(specs, Variant.BASIC, trace=trace, gain=gain)
+    theta = world.channel_cfg.theta_detect
+    hears = {}
+    for rx in sensors:
+        hears[rx] = set()
+        weak = {"top": 0.0, "bottom": 0.0}
+        for tx in sensors:
+            if tx == rx:
+                continue
+            arrival = world.power_map.arrival(tx, 0, rx)
+            if arrival.power >= theta:
+                hears[rx].add(tx)
+            else:
+                weak[arrival.side] += arrival.power
+        # a detector sums its arrivals, so faint senders together can be
+        # heard where none is alone; the pairwise oracle does not model that
+        assume(max(weak.values()) < theta)
+    frames = {}
+    for name in sensors:
+        agent = world.agents[name]
+        agent.start_chain(0b1000)
+        frames[name] = frame_bits(Frame(0b1000, Opcode.COMMAND,
+                                        agent.address))
+    oracle, _ = contention_round(frames, hears)
+    world.run_cycles(world.clock.subcycle_len)
+
+    events = [json.loads(line) for line in trace.getvalue().splitlines()]
+    exits = {e["node"]: e["bit"] for e in events if e["kind"] == "tx_exit"}
+    assert exits == {name: o.exit_bit for name, o in oracle.items()
+                     if not o.completed}
 
 
 def test_collision_evidence_counted_once_per_subcycle():

@@ -10,7 +10,6 @@ from optomac.geometry import (
     SQRT3,
     HexGrid,
     NodePose,
-    assign_positions,
     cell_of,
     geometry_between,
     neighbors,
@@ -108,25 +107,6 @@ def test_neighbors_are_adjacent_centers():
         nx, ny = grid.center(cell)
         assert math.hypot(nx - cx, ny - cy) == pytest.approx(SQRT3)
     assert len(set(neighbors((3, -2)))) == 6
-
-
-def test_assign_positions_stamps_scan_ids():
-    grid = HexGrid(1.0, ((0, 0, 1), (1, 0, 1)))
-    poses = {
-        "a": NodePose(grid.center((1, 0)) + (0.0,)),
-        "b": NodePose(grid.center((0, 1)) + (0.5,)),
-    }
-    ids = assign_positions(grid, poses)
-    assert ids == {"a": 1, "b": 2}
-    assert poses["a"].cell == (1, 0)
-    assert poses["b"].position_id == 2
-
-
-def test_assign_positions_rejects_out_of_extent():
-    grid = HexGrid(1.0, ((0, 0, 1),))
-    poses = {"far": NodePose((50.0, 50.0, 0.0))}
-    with pytest.raises(ValueError, match="far"):
-        assign_positions(grid, poses)
 
 
 def test_normal_is_normalized():

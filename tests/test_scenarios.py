@@ -1,5 +1,6 @@
 """Scripted scenario runs: frozen seed-0 outcomes, conservation, determinism."""
 
+import dataclasses
 import io
 from importlib import resources
 
@@ -112,6 +113,19 @@ def test_drug_delivery_seed0_handshake():
     assert [(d["stage"], d["cycle"]) for d in m.actuations] == \
         [(1, 131), (2, 227)]
     assert latency_triples(m) == [("actuation", "a1", 84)]
+
+
+def test_drug_delivery_lesion_at_the_sensor_is_seen():
+    # a cluster inside the sensor's own cell sits at distance zero
+    cfg = drug_delivery_config()
+    s1 = next(n for n in cfg.nodes if n.name == "s1")
+    lesion, depot = cfg.clusters
+    cfg = dataclasses.replace(cfg, clusters=(
+        dataclasses.replace(lesion, position=s1.position), depot))
+    r = run_scenario(cfg=cfg, protocol="basic", seed=0)
+    assert r.status == "ok"
+    assert [d["stage"] for d in r.metrics.actuations] == [1, 2]
+    assert not {c.name: c for c in r.world.scenario.clusters}["lesion"].active
 
 
 @pytest.mark.parametrize("protocol", ["basic", "handshake"])
