@@ -15,6 +15,7 @@ sees detector bits and frame-format failures.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .antenna import PatternTable
@@ -29,6 +30,12 @@ class ChannelConfig:
     tx_power: float = 1.0       # first-layer emitter power
 
     def __post_init__(self) -> None:
+        for name in ("mu", "theta_detect", "theta_fluor", "tx_power"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not abs(value) <= sys.float_info.max):
+                raise ValueError(f"{name} must be a finite number, "
+                                 f"got {value!r}")
         if self.mu < 0:
             raise ValueError("mu must be non-negative")
         if not 0 < self.theta_fluor < self.theta_detect:

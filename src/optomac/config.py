@@ -11,6 +11,7 @@ be fixed in one pass.  ``to_dict``/``parse`` round-trip losslessly.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
@@ -20,12 +21,12 @@ from .antenna import PatternTable, SampledPatternTable
 from .channel import ChannelConfig
 from .geometry import HexGrid, NodePose
 from .protocol import (
-    ADDRESS_BITS,
     NodeMemory,
     broadcast_address,
     controller_address,
-    frame_length,
+    format_address,
     is_actuator_address,
+    parse_address,
 )
 from .timebase import ClockConfig
 
@@ -93,7 +94,10 @@ class WorldConfig:
 
 
 def _num(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A number that converts to a finite float.  JSON also yields NaN,
+    Infinity, integers too large for a float and booleans."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def _vec3(raw: Any) -> tuple[float, float, float] | None:
@@ -101,18 +105,6 @@ def _vec3(raw: Any) -> tuple[float, float, float] | None:
             and all(_num(v) for v in raw)):
         return (float(raw[0]), float(raw[1]), float(raw[2]))
     return None
-
-
-def parse_address(text: Any, w: int = ADDRESS_BITS) -> int:
-    """Addresses appear in documents as fixed-width binary strings."""
-    if (not isinstance(text, str) or len(text) != w
-            or any(c not in "01" for c in text)):
-        raise ValueError(f"address must be a {w}-bit binary string, got {text!r}")
-    return int(text, 2)
-
-
-def format_address(addr: int, w: int = ADDRESS_BITS) -> str:
-    return f"{addr:0{w}b}"
 
 
 def _parse_grid(raw: Any, bad: list[str]) -> HexGrid | None:
@@ -293,10 +285,6 @@ def parse(data: Any) -> WorldConfig:
 
     grid = _parse_grid(data.get("grid"), bad)
     clock = _parse_section(data.get("clock"), ClockConfig, "clock", bad)
-    if clock.bits_per_frame != frame_length():
-        bad.append(f"clock.bits_per_frame: must be the frame length "
-                   f"2*{ADDRESS_BITS}+3 = {frame_length()}, "
-                   f"got {clock.bits_per_frame}")
     channel = _parse_section(data.get("channel"), ChannelConfig, "channel", bad)
 
     seed = data.get("seed", 0)
@@ -382,6 +370,12 @@ def parse(data: Any) -> WorldConfig:
 
 
 def _check_cross_references(nodes: list[NodeSpec], bad: list[str]) -> None:
+    by_position: dict[tuple[float, float, float], str] = {}
+    for spec in nodes:
+        other = by_position.setdefault(spec.position, spec.name)
+        if other != spec.name:
+            bad.append(f"nodes {other!r} and {spec.name!r} share position "
+                       f"{list(spec.position)}")
     by_address: dict[int, str] = {}
     for spec in nodes:
         other = by_address.get(spec.address)

@@ -36,8 +36,15 @@ from .channel import (
 from .geometry import NodePose
 from .metrics import Metrics
 from .nodes import Agent
-from .protocol import ADDRESS_BITS, Frame, controller_address, parse_bits
-from .timebase import ClockConfig, NonClockEvent, Subcycle, detect_nonclock, subcycle_of
+from .protocol import Frame, controller_address, parse_bits
+from .timebase import (
+    FRAME_BITS,
+    ClockConfig,
+    NonClockEvent,
+    Subcycle,
+    detect_nonclock,
+    subcycle_of,
+)
 from .trace import NullTrace, TraceWriter
 
 _ZERO_TICK = ChannelTick()
@@ -136,10 +143,9 @@ class World:
 
     # -- stimuli ---------------------------------------------------------------
 
-    def add_stimulus(self, name: str, position, intensity: float,
-                     active: bool = True) -> None:
+    def add_stimulus(self, name: str, position, intensity: float) -> None:
         self.stimuli[name] = Stimulus(name, np.asarray(position, dtype=float),
-                                      intensity, active)
+                                      intensity)
         self._fluor = {k: v for k, v in self._fluor.items() if k[1] != name}
 
     def set_stimulus(self, name: str, active: bool) -> None:
@@ -205,8 +211,7 @@ class World:
             first += 1
         transmitters = [a for a in senders if a.inflight is not None]
         if transmitters:
-            for cycle in range(first, min(start + self.clock.bits_per_frame,
-                                          stop)):
+            for cycle in range(first, min(start + FRAME_BITS, stop)):
                 self.cycle = cycle
                 self._emit_cycle(transmitters, sub, cycle - start, ic)
         if stop > last:
@@ -217,7 +222,7 @@ class World:
     def _begin_subcycle(self, sub: Subcycle, ic: int) -> None:
         for agent in self.agents.values():
             agent.begin_subcycle(sub)
-        self._controller_bits = [0] * self.clock.bits_per_frame
+        self._controller_bits = [0] * FRAME_BITS
         self._controller_active = False
         if sub == Subcycle.T1:
             self.scenario.on_icycle_start(self, ic)
@@ -288,7 +293,7 @@ class World:
             frame = parse_bits(bits)
         except ValueError:
             return
-        if frame.recipient != controller_address(ADDRESS_BITS):
+        if frame.recipient != controller_address():
             return
         self.controller_frames.append((self.cycle, frame))
         self.trace.event(self.cycle, "controller", frame=frame.describe())

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .channel import ChannelConfig, PowerMap, best_pattern, build_power_map, table_for
 from .geometry import HexGrid, NodePose, cell_of, working_mode_of
-from .protocol import ADDRESS_BITS, Frame, NodeMemory, posn_frame
+from .protocol import Frame, NodeMemory, format_address, posn_frame
 from .timebase import Subcycle
 
 
@@ -91,7 +91,7 @@ def run_topology_learning(memories: dict[str, NodeMemory], tables,
         for addr in sorted(mem.recognized):
             if addr not in mem.physical:
                 report.flags.append(
-                    f"{name}: recognized recipient {addr:0{ADDRESS_BITS}b}"
+                    f"{name}: recognized recipient {format_address(addr)}"
                     " is not physically reachable")
 
 
@@ -108,7 +108,7 @@ def run_direction_learning(memories: dict[str, NodeMemory], tables,
             other = by_addr.get(addr)
             if other is None:
                 report.flags.append(
-                    f"{name}: physical recipient {addr:0{ADDRESS_BITS}b}"
+                    f"{name}: physical recipient {format_address(addr)}"
                     " has no node, pattern left 0")
                 mem.optimal_pattern[addr] = 0
                 continue
@@ -153,24 +153,23 @@ def run_learning(grid: HexGrid, poses: dict[str, NodePose],
 
 # -- memory snapshots ---------------------------------------------------------
 
-def _addr(a: int) -> str:
-    return format(a, f"0{ADDRESS_BITS}b")
-
-
 def snapshot_text(memories: dict[str, NodeMemory]) -> str:
     """Serialize learned node memories as a stable, diff-friendly text block."""
     lines = ["# node memory snapshot"]
     for name in _ordered(memories):
         mem = memories[name]
         lines.append(f"node {name}")
-        lines.append(f"  address {_addr(mem.address)}")
+        lines.append(f"  address {format_address(mem.address)}")
         lines.append(f"  kind {'actuator' if mem.is_actuator else 'sensor'}")
         lines.append(f"  position {mem.position_id}")
         lines.append(f"  mode {mem.working_mode.name}")
-        lines.append("  physical " + " ".join(_addr(a) for a in sorted(mem.physical)))
-        lines.append("  recognized " + " ".join(_addr(a) for a in sorted(mem.recognized)))
+        lines.append("  physical " + " ".join(
+            format_address(a) for a in sorted(mem.physical)))
+        lines.append("  recognized " + " ".join(
+            format_address(a) for a in sorted(mem.recognized)))
         for addr in sorted(mem.optimal_pattern):
-            lines.append(f"  pattern {_addr(addr)} {mem.optimal_pattern[addr]}")
+            lines.append(f"  pattern {format_address(addr)} "
+                         f"{mem.optimal_pattern[addr]}")
     return "\n".join(lines) + "\n"
 
 

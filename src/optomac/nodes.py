@@ -38,7 +38,7 @@ from .protocol import (
     decode_verify,
     frame_bits,
 )
-from .timebase import ClockConfig, Rng, Subcycle
+from .timebase import FRAME_BITS, Rng, Subcycle
 from .trace import TraceWriter
 
 # Liveness backstop: a node that saw a foreign BLOCK stays quiet until it sees
@@ -125,13 +125,12 @@ class Hooks:
 class Agent:
     """Protocol state machine for one in-vivo node."""
 
-    def __init__(self, name: str, memory: NodeMemory, clock: ClockConfig,
+    def __init__(self, name: str, memory: NodeMemory,
                  channel_cfg: ChannelConfig, rng: Rng, variant: Variant,
                  trace: TraceWriter, metrics: Metrics,
                  hooks: Hooks | None = None):
         self.name = name
         self.mem = memory
-        self.clock = clock
         self.channel_cfg = channel_cfg
         self.rng = rng
         self.variant = variant
@@ -143,8 +142,8 @@ class Agent:
         self.inflight: _Inflight | None = None
         # receive buffers of the current subcycle; a side that is not
         # active holds only zeros
-        self._rx_top = [0] * clock.bits_per_frame
-        self._rx_bottom = [0] * clock.bits_per_frame
+        self._rx_top = [0] * FRAME_BITS
+        self._rx_bottom = [0] * FRAME_BITS
         self._rx_top_active = False
         self._rx_bottom_active = False
         self.chains: list[CommandChain] = []
@@ -216,7 +215,7 @@ class Agent:
             if self.inflight is None:
                 self._load_next(ic, cycle)
         fl = self.inflight
-        if fl is None or offset >= self.clock.bits_per_frame:
+        if fl is None or offset >= FRAME_BITS:
             return None
         if fl.exited_at is not None:
             fl.sent_bit = None
@@ -235,7 +234,7 @@ class Agent:
                 self.trace.event(cycle, "tx_exit", node=self.name,
                                  bit=offset, frame=fl.out.frame.describe())
             return
-        if sub == Subcycle.T4 or offset >= self.clock.bits_per_frame:
+        if sub == Subcycle.T4 or offset >= FRAME_BITS:
             return
         if tick.top.bit:
             self._rx_top[offset] = 1
@@ -245,12 +244,11 @@ class Agent:
             self._rx_bottom_active = True
 
     def begin_subcycle(self, sub: Subcycle) -> None:
-        n = self.clock.bits_per_frame
         if self._rx_top_active:
-            self._rx_top = [0] * n
+            self._rx_top = [0] * FRAME_BITS
             self._rx_top_active = False
         if self._rx_bottom_active:
-            self._rx_bottom = [0] * n
+            self._rx_bottom = [0] * FRAME_BITS
             self._rx_bottom_active = False
 
     def end_subcycle(self, sub: Subcycle, ic: int, cycle: int) -> None:

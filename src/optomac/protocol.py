@@ -1,8 +1,10 @@
 """Frame codec, address space, backoff, and bit-serial arbitration.
 
-A frame is recipient | opcode | transmitter, MSB first (11 bits at the default
-4-bit address width).  The address MSB separates sensors (0) from actuators
-(1); all-ones broadcasts, all-ones-minus-one is the ex-vivo controller.
+A frame is recipient | opcode | transmitter, MSB first: ``FRAME_BITS`` = 11
+bits at the fixed 4-bit address width, both defined in ``timebase``.  The
+address MSB separates sensors (0) from actuators (1); all-ones broadcasts,
+all-ones-minus-one is the ex-vivo controller.  Documents and traces write an
+address as a 4-bit binary string (``format_address``/``parse_address``).
 
 Arbitration exploits the OR channel: a transmitter listens during each of its
 own 0-bits and exits the subcycle the moment it hears a foreign 1, so among
@@ -15,11 +17,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Any, Iterable
 
-from .timebase import Subcycle
-
-ADDRESS_BITS = 4
+from .timebase import ADDRESS_BITS, FRAME_BITS, Subcycle
 
 Bits = tuple[int, ...]
 
@@ -35,21 +35,29 @@ class Opcode(enum.IntEnum):
     POSN = 0b000
 
 
-def frame_length(w: int = ADDRESS_BITS) -> int:
-    """Bits in one frame: recipient and transmitter addresses plus opcode."""
-    return 2 * w + 3
+def broadcast_address() -> int:
+    return (1 << ADDRESS_BITS) - 1
 
 
-def broadcast_address(w: int = ADDRESS_BITS) -> int:
-    return (1 << w) - 1
+def controller_address() -> int:
+    return (1 << ADDRESS_BITS) - 2
 
 
-def controller_address(w: int = ADDRESS_BITS) -> int:
-    return (1 << w) - 2
+def is_actuator_address(addr: int) -> bool:
+    return bool(addr >> (ADDRESS_BITS - 1) & 1)
 
 
-def is_actuator_address(addr: int, w: int = ADDRESS_BITS) -> bool:
-    return bool(addr >> (w - 1) & 1)
+def parse_address(text: Any) -> int:
+    """Addresses appear in documents as fixed-width binary strings."""
+    if (not isinstance(text, str) or len(text) != ADDRESS_BITS
+            or any(c not in "01" for c in text)):
+        raise ValueError(f"address must be a {ADDRESS_BITS}-bit binary "
+                         f"string, got {text!r}")
+    return int(text, 2)
+
+
+def format_address(addr: int) -> str:
+    return f"{addr:0{ADDRESS_BITS}b}"
 
 
 @dataclass(frozen=True)
@@ -58,13 +66,14 @@ class Frame:
     opcode: Opcode
     transmitter: int
 
-    def describe(self, w: int = ADDRESS_BITS) -> str:
-        return (f"{self.recipient:0{w}b} {self.opcode.value:03b} "
-                f"{self.transmitter:0{w}b}")
+    def describe(self) -> str:
+        return (f"{format_address(self.recipient)} {self.opcode.value:03b} "
+                f"{format_address(self.transmitter)}")
 
 
-def frame_bits(frame: Frame, w: int = ADDRESS_BITS) -> Bits:
+def frame_bits(frame: Frame) -> Bits:
     """Serialize MSB first: recipient, opcode, transmitter."""
+    w = ADDRESS_BITS
     for name, value, width in (("recipient", frame.recipient, w),
                                ("opcode", int(frame.opcode), 3),
                                ("transmitter", frame.transmitter, w)):
@@ -74,26 +83,28 @@ def frame_bits(frame: Frame, w: int = ADDRESS_BITS) -> Bits:
     return tuple(int(c) for c in text)
 
 
-def parse_bits(bits: Bits, w: int = ADDRESS_BITS) -> Frame:
-    if len(bits) != frame_length(w) or any(b not in (0, 1) for b in bits):
+def parse_bits(bits: Bits) -> Frame:
+    w = ADDRESS_BITS
+    if len(bits) != FRAME_BITS or any(b not in (0, 1) for b in bits):
         raise ValueError("malformed frame bits")
     as_int = lambda chunk: int("".join(map(str, chunk)), 2)
     return Frame(as_int(bits[:w]), Opcode(as_int(bits[w:w + 3])), as_int(bits[w + 3:]))
 
 
-def is_block_bits(bits: Bits, w: int = ADDRESS_BITS) -> bool:
-    return len(bits) == frame_length(w) and all(bits[: w + 3])
+def is_block_bits(bits: Bits) -> bool:
+    return len(bits) == FRAME_BITS and all(bits[: ADDRESS_BITS + 3])
 
 
-def posn_frame(payload: int, w: int = ADDRESS_BITS) -> Frame:
+def posn_frame(payload: int) -> Frame:
     """POSN repurposes both address fields as a payload (position id or mode)."""
+    w = ADDRESS_BITS
     if not 0 <= payload < (1 << (2 * w)):
         raise ValueError(f"payload {payload} does not fit in {2 * w} bits")
     return Frame(payload >> w, Opcode.POSN, payload & ((1 << w) - 1))
 
 
-def posn_payload(frame: Frame, w: int = ADDRESS_BITS) -> int:
-    return (frame.recipient << w) | frame.transmitter
+def posn_payload(frame: Frame) -> int:
+    return (frame.recipient << ADDRESS_BITS) | frame.transmitter
 
 
 class Verdict(enum.Enum):
@@ -134,24 +145,22 @@ class DecodeResult:
     verdict: Verdict
 
 
-def decode_verify(bits: Bits, mem: NodeMemory, w: int = ADDRESS_BITS,
-                  check_physical: bool = True) -> DecodeResult:
+def decode_verify(bits: Bits, mem: NodeMemory) -> DecodeResult:
     """Parse a received stream and vet it against local knowledge.
 
     A frame claiming a transmitter this node cannot physically hear is the
     signature of an OR-merged collision, hence collision-suspect.  Frames for
     other recipients still parse (third parties observe BLOCK/ACK traffic) but
-    are flagged not-for-me.  check_physical is dropped during learning, before
-    topology knowledge exists.
+    are flagged not-for-me.
     """
     try:
-        frame = parse_bits(bits, w)
+        frame = parse_bits(bits)
     except ValueError:
         return DecodeResult(None, Verdict.MALFORMED)
-    if check_physical and frame.transmitter not in mem.physical \
-            and frame.transmitter != controller_address(w):
+    if frame.transmitter not in mem.physical \
+            and frame.transmitter != controller_address():
         return DecodeResult(frame, Verdict.COLLISION_SUSPECT)
-    if frame.recipient not in (mem.address, broadcast_address(w)):
+    if frame.recipient not in (mem.address, broadcast_address()):
         return DecodeResult(frame, Verdict.NOT_FOR_ME)
     return DecodeResult(frame, Verdict.OK)
 

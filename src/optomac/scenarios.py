@@ -230,59 +230,35 @@ def default_config(scenario: str) -> WorldConfig:
     return builders[scenario]()
 
 
-# -- runtime second-layer state ----------------------------------------------
-
-
-@dataclass
-class SecondLayerCluster:
-    """Mutable run state of one configured cluster."""
-
-    spec: ClusterSpec
-    active: bool = False
-    dose_accumulated: float = 0.0
-    electroporated: bool = False
-    released: bool = False
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
-    def is_fluorescent(self) -> bool:
-        return self.spec.kind == "fluorescent"
-
-
 # -- drivers -----------------------------------------------------------------
 
 
 class ScenarioDriver(Hooks, ScenarioHooks):
-    """Base driver: owns clusters, stimuli and completion detection.
+    """Base driver: lights the fluorescent clusters and detects completion.
 
     A driver instance is handed to every Agent as its hook sink and to the
     World as its scenario, so one object sees both node-level events
     (trigger, actuation, chain completion) and world-level ones (cycle
-    boundaries, controller frames).
+    boundaries, controller frames).  Whether a cluster still fluoresces is
+    the World's to say: ``world.stimuli[name].active``.
     """
 
     def __init__(self, parts: WorldParts, metrics: Metrics,
-                 trace: TraceWriter, rng: Rng):
+                 trace: TraceWriter):
         self.parts = parts
         self.cfg = parts.cfg
         self.metrics = metrics
         self.trace = trace
-        self.rng = rng
         self.world: World | None = None
-        self.clusters = [SecondLayerCluster(spec) for spec in self.cfg.clusters]
+        self.fluorescent = [spec for spec in self.cfg.clusters
+                            if spec.kind == "fluorescent"]
 
     # lifecycle ------------------------------------------------------------
 
     def attach(self, world: World) -> None:
         self.world = world
-        for cluster in self.clusters:
-            if cluster.is_fluorescent:
-                cluster.active = True
-                world.add_stimulus(cluster.name, cluster.spec.position,
-                                   cluster.spec.emit_power, active=True)
+        for spec in self.fluorescent:
+            world.add_stimulus(spec.name, spec.position, spec.emit_power)
 
     def finished(self, world: World) -> bool:
         return False
@@ -310,8 +286,8 @@ class BurstCommandDriver(ScenarioDriver):
     then the run continues until every chain resolved or the horizon hits.
     """
 
-    def __init__(self, parts, metrics, trace, rng):
-        super().__init__(parts, metrics, trace, rng)
+    def __init__(self, parts, metrics, trace):
+        super().__init__(parts, metrics, trace)
         self.commanders: list[str] = []
 
     def on_icycle_start(self, world: World, ic: int) -> None:
@@ -342,22 +318,23 @@ class PhotothermalDriver(ScenarioDriver):
     controller can see them, otherwise through their lowest-addressed
     physical neighbour.  Each decoded request registers an irradiation
     task for the reported position; every instruction cycle the task doses
-    all active clusters in that cell with a step that doubles up to a cap,
-    and retires once the cell holds no active cluster.
+    all lit clusters in that cell with a step that doubles up to a cap,
+    and retires once the cell holds no lit cluster.
     """
 
     dose_initial = 0.25
     dose_cap_factor = 8.0
 
-    def __init__(self, parts, metrics, trace, rng):
-        super().__init__(parts, metrics, trace, rng)
+    def __init__(self, parts, metrics, trace):
+        super().__init__(parts, metrics, trace)
         self.tasks: dict[int, float] = {}  # position id -> next dose step
         self.served: set[int] = set()      # origin addresses with a live task
         self.trigger_cycles: dict[str, int] = {}
+        self.dose = {spec.name: 0.0 for spec in self.fluorescent}
         scan = self.cfg.grid.scan_cells()
         self._cell_of_position = {idx: cell for idx, cell in enumerate(scan)}
-        self._fluorescent_cells = [(c, cell_of(c.spec.position, self.cfg.grid))
-                                   for c in self.clusters if c.is_fluorescent]
+        self._fluorescent_cells = [(spec, cell_of(spec.position, self.cfg.grid))
+                                   for spec in self.fluorescent]
 
     # node-side hooks --------------------------------------------------------
 
@@ -408,36 +385,36 @@ class PhotothermalDriver(ScenarioDriver):
     def on_icycle_end(self, world: World, ic: int) -> None:
         for position in sorted(self.tasks):
             cell = self._cell_of_position[position]
-            targets = [c for c, c_cell in self._fluorescent_cells
-                       if c.active and c_cell == cell]
+            targets = [spec for spec, c_cell in self._fluorescent_cells
+                       if c_cell == cell and world.stimuli[spec.name].active]
             if not targets:
                 del self.tasks[position]
                 self.trace.event(world.cycle, "dose", position=position,
                                  state="stop")
                 continue
             step = self.tasks[position]
-            for cluster in targets:
-                cluster.dose_accumulated += step
+            for spec in targets:
+                self.dose[spec.name] += step
                 self.metrics.doses.append({
-                    "cluster": cluster.name, "position": position,
+                    "cluster": spec.name, "position": position,
                     "dose": step, "cycle": world.cycle})
-                if cluster.dose_accumulated >= cluster.spec.dose_kill:
-                    cluster.active = False
-                    world.set_stimulus(cluster.name, False)
+                if self.dose[spec.name] >= spec.dose_kill:
+                    world.set_stimulus(spec.name, False)
                     self.trace.event(world.cycle, "dose",
-                                     cluster=cluster.name, state="ablated",
-                                     total=round(cluster.dose_accumulated, 9))
+                                     cluster=spec.name, state="ablated",
+                                     total=round(self.dose[spec.name], 9))
             self.tasks[position] = min(step * 2.0,
                                        self.dose_initial * self.dose_cap_factor)
 
     def finished(self, world: World) -> bool:
-        return all(not c.active for c in self.clusters if c.is_fluorescent)
+        return not any(world.stimuli[spec.name].active
+                       for spec in self.fluorescent)
 
     def finalize(self, world: World, status: str) -> None:
-        for cluster in self.clusters:
-            if cluster.is_fluorescent and cluster.active:
+        for spec in self.fluorescent:
+            if world.stimuli[spec.name].active:
                 self.metrics.timeouts.append({
-                    "node": cluster.name, "waited": "dose",
+                    "node": spec.name, "waited": "dose",
                     "cycle": world.cycle})
 
 
@@ -450,8 +427,8 @@ class DrugDeliveryDriver(ScenarioDriver):
     quenches the cluster that started the episode.
     """
 
-    def __init__(self, parts, metrics, trace, rng):
-        super().__init__(parts, metrics, trace, rng)
+    def __init__(self, parts, metrics, trace):
+        super().__init__(parts, metrics, trace)
         self.detect_cycles: dict[str, int] = {}
         self.sensor_clusters: dict[str, list[str]] = {}
         self.completed: set[str] = set()
@@ -478,9 +455,6 @@ class DrugDeliveryDriver(ScenarioDriver):
             self.completed.add(agent.name)
             for name in self.sensor_clusters.get(agent.name, []):
                 self.world.set_stimulus(name, False)
-                for cluster in self.clusters:
-                    if cluster.name == name:
-                        cluster.active = False
 
     def on_actuation(self, agent: Agent, commander: int, meta: dict,
                      cycle: int) -> None:
@@ -498,13 +472,6 @@ class DrugDeliveryDriver(ScenarioDriver):
             self.metrics.latencies.append({
                 "kind": "actuation", "node": agent.name,
                 "cycles": cycle - detected})
-        for cluster in self.clusters:
-            if cluster.spec.kind == "actuator" and \
-                    cluster.spec.attached == agent.name:
-                if stage == 1:
-                    cluster.electroporated = True
-                else:
-                    cluster.released = True
 
     def finished(self, world: World) -> bool:
         if not self.detect_cycles:
@@ -557,7 +524,7 @@ def build_world(cfg: WorldConfig, variant: Variant, seed: int,
                           cfg.channel)
     hooks = driver if driver is not None else Hooks()
     agents = [
-        Agent(spec.name, parts.memories[spec.name], cfg.clock, cfg.channel,
+        Agent(spec.name, parts.memories[spec.name], cfg.channel,
               Rng(seed, stream=spec.address), variant, trace, metrics,
               hooks=hooks)
         for spec in cfg.nodes
@@ -597,7 +564,7 @@ def run_scenario(name: str | None = None, cfg: WorldConfig | None = None,
     metrics = Metrics()
 
     parts = build_parts(cfg)
-    driver = DRIVERS[name](parts, metrics, tracer, Rng(run_seed, stream=0xC0))
+    driver = DRIVERS[name](parts, metrics, tracer)
     world, parts, report = build_world(cfg, variant, run_seed, tracer,
                                        metrics, driver, parts=parts)
     driver.attach(world)

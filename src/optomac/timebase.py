@@ -2,7 +2,9 @@
 
 Every in-vivo node recovers its clock from the same pulsed laser, so simulated
 time is a single integer cycle counter.  An instruction cycle is four subcycles
-(T1..T4); each subcycle carries one frame plus guard bits.  Gaps in the pulse
+(T1..T4); each subcycle carries one frame plus guard bits.  A frame is two
+node addresses and a 3-bit opcode, so its length ``FRAME_BITS`` follows from
+the address width ``ADDRESS_BITS`` and is not a setting.  Gaps in the pulse
 train are not data: a short gap resynchronizes the frame phase, a long gap
 toggles between learning and working mode.
 """
@@ -13,6 +15,8 @@ import enum
 from dataclasses import dataclass
 
 SUBCYCLES_PER_ICYCLE = 4
+ADDRESS_BITS = 4
+FRAME_BITS = 2 * ADDRESS_BITS + 3   # recipient, opcode, transmitter
 
 
 class Subcycle(enum.IntEnum):
@@ -30,14 +34,15 @@ class NonClockEvent(enum.Enum):
 
 @dataclass(frozen=True)
 class ClockConfig:
-    bits_per_frame: int = 11
     guard_bits: int = 1
     g_sync: int = 8
     g_mode: int = 32
 
     def __post_init__(self) -> None:
-        if self.bits_per_frame < 1:
-            raise ValueError("bits_per_frame must be positive")
+        for name in ("guard_bits", "g_sync", "g_mode"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.guard_bits < 0:
             raise ValueError("guard_bits must be non-negative")
         if not 0 < self.g_sync < self.g_mode:
@@ -45,7 +50,7 @@ class ClockConfig:
 
     @property
     def subcycle_len(self) -> int:
-        return self.bits_per_frame + self.guard_bits
+        return FRAME_BITS + self.guard_bits
 
     @property
     def icycle_len(self) -> int:

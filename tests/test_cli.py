@@ -2,11 +2,12 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
 from optomac.cli import ARTIFACTS, main
-from optomac.config import save
+from optomac.config import save, to_dict
 from optomac.scenarios import drug_delivery_config
 
 EXPECTED_SUMMARY = ("drug_delivery protocol=handshake seed=0 status=ok "
@@ -112,21 +113,8 @@ def test_invalid_config_document_exits_two(tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bits", [10, 12])
-def test_frame_length_mismatch_exits_two(tmp_path, capsys, bits):
-    path = tmp_path / "deploy.json"
-    save(drug_delivery_config(), path)
-    doc = json.loads(path.read_text())
-    doc["clock"]["bits_per_frame"] = bits
-    path.write_text(json.dumps(doc))
-    assert main(["--config", str(path), "--seed", "0"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("optomac: ")
-    assert f"clock.bits_per_frame: must be the frame length 2*4+3 = 11, " \
-           f"got {bits}" in err
-
-
-@pytest.mark.parametrize("section,key", [("clock", "pulse_rate_hz"),
+@pytest.mark.parametrize("section,key", [("clock", "bits_per_frame"),
+                                         ("clock", "pulse_rate_hz"),
                                          ("channel", "fluor_power"),
                                          ("channel", "theta_command")])
 def test_removed_keys_exit_two(tmp_path, capsys, section, key):
@@ -137,3 +125,37 @@ def test_removed_keys_exit_two(tmp_path, capsys, section, key):
     path.write_text(json.dumps(doc))
     assert main(["--config", str(path), "--seed", "0"]) == 2
     assert f"{section}.{key}: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("clock", "guard_bits"), 1.5, "clock: guard_bits must be an integer"),
+    (("nodes", 0, "position"), [0.0, math.inf, 0.0],
+     "nodes[0] (s1).position: must be [x, y, z]"),
+    (("nodes", 0, "position"), [math.nan, 0.0, 0.0],
+     "nodes[0] (s1).position: must be [x, y, z]"),
+    (("nodes", 0, "patterns"), {"azimuth_step_deg": math.inf, "gains": [[]]},
+     "nodes[0] (s1).patterns.azimuth_step_deg: must evenly divide 360"),
+    (("nodes", 0, "patterns", "azimuth_step_deg"), math.nan,
+     "nodes[0] (s1).patterns.azimuth_step_deg: must evenly divide 360"),
+    (("grid", "cell_radius"), math.inf,
+     "grid.cell_radius: must be a positive number"),
+    (("channel", "mu"), math.nan, "channel: mu must be a finite number"),
+    (("clusters", 0, "emit_power"), math.nan,
+     "clusters[0] (lesion).emit_power: must be a non-negative number"),
+    (("nodes", 1, "position"), [0.0, 0.0, 0.0],
+     "nodes 's1' and 'a1' share position [0.0, 0.0, 0.0]"),
+], ids=["guard_bits-1.5", "position-inf", "position-nan", "step-inf",
+        "step-nan", "cell_radius-inf", "mu-nan", "emit_power-nan",
+        "coincident-nodes"])
+def test_unrunnable_values_exit_two(tmp_path, capsys, path, value, message):
+    # json writes and reads NaN and Infinity; none of these may reach a run
+    doc = to_dict(drug_delivery_config())
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    config_path = tmp_path / "deploy.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["--config", str(config_path), "--seed", "0"]) == 2
+    assert message in capsys.readouterr().err

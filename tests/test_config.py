@@ -1,8 +1,12 @@
 """Deployment document schema: parsing, validation, round-trips, assembly."""
 
+import copy
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optomac.antenna import SampledPatternTable
 from optomac.config import (
@@ -24,6 +28,7 @@ from optomac.scenarios import (
     drug_delivery_config,
     hidden_terminal_config,
     photothermal_config,
+    run_scenario,
 )
 
 
@@ -157,13 +162,13 @@ def test_controller_address_reserved():
 
 def test_clock_and_channel_sections_validated():
     doc = minimal_doc()
-    doc["clock"] = {"bits_per_frame": 0, "warp": 9}
+    doc["clock"] = {"guard_bits": -1, "warp": 9}
     doc["channel"] = {"mu": -1.0}
     with pytest.raises(ConfigError) as err:
         parse(doc)
     text = str(err.value)
     assert "clock.warp: unknown key" in text
-    assert "clock: bits_per_frame must be positive" in text
+    assert "clock: guard_bits must be non-negative" in text
     assert "channel: mu must be non-negative" in text
 
 
@@ -219,3 +224,43 @@ def test_dumps_is_canonical_json():
     body = json.loads(dumps(cfg))
     assert body["nodes"][0]["address"] == "0001"
     assert sorted(body) == list(body)  # sort_keys
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaf_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for idx, child in enumerate(node):
+            yield from _leaf_paths(child, path + (idx,))
+    else:
+        yield path
+
+
+DRUG_DOC = to_dict(drug_delivery_config())
+# A gain table holds 4 x 72 alike entries; its first one stands for all, so
+# the draws spread over the leaves that differ in kind.
+DRUG_LEAVES = [p for p in _leaf_paths(DRUG_DOC)
+               if "gains" not in p or p[-2:] == (0, 0)]
+ODD_VALUES = [0, -1, 1.5, 1e-9, 1e9, math.nan, math.inf, -math.inf, True,
+              "1", None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(DRUG_LEAVES),
+                          st.sampled_from(ODD_VALUES)),
+                min_size=1, max_size=3))
+def test_accepted_configs_run(edits):
+    """A document either fails validation or runs; it never raises else."""
+    doc = copy.deepcopy(DRUG_DOC)
+    for path, value in edits:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    try:
+        cfg = parse(doc)
+    except ConfigError:
+        return
+    # a config may leave the scenario to the command line
+    run_scenario("drug_delivery", cfg=cfg, seed=0, max_cycles=480)

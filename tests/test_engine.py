@@ -65,9 +65,8 @@ def make_world(node_specs, variant=Variant.BASIC, trace=None,
         mem = NodeMemory(address=address, is_actuator=is_act,
                          working_mode=mode,
                          physical=set(addresses) - {address})
-        agents.append(Agent(name, mem, ClockConfig(), ChannelConfig(),
-                            Rng(0, address), variant, tracer, metrics,
-                            hooks=hooks))
+        agents.append(Agent(name, mem, ChannelConfig(), Rng(0, address),
+                            variant, tracer, metrics, hooks=hooks))
     world = World(poses, _FlatTable(gain), agents, ClockConfig(),
                   ChannelConfig(), trace=tracer, metrics=metrics,
                   scenario=scenario, laser_gaps=laser_gaps,

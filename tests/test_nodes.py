@@ -31,6 +31,7 @@ from optomac.trace import NullTrace
 SENSOR = 0b0001
 PEER = 0b0010
 ACTUATOR = 0b1000
+SUBCYCLE_LEN = ClockConfig().subcycle_len
 
 
 class RecordingHooks(Hooks):
@@ -60,9 +61,8 @@ def make_agent(address=SENSOR, is_actuator=False, mode=Subcycle.T1,
         physical=set(physical or {SENSOR, PEER, ACTUATOR} - {address}),
         recognized=set(recognized or ()))
     hooks = RecordingHooks()
-    agent = Agent(f"n{address}", mem, ClockConfig(), ChannelConfig(),
-                  Rng(0, address), variant, NullTrace(), Metrics(),
-                  hooks=hooks)
+    agent = Agent(f"n{address}", mem, ChannelConfig(), Rng(0, address),
+                  variant, NullTrace(), Metrics(), hooks=hooks)
     return agent, hooks
 
 
@@ -78,12 +78,12 @@ def run_own_subcycle(agent: Agent, ic: int = 0, base_cycle: int = 0,
     sub = agent.mode
     agent.begin_subcycle(sub)
     sent = []
-    for off in range(agent.clock.subcycle_len):
+    for off in range(SUBCYCLE_LEN):
         cycle = base_cycle + off
         sent.append(agent.emit(sub, off, ic, cycle))
         if jam_at is not None and off == jam_at:
             agent.observe(strong_tick(1), sub, off, ic, cycle)
-    agent.end_subcycle(sub, ic, base_cycle + agent.clock.subcycle_len - 1)
+    agent.end_subcycle(sub, ic, base_cycle + SUBCYCLE_LEN - 1)
     return sent
 
 
@@ -91,14 +91,14 @@ def feed_subcycle(agent: Agent, sub: Subcycle, ic: int = 0,
                   base_cycle: int = 0, top=None, bottom=None) -> None:
     """One receive subcycle delivering whole frames per detector side."""
     agent.begin_subcycle(sub)
-    for off in range(agent.clock.subcycle_len):
+    for off in range(SUBCYCLE_LEN):
         top_bit = top[off] if top is not None and off < len(top) else 0
         bot_bit = bottom[off] if bottom is not None and off < len(bottom) else 0
         tick = ChannelTick(
             top=DetectorReading(power=0.05 * top_bit, bit=top_bit),
             bottom=DetectorReading(power=0.05 * bot_bit, bit=bot_bit))
         agent.observe(tick, sub, off, ic, base_cycle + off)
-    agent.end_subcycle(sub, ic, base_cycle + agent.clock.subcycle_len - 1)
+    agent.end_subcycle(sub, ic, base_cycle + SUBCYCLE_LEN - 1)
 
 
 def test_silent_outside_own_subcycle():

@@ -133,14 +133,12 @@ def test_decode_verify_controller_is_always_plausible():
 
 
 def test_decode_verify_check_physical_off():
-    # during learning no topology exists yet, so the plausibility filter
-    # must be skippable
+    # a node with no learned topology can hear nobody: every transmitter
+    # but the controller is implausible
     mem = NodeMemory(address=0b1000, is_actuator=True)
     frame = Frame(0b1000, Opcode.PROBE, 0b0001)
     assert decode_verify(frame_bits(frame), mem).verdict is \
         Verdict.COLLISION_SUSPECT
-    assert decode_verify(frame_bits(frame), mem,
-                         check_physical=False).verdict is Verdict.OK
 
 
 def test_decode_verify_malformed_first():

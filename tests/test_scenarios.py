@@ -99,10 +99,9 @@ def test_drug_delivery_seed0_stages():
     assert stages[0][3] < stages[1][3]
     assert latency_triples(m) == [("actuation", "a1", 36)]
 
-    driver = r.world.scenario
-    by_name = {c.name: c for c in driver.clusters}
-    assert by_name["depot"].electroporated and by_name["depot"].released
-    assert not by_name["lesion"].active
+    # the depot is an actuator cluster: it never fluoresces
+    assert list(r.world.stimuli) == ["lesion"]
+    assert not r.world.stimuli["lesion"].active
 
 
 def test_drug_delivery_seed0_handshake():
@@ -125,7 +124,7 @@ def test_drug_delivery_lesion_at_the_sensor_is_seen():
     r = run_scenario(cfg=cfg, protocol="basic", seed=0)
     assert r.status == "ok"
     assert [d["stage"] for d in r.metrics.actuations] == [1, 2]
-    assert not {c.name: c for c in r.world.scenario.clusters}["lesion"].active
+    assert not r.world.stimuli["lesion"].active
 
 
 @pytest.mark.parametrize("protocol", ["basic", "handshake"])

@@ -43,11 +43,12 @@ def test_subcycle_of_rejects_negative_cycles():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"bits_per_frame": 0},
+    {"guard_bits": 1.5},
     {"guard_bits": -1},
     {"g_sync": 0},
     {"g_sync": 32, "g_mode": 32},
     {"g_sync": 40, "g_mode": 32},
+    {"g_sync": True},
 ])
 def test_clock_config_validation(kwargs):
     with pytest.raises(ValueError):
