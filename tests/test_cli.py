@@ -113,8 +113,22 @@ def test_invalid_config_document_exits_two(tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section,key", [("clock", "bits_per_frame"),
-                                         ("clock", "pulse_rate_hz"),
+@pytest.mark.parametrize("bits", [10, 12])
+def test_frame_length_mismatch_exits_two(tmp_path, capsys, bits):
+    # The frame length is derived, so any stated clock.bits_per_frame is
+    # refused rather than checked against it.
+    path = tmp_path / "deploy.json"
+    save(drug_delivery_config(), path)
+    doc = json.loads(path.read_text())
+    doc["clock"]["bits_per_frame"] = bits
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("optomac: ")
+    assert "clock.bits_per_frame: unknown key" in err
+
+
+@pytest.mark.parametrize("section,key", [("clock", "pulse_rate_hz"),
                                          ("channel", "fluor_power"),
                                          ("channel", "theta_command")])
 def test_removed_keys_exit_two(tmp_path, capsys, section, key):
