@@ -1,12 +1,11 @@
 """Voltage-controlled optical antenna model and pattern synthesis.
 
-Each node couples its emitter through a nonlinear medium; a static control
-field biases the medium so element amplitude follows the applied voltage up to
-saturation.  Switching elements between 0 and v_sat reshapes the radiated
-pattern.  A pattern table is the per-node set of selectable patterns; the
-channel only ever asks it for a scalar gain toward a direction, so tables can
-be backed either by an element array with synthesized masks or by sampled
-azimuth profiles loaded from a file.
+Element amplitude follows the applied control voltage up to saturation, so
+switching elements between 0 and v_sat reshapes the radiated pattern of an
+emitter array; ``synthesize_pattern`` finds the on/off mask that steers it
+toward a target.  A node's selectable patterns reach the channel through one
+table type, ``SampledPatternTable``: sampled azimuth gain profiles, which the
+channel only ever asks for a scalar gain toward a direction.
 """
 
 from __future__ import annotations
@@ -19,20 +18,6 @@ from itertools import product
 import numpy as np
 
 EXHAUSTIVE_LIMIT = 12  # full mask search up to 2^12 weight vectors
-
-
-@dataclass(frozen=True)
-class NonlinearMedium:
-    chi1: float = 1.0
-    chi2: float = 0.0
-    chi3: float = 1.0
-    eps0: float = 1.0
-
-
-def polarization(e_opt: float, e_static: float, medium: NonlinearMedium) -> float:
-    """Scalar polarization response P(E) with E = optical + static bias."""
-    e = e_opt + e_static
-    return medium.eps0 * (medium.chi1 * e + medium.chi2 * e * e + medium.chi3 * e ** 3)
 
 
 @dataclass(frozen=True)
@@ -139,65 +124,13 @@ def synthesize_pattern(arr: ElementArray, target) -> SynthesizedPattern:
     return SynthesizedPattern(tuple(int(m) for m in mask), tuple(u), best_p)
 
 
-def synthesize_pattern_table(arr: ElementArray, targets, n_patterns: int = 4) -> "ArrayPatternTable":
-    """Pattern 0 is all elements on; patterns 1.. steer toward the targets."""
-    if n_patterns < 1:
-        raise ValueError("n_patterns must be at least 1")
-    if len(targets) != n_patterns - 1:
-        raise ValueError(f"need exactly {n_patterns - 1} targets for {n_patterns} patterns")
-    on_amp = element_amplitude(arr.element.v_sat, arr.element)
-    patterns = [SynthesizedPattern((1,) * len(arr), None, 0.0)]
-    patterns += [synthesize_pattern(arr, t) for t in targets]
-    return ArrayPatternTable(arr, patterns, on_amp)
-
-
 def azimuth_deg(direction) -> float:
     """Lateral azimuth of a 3D direction in [0, 360); straight up/down maps to 0."""
     az = math.degrees(math.atan2(direction[1], direction[0]))
     return az % 360.0 if (direction[0], direction[1]) != (0.0, 0.0) else 0.0
 
 
-class PatternTable:
-    """Interface the channel consumes: scalar gain per (pattern id, direction)."""
-
-    n_patterns: int
-
-    def gain(self, pattern: int, direction) -> float:
-        raise NotImplementedError
-
-    def to_text(self, azimuth_step_deg: float = 5.0) -> str:
-        """Dump as `pattern <id> mask <bits|->` blocks with azimuth/gain rows."""
-        out = io.StringIO()
-        azs = np.arange(0.0, 360.0, azimuth_step_deg)
-        for p in range(self.n_patterns):
-            out.write(f"pattern {p} mask {self.mask_text(p)}\n")
-            for az in azs:
-                rad = math.radians(az)
-                g = self.gain(p, (math.cos(rad), math.sin(rad), 0.0))
-                out.write(f"{az:.1f} {g:.9e}\n")
-            out.write("\n")
-        return out.getvalue()
-
-    def mask_text(self, pattern: int) -> str:
-        return "-"
-
-
-class ArrayPatternTable(PatternTable):
-    def __init__(self, arr: ElementArray, patterns: list[SynthesizedPattern], on_amp: float):
-        self.array = arr
-        self.patterns = patterns
-        self.on_amp = on_amp
-        self.n_patterns = len(patterns)
-
-    def gain(self, pattern: int, direction) -> float:
-        mask = np.array(self.patterns[pattern].mask, dtype=float)
-        return gain(self.array, mask * self.on_amp, direction)
-
-    def mask_text(self, pattern: int) -> str:
-        return "".join(str(b) for b in self.patterns[pattern].mask)
-
-
-class SampledPatternTable(PatternTable):
+class SampledPatternTable:
     """Azimuth-sampled gain profiles with periodic linear interpolation.
 
     Gain is taken over the lateral azimuth of the direction; elevation is not
@@ -221,19 +154,16 @@ class SampledPatternTable(PatternTable):
         ys = np.concatenate([self.gains[pattern], [self.gains[pattern][0]]])
         return float(np.interp(az, xs, ys))
 
-    @classmethod
-    def from_text(cls, text: str) -> "SampledPatternTable":
-        azimuths: list[float] = []
-        gains: list[list[float]] = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("pattern "):
-                gains.append([])
-                continue
-            az_s, g_s = line.split()
-            if len(gains) == 1:
-                azimuths.append(float(az_s))
-            gains[-1].append(float(g_s))
-        return cls(azimuths, gains)
+    def to_text(self) -> str:
+        """Dump as `pattern <id> mask -` blocks with one azimuth/gain row
+        every 5 degrees."""
+        out = io.StringIO()
+        azs = np.arange(0.0, 360.0, 5.0)
+        for p in range(self.n_patterns):
+            out.write(f"pattern {p} mask -\n")
+            for az in azs:
+                rad = math.radians(az)
+                g = self.gain(p, (math.cos(rad), math.sin(rad), 0.0))
+                out.write(f"{az:.1f} {g:.9e}\n")
+            out.write("\n")
+        return out.getvalue()

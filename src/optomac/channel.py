@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .antenna import PatternTable
+from .antenna import SampledPatternTable
 from .geometry import NodePose, geometry_between
 
 
@@ -122,22 +122,14 @@ class PowerMap:
         return self.arrivals[(tx, pattern, rx)]
 
 
-def table_for(tables, node: str) -> PatternTable:
-    """Resolve a shared table or a per-node table mapping."""
-    if isinstance(tables, PatternTable):
-        return tables
-    return tables[node]
-
-
-def build_power_map(poses: dict[str, NodePose], tables, cfg: ChannelConfig) -> PowerMap:
-    """Precompute arrivals for all pairs.
-
-    ``tables`` is either one PatternTable shared by every node or a mapping
-    from node name to that node's own table.
-    """
+def build_power_map(poses: dict[str, NodePose],
+                    tables: dict[str, SampledPatternTable],
+                    cfg: ChannelConfig) -> PowerMap:
+    """Precompute arrivals for all pairs; ``tables`` maps each node to its
+    own gain table."""
     pm = PowerMap()
     for tx, tx_pose in poses.items():
-        table = table_for(tables, tx)
+        table = tables[tx]
         for rx, rx_pose in poses.items():
             if tx == rx:
                 continue
@@ -151,9 +143,8 @@ def build_power_map(poses: dict[str, NodePose], tables, cfg: ChannelConfig) -> P
 
 def reachable(pm: PowerMap, tables, tx: str, rx: str, cfg: ChannelConfig) -> bool:
     """Ground-truth physical reachability: any pattern delivers a detectable bit."""
-    table = table_for(tables, tx)
     return any(pm.arrival(tx, p, rx).power >= cfg.theta_detect
-               for p in range(table.n_patterns))
+               for p in range(tables[tx].n_patterns))
 
 
 def best_pattern(pm: PowerMap, tables, tx: str, rx: str) -> int:
@@ -162,8 +153,8 @@ def best_pattern(pm: PowerMap, tables, tx: str, rx: str) -> int:
     Ties resolve to the lowest index, matching what a node learns from
     pattern trials.
     """
-    table = table_for(tables, tx)
-    powers = [pm.arrival(tx, p, rx).power for p in range(table.n_patterns)]
+    powers = [pm.arrival(tx, p, rx).power
+              for p in range(tables[tx].n_patterns)]
     best = 0
     for p, value in enumerate(powers):
         if value > powers[best]:

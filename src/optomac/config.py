@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .antenna import PatternTable, SampledPatternTable
+from .antenna import SampledPatternTable
 from .channel import ChannelConfig
 from .geometry import HexGrid, NodePose
 from .protocol import (
@@ -484,34 +484,16 @@ def load_fixture(name: str) -> WorldConfig:
 
 @dataclass
 class WorldParts:
-    """Everything a scenario driver needs to instantiate agents and a World."""
-    cfg: WorldConfig
+    """Everything ``build_world`` needs to instantiate agents and a World."""
     poses: dict[str, NodePose]
-    tables: dict[str, PatternTable]
+    tables: dict[str, SampledPatternTable]
     memories: dict[str, NodeMemory]
-
-    @property
-    def by_address(self) -> dict[int, str]:
-        return {spec.address: spec.name for spec in self.cfg.nodes}
-
-
-class _FlatTable(PatternTable):
-    """Isotropic fallback for nodes that ship no gain profile."""
-
-    def __init__(self, gain: float = 1.0, n_patterns: int = 4):
-        self.n_patterns = n_patterns
-        self._gain = gain
-
-    def gain(self, pattern: int, direction) -> float:
-        if not 0 <= pattern < self.n_patterns:
-            raise IndexError(f"pattern {pattern} out of range")
-        return self._gain
 
 
 def build_parts(cfg: WorldConfig) -> WorldParts:
     """Instantiate poses, antenna tables and pre-learning memories."""
     poses: dict[str, NodePose] = {}
-    tables: dict[str, PatternTable] = {}
+    tables: dict[str, SampledPatternTable] = {}
     memories: dict[str, NodeMemory] = {}
     for spec in cfg.nodes:
         poses[spec.name] = NodePose(position=spec.position, normal=spec.normal)
@@ -520,8 +502,9 @@ def build_parts(cfg: WorldConfig) -> WorldParts:
             azimuths = [i * step for i in range(int(round(360.0 / step)))]
             tables[spec.name] = SampledPatternTable(azimuths, list(map(list, spec.gains)))
         else:
-            tables[spec.name] = _FlatTable()
+            # isotropic fallback: four patterns of unit gain in every direction
+            tables[spec.name] = SampledPatternTable([0.0], [[1.0]] * 4)
         memories[spec.name] = NodeMemory(
             address=spec.address, is_actuator=spec.is_actuator,
             recognized=set(spec.recognized))
-    return WorldParts(cfg=cfg, poses=poses, tables=tables, memories=memories)
+    return WorldParts(poses=poses, tables=tables, memories=memories)

@@ -12,10 +12,12 @@ readings are memoised per set of simultaneous emissions.  No node ever sees
 a partial cycle, so runs are reproducible bit-for-bit given the same seed
 and configuration.
 
-Timekeeping is phase-relative: the frame-synchronization pattern (a long gap
-in the external laser clock) restarts the subcycle phase, and a still longer
-gap additionally toggles learning mode.  Instruction-cycle indices stay
-monotonic across gaps so protocol timers keep their meaning.
+Timekeeping is phase-relative: a gap in the external laser clock restarts
+the subcycle phase.  A still longer gap is the learning/working mode toggle;
+learning runs once before the World starts, so the World traces such a gap
+as ``mode_toggle`` and otherwise treats it as a frame sync.
+Instruction-cycle indices stay monotonic across gaps so protocol timers keep
+their meaning.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .protocol import Frame, controller_address, parse_bits
 from .timebase import (
     FRAME_BITS,
     ClockConfig,
-    NonClockEvent,
     Subcycle,
     detect_nonclock,
     subcycle_of,
@@ -110,7 +111,6 @@ class World:
         self.cycle = 0
         self.phase_origin = 0
         self._ic_base = 0
-        self.learning_mode = False
         self.controller_frames: list[tuple[int, Frame]] = []
         self._controller_hears = (set(controller_hears)
                                   if controller_hears is not None else None)
@@ -138,8 +138,6 @@ class World:
         self._ic_base = self.current_ic + 1
         self.cycle += gap.length
         self.phase_origin = self.cycle
-        if event is NonClockEvent.MODE_TOGGLE:
-            self.learning_mode = not self.learning_mode
 
     # -- stimuli ---------------------------------------------------------------
 
@@ -257,7 +255,7 @@ class World:
         agents = self.agents.values()
         for agent in agents:
             agent.end_subcycle(sub, ic, self.cycle)
-        if self._controller_active and sub != Subcycle.T4:
+        if self._controller_active:
             self._controller_decode()
         if sub == Subcycle.T4:
             for agent in agents:

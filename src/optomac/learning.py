@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .channel import ChannelConfig, PowerMap, best_pattern, build_power_map, table_for
+from .channel import ChannelConfig, PowerMap, best_pattern, build_power_map
 from .geometry import HexGrid, NodePose, cell_of, working_mode_of
 from .protocol import Frame, NodeMemory, format_address, posn_frame
 from .timebase import Subcycle
@@ -79,8 +79,7 @@ def run_topology_learning(memories: dict[str, NodeMemory], tables,
     for name in names:
         mem = memories[name]
         mem.physical.clear()
-        table = table_for(tables, name)
-        for p in range(table.n_patterns):
+        for p in range(tables[name].n_patterns):
             hearers = tuple(sorted(
                 rx for rx in names
                 if rx != name

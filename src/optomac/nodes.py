@@ -63,7 +63,6 @@ class ChainState(enum.Enum):
     SEND_COMMAND = "send_command"
     AWAIT_ACK = "await_ack"
     BACKOFF = "backoff"
-    DONE = "done"
 
 
 @dataclass
@@ -76,13 +75,7 @@ class CommandChain:
     window: int = 0
     retry_ic: int = 0
     started_cycle: int = 0
-    attempts: int = 0
     backoff: Backoff = field(default_factory=Backoff)
-
-    def send_state(self, variant: Variant) -> ChainState:
-        if variant is Variant.BASIC or self.state is ChainState.SEND_COMMAND:
-            return ChainState.SEND_COMMAND
-        return ChainState.SEND_NOTIFY
 
 
 @dataclass
@@ -150,14 +143,11 @@ class Agent:
         self.blocked_by: int | None = None
         self.blocked_since_ic = 0
         # actuator bookkeeping
-        self.reserved_for: int | None = None
         self.command_counts: dict[int, int] = {}
         # sensor second-layer latch
         self.latched = False
         self.request_target: int | None = None
         self.request_next_ic = 0
-        # learned but protocol-external state, used by scenario drivers
-        self.done_chains: list[CommandChain] = []
 
     # -- identity helpers ------------------------------------------------
 
@@ -178,13 +168,11 @@ class Agent:
     def start_chain(self, target: int, tag: str = "",
                     cycle: int = 0) -> CommandChain:
         """Begin a delivery attempt toward ``target`` (actuator address)."""
-        state = (ChainState.SEND_COMMAND if self.variant is Variant.BASIC
-                 else ChainState.SEND_NOTIFY)
-        chain = CommandChain(target=target, tag=tag, state=state,
-                             started_cycle=cycle)
+        chain = CommandChain(target=target, tag=tag,
+                             state=self._first_state(), started_cycle=cycle)
         self.chains.append(chain)
-        self.trace.event(cycle, "chain", node=self.name, state=state.value,
-                         target=target, tag=tag)
+        self.trace.event(cycle, "chain", node=self.name,
+                         state=chain.state.value, target=target, tag=tag)
         return chain
 
     def start_request(self, target: int, ic: int) -> None:
@@ -213,7 +201,7 @@ class Agent:
         if offset == 0:
             self._refresh_chains(ic)
             if self.inflight is None:
-                self._load_next(ic, cycle)
+                self._load_next(cycle)
         fl = self.inflight
         if fl is None or offset >= FRAME_BITS:
             return None
@@ -253,7 +241,7 @@ class Agent:
 
     def end_subcycle(self, sub: Subcycle, ic: int, cycle: int) -> None:
         if sub == self.mode:
-            self._finish_own_subcycle(ic, cycle)
+            self._finish_own_subcycle(cycle)
         elif sub != Subcycle.T4:
             if self._rx_top_active or self._rx_bottom_active:
                 self._receive_subcycle(ic, cycle)
@@ -279,10 +267,16 @@ class Agent:
 
     # -- transmit side -----------------------------------------------------
 
+    def _first_state(self) -> ChainState:
+        """Where a chain starts, and restarts after a backoff: the basic
+        variant commands at once, the handshake first reserves the channel."""
+        return (ChainState.SEND_COMMAND if self.variant is Variant.BASIC
+                else ChainState.SEND_NOTIFY)
+
     def _refresh_chains(self, ic: int) -> None:
         for chain in self.chains:
             if chain.state is ChainState.BACKOFF and ic >= chain.retry_ic:
-                chain.state = chain.send_state(self.variant)
+                chain.state = self._first_state()
         if (self.request_target is not None and ic >= self.request_next_ic
                 and not any(o.meta.get("request") for o in self.queue)):
             frame = Frame(self.request_target, Opcode.RELAY, self.address)
@@ -291,8 +285,8 @@ class Agent:
                                        meta={"request": True}))
             self.request_next_ic = ic + REQUEST_RETRY_ICS
 
-    def _load_next(self, ic: int, cycle: int) -> None:
-        out = self._pick(ic)
+    def _load_next(self, cycle: int) -> None:
+        out = self._pick()
         if out is None:
             return
         bits = frame_bits(out.frame)
@@ -301,7 +295,7 @@ class Agent:
                          frame=out.frame.describe(),
                          pattern=out.pattern)
 
-    def _pick(self, ic: int) -> Outgoing | None:
+    def _pick(self) -> Outgoing | None:
         for priority in (PRIORITY_BLOCK, PRIORITY_ACK):
             for out in self.queue:
                 if out.priority == priority:
@@ -324,7 +318,7 @@ class Agent:
             return Outgoing(frame, pattern, PRIORITY_DATA, chain=chain)
         return None
 
-    def _finish_own_subcycle(self, ic: int, cycle: int) -> None:
+    def _finish_own_subcycle(self, cycle: int) -> None:
         fl = self.inflight
         self.inflight = None
         if fl is None:
@@ -343,7 +337,6 @@ class Agent:
             chain.state = ChainState.AWAIT_BLOCK
             chain.window = AWAIT_WINDOW_SUBCYCLES
         elif op == Opcode.COMMAND and chain is not None:
-            chain.attempts += 1
             self.metrics.issued += 1
             chain.state = ChainState.AWAIT_ACK
             chain.window = AWAIT_WINDOW_SUBCYCLES
@@ -400,11 +393,11 @@ class Agent:
         elif op == Opcode.ACK:
             self._on_ack(frame, addressed, cycle)
         elif op == Opcode.NOTIFY and addressed and self.is_actuator:
-            self._on_notify(frame, cycle)
+            self._on_notify()
         elif op == Opcode.COMMAND and addressed and self.is_actuator:
-            self._on_command(frame, cycle)
+            self._on_command(frame)
         elif op == Opcode.RELAY and addressed:
-            self._forward_relay(frame, cycle)
+            self._forward_relay(frame)
 
     def _on_block(self, frame: Frame, ic: int, cycle: int) -> None:
         for chain in self.chains:
@@ -424,11 +417,8 @@ class Agent:
             for chain in self.chains:
                 if (chain.state is ChainState.AWAIT_ACK
                         and frame.transmitter == chain.target):
-                    chain.state = ChainState.DONE
-                    chain.backoff.reset()
                     self.metrics.delivered += 1
                     self.chains.remove(chain)
-                    self.done_chains.append(chain)
                     self.trace.event(cycle, "chain", node=self.name,
                                      state="done", target=chain.target,
                                      tag=chain.tag)
@@ -439,26 +429,23 @@ class Agent:
                              by=self.blocked_by, reason="ack")
             self.blocked_by = None
 
-    def _on_notify(self, frame: Frame, cycle: int) -> None:
+    def _on_notify(self) -> None:
         if self.variant is not Variant.HANDSHAKE:
             return
-        self.reserved_for = frame.transmitter
         if not any(o.frame.opcode == Opcode.BLOCK for o in self.queue):
             block = Frame(broadcast_address(), Opcode.BLOCK, self.address)
             self.queue.append(Outgoing(block, 0, PRIORITY_BLOCK))
 
-    def _on_command(self, frame: Frame, cycle: int) -> None:
+    def _on_command(self, frame: Frame) -> None:
         commander = frame.transmitter
         self.command_counts[commander] = self.command_counts.get(commander, 0) + 1
-        if self.reserved_for == commander:
-            self.reserved_for = None
         ack = Frame(commander, Opcode.ACK, self.address)
         meta = {"actuate_for": commander,
                 "count": self.command_counts[commander]}
         self.queue.append(Outgoing(ack, self.mem.pattern_toward(commander),
                                    PRIORITY_ACK, meta=meta))
 
-    def _forward_relay(self, frame: Frame, cycle: int) -> None:
+    def _forward_relay(self, frame: Frame) -> None:
         onward = Frame(controller_address(), Opcode.RELAY, frame.transmitter)
         if any(o.frame == onward for o in self.queue):
             return

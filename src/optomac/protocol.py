@@ -91,10 +91,6 @@ def parse_bits(bits: Bits) -> Frame:
     return Frame(as_int(bits[:w]), Opcode(as_int(bits[w:w + 3])), as_int(bits[w + 3:]))
 
 
-def is_block_bits(bits: Bits) -> bool:
-    return len(bits) == FRAME_BITS and all(bits[: ADDRESS_BITS + 3])
-
-
 def posn_frame(payload: int) -> Frame:
     """POSN repurposes both address fields as a payload (position id or mode)."""
     w = ADDRESS_BITS
@@ -177,9 +173,9 @@ class Backoff:
     """Binary exponential backoff in instruction cycles.
 
     Each failure draws uniformly from [1, CW] and then doubles CW, up to
-    cw_max; success resets to cw_min.
+    cw_max.  A chain owns its backoff and is dropped once delivered, so the
+    window never needs resetting.
     """
-    cw_min: int = 2
     cw_max: int = 16
     cw: int = 2
 
@@ -187,9 +183,6 @@ class Backoff:
         delay = rng.next_int(1, self.cw)
         self.cw = min(self.cw * 2, self.cw_max)
         return delay
-
-    def reset(self) -> None:
-        self.cw = self.cw_min
 
 
 @dataclass(frozen=True)

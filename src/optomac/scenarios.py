@@ -243,10 +243,9 @@ class ScenarioDriver(Hooks, ScenarioHooks):
     the World's to say: ``world.stimuli[name].active``.
     """
 
-    def __init__(self, parts: WorldParts, metrics: Metrics,
+    def __init__(self, cfg: WorldConfig, metrics: Metrics,
                  trace: TraceWriter):
-        self.parts = parts
-        self.cfg = parts.cfg
+        self.cfg = cfg
         self.metrics = metrics
         self.trace = trace
         self.world: World | None = None
@@ -259,6 +258,11 @@ class ScenarioDriver(Hooks, ScenarioHooks):
         self.world = world
         for spec in self.fluorescent:
             world.add_stimulus(spec.name, spec.position, spec.emit_power)
+
+    def idle(self) -> bool:
+        """True when the deployment gives the scenario nothing to do: no
+        fluorescent cluster to find.  The run then ends at once."""
+        return not self.fluorescent
 
     def finished(self, world: World) -> bool:
         return False
@@ -286,9 +290,14 @@ class BurstCommandDriver(ScenarioDriver):
     then the run continues until every chain resolved or the horizon hits.
     """
 
-    def __init__(self, parts, metrics, trace):
-        super().__init__(parts, metrics, trace)
+    def __init__(self, cfg, metrics, trace):
+        super().__init__(cfg, metrics, trace)
         self.commanders: list[str] = []
+
+    def idle(self) -> bool:
+        """No sensor recognizes a peer, so nobody would command anyone."""
+        return not any(spec.recognized for spec in self.cfg.nodes
+                       if not spec.is_actuator)
 
     def on_icycle_start(self, world: World, ic: int) -> None:
         if ic != 0:
@@ -325,8 +334,8 @@ class PhotothermalDriver(ScenarioDriver):
     dose_initial = 0.25
     dose_cap_factor = 8.0
 
-    def __init__(self, parts, metrics, trace):
-        super().__init__(parts, metrics, trace)
+    def __init__(self, cfg, metrics, trace):
+        super().__init__(cfg, metrics, trace)
         self.tasks: dict[int, float] = {}  # position id -> next dose step
         self.served: set[int] = set()      # origin addresses with a live task
         self.trigger_cycles: dict[str, int] = {}
@@ -351,8 +360,8 @@ class PhotothermalDriver(ScenarioDriver):
             return controller_address()
         heard = set(hears)
         for addr in sorted(agent.mem.physical):
-            other = self.parts.by_address.get(addr)
-            if other is not None and other in heard:
+            other = self._agent_of_address(addr)
+            if other is not None and other.name in heard:
                 return addr
         # no audible neighbour: fall back to any reachable one and hope for
         # a longer relay chain
@@ -427,8 +436,8 @@ class DrugDeliveryDriver(ScenarioDriver):
     quenches the cluster that started the episode.
     """
 
-    def __init__(self, parts, metrics, trace):
-        super().__init__(parts, metrics, trace)
+    def __init__(self, cfg, metrics, trace):
+        super().__init__(cfg, metrics, trace)
         self.detect_cycles: dict[str, int] = {}
         self.sensor_clusters: dict[str, list[str]] = {}
         self.completed: set[str] = set()
@@ -500,7 +509,7 @@ DRIVERS = {
 class ScenarioResult:
     name: str
     cfg: WorldConfig
-    status: str                      # "ok" | "timeout"
+    status: str                      # "ok" | "timeout" | "idle"
     metrics: Metrics
     world: World
     parts: WorldParts
@@ -515,11 +524,9 @@ class ScenarioResult:
 def build_world(cfg: WorldConfig, variant: Variant, seed: int,
                 trace: TraceWriter, metrics: Metrics,
                 driver: ScenarioDriver | None = None,
-                parts: WorldParts | None = None,
                 ) -> tuple[World, WorldParts, LearningReport]:
     """Assemble agents from a config, run the learning pass, build a World."""
-    if parts is None:
-        parts = build_parts(cfg)
+    parts = build_parts(cfg)
     report = run_learning(cfg.grid, parts.poses, parts.memories, parts.tables,
                           cfg.channel)
     hooks = driver if driver is not None else Hooks()
@@ -532,7 +539,7 @@ def build_world(cfg: WorldConfig, variant: Variant, seed: int,
     gaps = [LaserGap(cycle, length) for cycle, length in cfg.laser_gaps]
     world = World(parts.poses, parts.tables, agents, cfg.clock, cfg.channel,
                   trace=trace, metrics=metrics,
-                  scenario=driver if driver is not None else None,
+                  scenario=driver,
                   laser_gaps=gaps, controller_hears=cfg.controller_hears)
     return world, parts, report
 
@@ -544,8 +551,11 @@ def run_scenario(name: str | None = None, cfg: WorldConfig | None = None,
     """Run one scenario to completion or its horizon and return the record.
 
     ``name`` defaults to the config's scenario; ``cfg`` defaults to the
-    scenario's packaged fixture.  ``max_cycles`` is in clock cycles and is
-    rounded down to whole instruction cycles (minimum one).
+    scenario's packaged fixture.  ``seed`` and ``max_cycles`` obey the
+    config's rules for its keys of those names; ``max_cycles`` is in clock
+    cycles and is rounded down to whole instruction cycles (minimum one).
+    A deployment that gives the scenario nothing to do ends at once with
+    status ``idle``.
     """
     if cfg is None:
         if name is None:
@@ -557,16 +567,23 @@ def run_scenario(name: str | None = None, cfg: WorldConfig | None = None,
         raise ValueError("config does not name a scenario")
     if name not in DRIVERS:
         raise ValueError(f"unknown scenario {name!r}")
+    if seed is not None and (not isinstance(seed, int)
+                             or isinstance(seed, bool) or seed < 0):
+        raise ValueError(f"seed: must be a non-negative integer, got {seed!r}")
+    if max_cycles is not None and (not isinstance(max_cycles, int)
+                                   or isinstance(max_cycles, bool)
+                                   or max_cycles <= 0):
+        raise ValueError("max_cycles: must be a positive integer, "
+                         f"got {max_cycles!r}")
 
     variant = Variant(protocol if protocol is not None else cfg.protocol)
     run_seed = seed if seed is not None else cfg.seed
     tracer = trace if trace is not None else NullTrace()
     metrics = Metrics()
 
-    parts = build_parts(cfg)
-    driver = DRIVERS[name](parts, metrics, tracer)
+    driver = DRIVERS[name](cfg, metrics, tracer)
     world, parts, report = build_world(cfg, variant, run_seed, tracer,
-                                       metrics, driver, parts=parts)
+                                       metrics, driver)
     driver.attach(world)
 
     cycles_budget = max_cycles if max_cycles is not None else cfg.max_cycles
@@ -578,12 +595,15 @@ def run_scenario(name: str | None = None, cfg: WorldConfig | None = None,
     tracer.event(world.cycle, "run_start", scenario=name, seed=run_seed,
                  protocol=variant.value, horizon_ics=horizon)
     ran = 0
-    for _ in range(horizon):
-        world.run(1)
-        ran += 1
-        if driver.finished(world):
-            break
-    status = "ok" if driver.finished(world) else "timeout"
+    if driver.idle():
+        status = "idle"
+    else:
+        for _ in range(horizon):
+            world.run(1)
+            ran += 1
+            if driver.finished(world):
+                break
+        status = "ok" if driver.finished(world) else "timeout"
     driver.finalize(world, status)
     tracer.event(world.cycle, "run_end", scenario=name, status=status,
                  icycles=ran, **metrics.summary())

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import io
 import json
-from typing import IO
 
 LEVELS = ("summary", "events", "power")
 
@@ -21,7 +20,6 @@ LEVELS = ("summary", "events", "power")
 _KIND_LEVEL = {
     "run_start": 0,
     "run_end": 0,
-    "scenario": 0,
     "dose": 0,
     "actuation": 0,
     "tx_start": 1,
@@ -44,11 +42,11 @@ _KIND_LEVEL = {
 class TraceWriter:
     """Collects run events and serializes them as JSON lines."""
 
-    def __init__(self, level: str = "events", sink: IO[str] | None = None):
+    def __init__(self, level: str = "events"):
         if level not in LEVELS:
             raise ValueError(f"unknown trace level {level!r}")
         self.level = LEVELS.index(level)
-        self.sink = sink if sink is not None else io.StringIO()
+        self.sink = io.StringIO()
         self.count = 0
 
     def wants(self, kind: str) -> bool:
@@ -63,9 +61,7 @@ class TraceWriter:
         self.count += 1
 
     def getvalue(self) -> str:
-        if isinstance(self.sink, io.StringIO):
-            return self.sink.getvalue()
-        raise TypeError("trace sink is not an in-memory buffer")
+        return self.sink.getvalue()
 
 
 class NullTrace(TraceWriter):

@@ -9,33 +9,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from optomac.antenna import (
-    ArrayPatternTable,
     ElementArray,
     ElementConfig,
-    NonlinearMedium,
-    PatternTable,
     SampledPatternTable,
     array_factor,
     azimuth_deg,
     element_amplitude,
     gain,
-    polarization,
     synthesize_pattern,
-    synthesize_pattern_table,
 )
-
-
-def test_polarization_is_cubic_in_total_field():
-    medium = NonlinearMedium(chi1=2.0, chi2=0.5, chi3=3.0, eps0=1.5)
-    e = 0.7
-    expected = 1.5 * (2.0 * e + 0.5 * e * e + 3.0 * e ** 3)
-    assert polarization(0.3, 0.4, medium) == pytest.approx(expected)
-
-
-def test_polarization_odd_without_quadratic_term():
-    medium = NonlinearMedium(chi2=0.0)
-    assert polarization(0.2, 0.3, medium) == pytest.approx(
-        -polarization(-0.2, -0.3, medium))
 
 
 def test_element_amplitude_ramp_and_saturation():
@@ -141,20 +123,6 @@ def test_greedy_path_beyond_exhaustive_limit():
     assert syn.target_power == pytest.approx(1.0)
 
 
-def test_pattern_table_synthesis():
-    arr = two_element_half_wave()
-    table = synthesize_pattern_table(arr, [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0),
-                                           (0.0, -1.0, 0.0)])
-    assert table.n_patterns == 4
-    assert table.patterns[0].mask == (1, 1)  # pattern 0 is everything on
-    assert table.gain(0, (0.0, 1.0, 0.0)) == pytest.approx(1.0)
-    assert table.mask_text(0) == "11"
-    with pytest.raises(ValueError):
-        synthesize_pattern_table(arr, [(0.0, 1.0, 0.0)], n_patterns=4)
-    with pytest.raises(ValueError):
-        synthesize_pattern_table(arr, [], n_patterns=0)
-
-
 def test_azimuth_deg():
     assert azimuth_deg((1.0, 0.0, 0.0)) == pytest.approx(0.0)
     assert azimuth_deg((0.0, 1.0, 0.0)) == pytest.approx(90.0)
@@ -190,23 +158,20 @@ def test_sampled_table_validation():
 def test_table_text_roundtrip():
     table = SampledPatternTable([0.0, 120.0, 240.0],
                                 [[0.25, 1.0, 0.0], [0.5, 0.5, 0.125]])
-    text = table.to_text(azimuth_step_deg=120.0)
-    back = SampledPatternTable.from_text(text)
-    assert back.n_patterns == 2
-    assert np.allclose(back.azimuths, table.azimuths)
-    assert np.allclose(back.gains, table.gains)
-    assert "pattern 0 mask -" in text
-
-
-def test_array_table_matches_direct_gain():
-    arr = two_element_half_wave()
-    table = synthesize_pattern_table(arr, [(0.0, 1.0, 0.0)], n_patterns=2)
-    direction = (0.6, 0.8, 0.0)
-    weights = np.array(table.patterns[1].mask, dtype=float) * table.on_amp
-    assert table.gain(1, direction) == pytest.approx(
-        gain(arr, weights, direction))
-
-
-def test_pattern_table_base_is_abstract():
-    with pytest.raises(NotImplementedError):
-        PatternTable().gain(0, (1.0, 0.0, 0.0))
+    blocks = table.to_text().split("\n\n")
+    assert blocks[-1] == ""
+    assert len(blocks) == 3
+    for p, block in enumerate(blocks[:2]):
+        header, *rows = block.splitlines()
+        assert header == f"pattern {p} mask -"
+        # one row every 5 degrees; read back, each is the table's own gain
+        assert [float(r.split()[0]) for r in rows] == \
+            [5.0 * k for k in range(72)]
+        for row in rows:
+            az, g = map(float, row.split())
+            rad = math.radians(az)
+            assert g == pytest.approx(
+                table.gain(p, (math.cos(rad), math.sin(rad), 0.0)), rel=1e-9)
+    assert "0.0 2.500000000e-01" in blocks[0].splitlines()
+    assert "60.0 6.250000000e-01" in blocks[0].splitlines()
+    assert "240.0 1.250000000e-01" in blocks[1].splitlines()

@@ -18,9 +18,7 @@ from optomac.channel import (
     reachable,
     received_power,
     superpose,
-    table_for,
 )
-from optomac.config import _FlatTable
 from optomac.geometry import NodePose
 
 # Pinned path-loss values (tx_power=1, gain=1, mu=0.5).  The first one is the
@@ -127,6 +125,11 @@ def test_carrier_sense_uses_either_detector():
     assert not carrier_sense(faint, cfg)
 
 
+def flat_table(gain=1.0):
+    """Four patterns of one gain toward every azimuth."""
+    return SampledPatternTable([0.0], [[gain]] * 4)
+
+
 def two_node_poses():
     return {
         "lo": NodePose((0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0)),
@@ -136,7 +139,8 @@ def two_node_poses():
 
 def test_power_map_sides_follow_geometry():
     cfg = ChannelConfig()
-    pm = build_power_map(two_node_poses(), _FlatTable(), cfg)
+    poses = two_node_poses()
+    pm = build_power_map(poses, {name: flat_table() for name in poses}, cfg)
     # "hi" sits above "lo", so its light lands on lo's top detector;
     # lo's light approaches hi from below
     assert pm.arrival("hi", 0, "lo").side == "top"
@@ -159,7 +163,7 @@ def test_reachable_and_best_pattern():
                                                  [4.0, 0.0],
                                                  [4.0, 0.0],
                                                  [0.1, 0.0]]),
-        "rx": _FlatTable(),
+        "rx": flat_table(),
     }
     pm = build_power_map(poses, tables, cfg)
     assert reachable(pm, tables, "tx", "rx", cfg)
@@ -168,13 +172,6 @@ def test_reachable_and_best_pattern():
     assert pm.arrival("tx", 3, "rx").power < cfg.theta_detect
     # the isotropic unit-gain return path stays below threshold at d=2
     assert not reachable(pm, tables, "rx", "tx", cfg)
-
-
-def test_table_for_accepts_shared_and_mapped():
-    shared = _FlatTable()
-    assert table_for(shared, "anyone") is shared
-    mapping = {"a": shared}
-    assert table_for(mapping, "a") is shared
 
 
 def test_data_power_is_max_of_sides():

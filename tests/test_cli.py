@@ -8,7 +8,12 @@ import pytest
 
 from optomac.cli import ARTIFACTS, main
 from optomac.config import save, to_dict
-from optomac.scenarios import drug_delivery_config
+from optomac.scenarios import (
+    drug_delivery_config,
+    hidden_terminal_config,
+    photothermal_config,
+    run_scenario,
+)
 
 EXPECTED_SUMMARY = ("drug_delivery protocol=handshake seed=0 status=ok "
                     "icycles=5 issued=2 delivered=2 requests=0/0 ratio=1.000 "
@@ -100,10 +105,42 @@ def test_timeout_exits_nonzero(capsys):
     ["--scenario", "drug_delivery", "--seeds", "7"],
     ["--scenario", "drug_delivery", "--seeds", "0..x"],
     ["--config", "/nonexistent/deploy.json"],
+    ["--scenario", "drug_delivery", "--seed", "-3"],
+    ["--scenario", "drug_delivery", "--seeds=-2..0"],
+    ["--scenario", "drug_delivery", "--max-cycles", "0"],
+    ["--scenario", "drug_delivery", "--max-cycles", "-50"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("optomac: ")
+
+
+def _without_lesion():
+    cfg = drug_delivery_config()
+    return dataclasses.replace(cfg, clusters=tuple(
+        c for c in cfg.clusters if c.kind != "fluorescent"))
+
+
+def _nobody_recognized():
+    cfg = hidden_terminal_config()
+    return dataclasses.replace(cfg, nodes=tuple(
+        dataclasses.replace(n, recognized=()) for n in cfg.nodes))
+
+
+@pytest.mark.parametrize("builder", [
+    lambda: dataclasses.replace(photothermal_config(), clusters=()),
+    _without_lesion,
+    _nobody_recognized,
+], ids=["photothermal-no-clusters", "drug_delivery-no-lesion",
+        "hidden_terminal-nobody-recognized"])
+def test_nothing_to_do_ends_idle(tmp_path, capsys, builder):
+    cfg = builder()
+    r = run_scenario(cfg=cfg, seed=0)
+    assert (r.status, r.icycles) == ("idle", 0)
+    path = tmp_path / "deploy.json"
+    save(cfg, path)
+    assert main(["--config", str(path), "--seed", "0"]) == 1
+    assert " status=idle icycles=0 " in capsys.readouterr().out
 
 
 def test_invalid_config_document_exits_two(tmp_path, capsys):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from optomac.antenna import SampledPatternTable
 from optomac.config import (
     ConfigError,
-    _FlatTable,
     build_parts,
     dumps,
     format_address,
@@ -209,14 +208,18 @@ def test_build_parts_tables():
     assert isinstance(parts.tables["s1"], SampledPatternTable)
     assert parts.tables["s1"].n_patterns == 2
     assert parts.tables["s1"].gain(0, (0.0, 1.0, 0.0)) == pytest.approx(2.0)
-    # nodes without profiles fall back to an isotropic table
-    assert isinstance(parts.tables["a1"], _FlatTable)
-    assert parts.tables["a1"].gain(3, (1.0, 0.0, 0.0)) == 1.0
+    # nodes without profiles fall back to an isotropic table of unit gain,
+    # exact in every direction
+    flat = parts.tables["a1"]
+    assert isinstance(flat, SampledPatternTable)
+    assert flat.n_patterns == 4
+    for direction in ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (-0.6, 0.8, 0.0),
+                      (0.0, 0.0, 1.0), (1.0, -1e-12, 0.0)):
+        assert flat.gain(3, direction) == 1.0
     with pytest.raises(IndexError):
-        parts.tables["a1"].gain(4, (1.0, 0.0, 0.0))
+        flat.gain(4, (1.0, 0.0, 0.0))
     assert parts.memories["s1"].recognized == {0b1000}
     assert parts.memories["a1"].is_actuator
-    assert parts.by_address == {0b0001: "s1", 0b1000: "a1"}
 
 
 def test_dumps_is_canonical_json():

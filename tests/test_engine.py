@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from optomac.antenna import SampledPatternTable
 from optomac.channel import ChannelConfig
-from optomac.config import _FlatTable
 from optomac.engine import LaserGap, ScenarioHooks, World
 from optomac.geometry import NodePose
 from optomac.metrics import Metrics
@@ -67,7 +67,9 @@ def make_world(node_specs, variant=Variant.BASIC, trace=None,
                          physical=set(addresses) - {address})
         agents.append(Agent(name, mem, ChannelConfig(), Rng(0, address),
                             variant, tracer, metrics, hooks=hooks))
-    world = World(poses, _FlatTable(gain), agents, ClockConfig(),
+    # every node gets four patterns of one gain toward every azimuth
+    tables = {name: SampledPatternTable([0.0], [[gain]] * 4) for name in poses}
+    world = World(poses, tables, agents, ClockConfig(),
                   ChannelConfig(), trace=tracer, metrics=metrics,
                   scenario=scenario, laser_gaps=laser_gaps,
                   controller_hears=controller_hears)
@@ -223,21 +225,32 @@ def test_controller_ignores_frames_for_other_recipients():
     assert world.controller_frames == []   # COMMAND/ACK are not for it
 
 
+def gap_events(trace):
+    return [e["event"] for e in map(json.loads, trace.getvalue().splitlines())
+            if e["kind"] == "laser_gap"]
+
+
 def test_frame_sync_gap_restarts_phase():
-    world, _ = make_world(pair_specs(), laser_gaps=[LaserGap(5, 8)])
+    trace = TraceWriter("events")
+    world, _ = make_world(pair_specs(), trace=trace,
+                          laser_gaps=[LaserGap(5, 8)])
     world.run_cycles(20)
     # the 8-cycle pause advances the wall clock without consuming budget
     assert world.cycle == 20
     assert world.phase_origin == 13
-    assert not world.learning_mode
+    assert gap_events(trace) == ["frame_sync"]
     # instruction cycles stay monotonic across the gap
     assert world.current_ic == 1
 
 
 def test_mode_toggle_gap_flips_learning():
-    world, _ = make_world(pair_specs(), laser_gaps=[LaserGap(0, 32)])
+    # learning runs before the World starts; the World labels the gap
+    trace = TraceWriter("events")
+    world, _ = make_world(pair_specs(), trace=trace,
+                          laser_gaps=[LaserGap(0, 32)])
     world.run_cycles(10)
-    assert world.learning_mode
+    assert gap_events(trace) == ["mode_toggle"]
+    assert world.phase_origin == 32
 
 
 def test_overlapping_gaps_rejected():
@@ -292,7 +305,9 @@ def test_run_returns_shared_metrics():
 # case below pins the power-level trace, the metrics and the final clock of
 # a run whose jumps must stop at a gap, at a ``run_cycles`` boundary or
 # around an external ``start_chain``; the digests were recorded with an
-# engine that stepped every clock cycle of every node.
+# engine that stepped every clock cycle of every node, and recomputed with
+# the engine unchanged when the hashed final state dropped a mode flag that
+# nothing read.
 
 
 def clique_specs():
@@ -312,7 +327,7 @@ def world_digest(world, trace):
     h.update(trace.getvalue().encode())
     h.update(world.metrics.to_json().encode())
     h.update(repr((world.cycle, world.phase_origin, world.current_ic,
-                   world.learning_mode, world.controller_frames)).encode())
+                   world.controller_frames)).encode())
     return h.hexdigest()
 
 
@@ -330,7 +345,7 @@ def test_gap_inside_silent_subcycle():
     world.run(4)
     assert world.metrics.delivered == 1
     assert world_digest(world, trace) == (
-        "5b27e8e37a270efec258cf12817a48f2825d1cd4524a6530ba17bee6a3024f4d")
+        "a5e801173d39015f6a7727750614aebd7b9836706d7d3c523a64759035645376")
 
 
 def test_gap_inside_busy_subcycle_skips_its_end():
@@ -344,7 +359,7 @@ def test_gap_inside_busy_subcycle_skips_its_end():
     assert [e["cycle"] for e in events if e["kind"] == "tx_start"][0] == 0
     assert not any(e["kind"] == "tx_done" and e["cycle"] < 13 for e in events)
     assert world_digest(world, trace) == (
-        "31edb6f177d43c381d2e8c6a2f8a1b8d4c8a0e1d65832e42156d4197be3d04c8")
+        "a65312b8ba995ac70204c47f83af07b109a5c0b360e4a3ad5bf1314f5fba1bb4")
 
 
 def test_uneven_run_chunks_match_one_call():
@@ -358,7 +373,7 @@ def test_uneven_run_chunks_match_one_call():
             world.run_cycles(n)
         digests.append(world_digest(world, trace))
     assert digests[0] == digests[1] == (
-        "72d52fdb6e9d1eb3ee5cfccb696605c8a6cf5b5409049bf88b3a2d476ba0e4bc")
+        "fe461e2838368930b0110e37843bf835ad9bbc7ee9cb8fbbd6f238f4fd7756eb")
 
 
 def test_start_chain_between_run_calls():
@@ -370,4 +385,4 @@ def test_start_chain_between_run_calls():
     world.run_cycles(300)
     assert world.metrics.delivered == 2
     assert world_digest(world, trace) == (
-        "8746b09071ad54c1600e45b7ca5e3e4ceb824615109bdff26c994d74a80a473f")
+        "590d9800e2c12288dc921445ce18a715b049a616aa857c108139c354200850a3")

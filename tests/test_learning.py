@@ -5,9 +5,16 @@ import copy
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optomac.antenna import SampledPatternTable
-from optomac.channel import ChannelConfig, build_power_map
+from optomac.channel import (
+    ChannelConfig,
+    best_pattern,
+    build_power_map,
+    reachable,
+)
 from optomac.config import build_parts
 from optomac.geometry import HexGrid, NodePose
 from optomac.learning import (
@@ -149,3 +156,46 @@ def test_learning_reuses_a_prebuilt_power_map():
     run_learning(grid, poses, memories, tables, cfg, power_map=pm)
     run_learning(grid, poses, baseline, tables, cfg)
     assert snapshot_text(memories) == snapshot_text(baseline)
+
+
+# -- random deployments against the channel oracle ----------------------------
+
+
+@st.composite
+def deployments(draw):
+    """2-5 nodes on distinct half-unit grid points, each with four sampled
+    patterns over four azimuths."""
+    points = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
+                                     st.integers(-1, 1)),
+                           min_size=2, max_size=5, unique=True))
+    row = st.lists(st.floats(0.0, 20.0), min_size=4, max_size=4)
+    gains = draw(st.lists(st.lists(row, min_size=4, max_size=4),
+                          min_size=len(points), max_size=len(points)))
+    names = [f"n{i}" for i in range(len(points))]
+    poses = {name: NodePose(tuple(0.5 * c for c in point))
+             for name, point in zip(names, points)}
+    tables = {name: SampledPatternTable([0.0, 90.0, 180.0, 270.0], rows)
+              for name, rows in zip(names, gains)}
+    return poses, tables
+
+
+@settings(max_examples=150, deadline=None)
+@given(deployments())
+def test_learning_matches_channel_oracle(deployment):
+    # learning must find exactly the links and the best patterns the
+    # channel itself defines
+    poses, tables = deployment
+    memories = {name: NodeMemory(address=i + 1)
+                for i, name in enumerate(poses)}
+    cfg = ChannelConfig()
+    run_learning(HexGrid(1.0, ((0, 0, 0),)), poses, memories, tables, cfg)
+    pm = build_power_map(poses, tables, cfg)
+    for tx, mem in memories.items():
+        for rx in poses:
+            if rx == tx:
+                continue
+            addr = memories[rx].address
+            linked = reachable(pm, tables, tx, rx, cfg)
+            assert (addr in mem.physical) == linked
+            assert mem.optimal_pattern.get(addr) == (
+                best_pattern(pm, tables, tx, rx) if linked else None)

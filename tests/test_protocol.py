@@ -17,7 +17,6 @@ from optomac.protocol import (
     decode_verify,
     frame_bits,
     is_actuator_address,
-    is_block_bits,
     parse_bits,
     posn_frame,
     posn_payload,
@@ -65,14 +64,6 @@ def test_parse_bits_rejects_malformed():
         parse_bits(bits("1010"))
     with pytest.raises(ValueError):
         parse_bits((1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0))
-
-
-def test_is_block_bits():
-    assert is_block_bits(bits("11111110000"))
-    assert is_block_bits(bits("11111111111"))
-    assert not is_block_bits(bits("11111101111"))   # opcode not BLOCK
-    assert not is_block_bits(bits("01111111111"))   # recipient not broadcast
-    assert not is_block_bits(bits("1111111"))       # wrong length
 
 
 @given(st.integers(0, 255))
@@ -168,9 +159,7 @@ def test_backoff_window_doubles_and_caps():
     for _ in range(5):
         bo.draw(rng)
     assert rng.ranges == [(1, 2), (1, 4), (1, 8), (1, 16), (1, 16)]
-    bo.reset()
-    bo.draw(DrawRecorder([1]))
-    assert bo.cw == 4
+    assert bo.cw == 16
 
 
 def test_backoff_draws_stay_in_window():

@@ -1,7 +1,6 @@
 """Scripted scenario runs: frozen seed-0 outcomes, conservation, determinism."""
 
 import dataclasses
-import io
 from importlib import resources
 
 import pytest
@@ -184,10 +183,10 @@ def test_command_conservation(name, protocol, seed):
 
 def test_same_seed_runs_are_identical():
     def capture(seed: int):
-        sink = io.StringIO()
+        trace = TraceWriter("power")
         r = run_scenario("photothermal", protocol="handshake", seed=seed,
-                         trace=TraceWriter("power", sink))
-        return sink.getvalue(), r.metrics.to_json()
+                         trace=trace)
+        return trace.getvalue(), r.metrics.to_json()
 
     trace_a, metrics_a = capture(7)
     trace_b, metrics_b = capture(7)
@@ -217,6 +216,11 @@ def test_run_scenario_argument_validation():
         run_scenario(cfg=dataclasses.replace(cfg, scenario=None))
     with pytest.raises(ValueError, match="unknown scenario"):
         run_scenario("cryotherapy", cfg=cfg)
+    with pytest.raises(ValueError, match="seed: must be a non-negative"):
+        run_scenario(cfg=cfg, seed=-1)
+    for budget in (0, -48):
+        with pytest.raises(ValueError, match="max_cycles: must be a positive"):
+            run_scenario(cfg=cfg, max_cycles=budget)
 
 
 def test_horizon_table_is_the_fallback():
