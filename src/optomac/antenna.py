@@ -5,7 +5,7 @@ switching elements between 0 and v_sat reshapes the radiated pattern of an
 emitter array; ``synthesize_pattern`` finds the on/off mask that steers it
 toward a target.  A node's selectable patterns reach the channel through one
 table type, ``SampledPatternTable``: sampled azimuth gain profiles, which the
-channel only ever asks for a scalar gain toward a direction.
+channel asks for one pattern's gains toward many azimuths at once.
 """
 
 from __future__ import annotations
@@ -134,7 +134,10 @@ class SampledPatternTable:
     """Azimuth-sampled gain profiles with periodic linear interpolation.
 
     Gain is taken over the lateral azimuth of the direction; elevation is not
-    resolved (detector sides handle the vertical dimension separately).
+    resolved (detector sides handle the vertical dimension separately).  The
+    period is closed once, at construction: the first sample is repeated at
+    ``azimuths[0] + 360``, so ``gain`` and ``gains_at`` interpolate over the
+    same arrays and give the same value for the same azimuth.
     """
 
     def __init__(self, azimuths_deg, gains):
@@ -147,12 +150,16 @@ class SampledPatternTable:
         if np.any(self.gains < 0):
             raise ValueError("gains must be non-negative")
         self.n_patterns = self.gains.shape[0]
+        self._xs = np.append(self.azimuths, self.azimuths[0] + 360.0)
+        self._ys = np.concatenate([self.gains, self.gains[:, :1]], axis=1)
 
     def gain(self, pattern: int, direction) -> float:
-        az = azimuth_deg(direction)
-        xs = np.concatenate([self.azimuths, [self.azimuths[0] + 360.0]])
-        ys = np.concatenate([self.gains[pattern], [self.gains[pattern][0]]])
-        return float(np.interp(az, xs, ys))
+        return float(self.gains_at(pattern, azimuth_deg(direction)))
+
+    def gains_at(self, pattern: int, azimuths) -> np.ndarray:
+        """Gain of ``pattern`` toward each of ``azimuths`` (degrees in
+        [0, 360)) in one interpolation; a scalar azimuth gives a scalar."""
+        return np.interp(azimuths, self._xs, self._ys[pattern])
 
     def to_text(self) -> str:
         """Dump as `pattern <id> mask -` blocks with one azimuth/gain row

@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .antenna import SampledPatternTable
+from .antenna import SampledPatternTable, azimuth_deg
 from .geometry import NodePose, geometry_between
 
 
@@ -126,17 +126,25 @@ def build_power_map(poses: dict[str, NodePose],
                     tables: dict[str, SampledPatternTable],
                     cfg: ChannelConfig) -> PowerMap:
     """Precompute arrivals for all pairs; ``tables`` maps each node to its
-    own gain table."""
+    own gain table.
+
+    Per transmitter, the receivers' geometry is taken once and each pattern's
+    gain toward all of them comes from one ``gains_at`` interpolation; the
+    power of each entry is then the scalar ``received_power``, so every entry
+    equals ``received_power(tx_power, table.gain(p, direction), ...)``.
+    """
     pm = PowerMap()
     for tx, tx_pose in poses.items():
         table = tables[tx]
-        for rx, rx_pose in poses.items():
-            if tx == rx:
-                continue
-            geo = geometry_between(tx_pose, rx_pose)
-            for p in range(table.n_patterns):
-                power = received_power(cfg.tx_power, table.gain(p, geo.direction),
-                                       geo.distance, cfg.mu)
+        links = [(rx, geometry_between(tx_pose, rx_pose))
+                 for rx, rx_pose in poses.items() if rx != tx]
+        azimuths = [azimuth_deg(geo.direction) for _, geo in links]
+        gains = [table.gains_at(p, azimuths).tolist()
+                 for p in range(table.n_patterns)]
+        for i, (rx, geo) in enumerate(links):
+            for p, row in enumerate(gains):
+                power = received_power(cfg.tx_power, row[i], geo.distance,
+                                       cfg.mu)
                 pm.arrivals[(tx, p, rx)] = Arrival(tx, power, geo.side_at_b)
     return pm
 

@@ -5,12 +5,14 @@ its own working subcycle, so the engine asks only those nodes for a bit at
 offset 0 and, for the rest of the frame, only the ones that then hold a
 frame.  Each cycle that carries light runs in two phases: the transmitters
 present their bit, then the channel superposes the simultaneous pulses and
-every node observes the result.  A subcycle without a transmitter, and the
-guard bits of one with a transmitter, carry no light and are passed over to
-the subcycle's last cycle, where every node closes the subcycle.  Detector
-readings are memoised per set of simultaneous emissions.  No node ever sees
-a partial cycle, so runs are reproducible bit-for-bit given the same seed
-and configuration.
+the nodes whose detectors see a bit observe the result.  A cycle in which a
+node's detectors see no bit leaves that node unchanged, so it is not asked
+to observe.  A subcycle without a transmitter, and the guard bits of one
+with a transmitter, carry no light and are passed over to the subcycle's
+last cycle, where every node closes the subcycle.  Which nodes see a bit,
+and what they see, is memoised per set of simultaneous emissions.  No node
+ever sees a partial cycle, so runs are reproducible bit-for-bit given the
+same seed and configuration.
 
 Timekeeping is phase-relative: a gap in the external laser clock restarts
 the subcycle phase.  A still longer gap is the learning/working mode toggle;
@@ -47,8 +49,6 @@ from .timebase import (
     subcycle_of,
 )
 from .trace import NullTrace, TraceWriter
-
-_ZERO_TICK = ChannelTick()
 
 
 @dataclass
@@ -117,7 +117,8 @@ class World:
         self._controller_bits: list[int] = []
         self._controller_active = False
         self._evidence_seen: set[tuple[str, int, int]] = set()
-        self._ticks: dict[tuple, ChannelTick] = {}   # (rx, emissions) -> tick
+        # emissions -> the (agent, tick) pairs whose tick has a bit
+        self._lit: dict[tuple, list[tuple[Agent, ChannelTick]]] = {}
         self._fluor: dict[tuple[str, str], float] = {}
 
     # -- time ----------------------------------------------------------------
@@ -238,9 +239,7 @@ class World:
                for tx, _ in emissions):
             self._controller_bits[off] = 1
             self._controller_active = True
-        key = tuple(emissions)
-        for agent in self.agents.values():
-            tick = self._tick_for(agent.name, key)
+        for agent, tick in self._lit_for(tuple(emissions)):
             if tick.top.evidence or tick.bottom.evidence:
                 seen = (agent.name, ic, int(sub))
                 if seen not in self._evidence_seen:
@@ -265,18 +264,27 @@ class World:
                     agent.on_second_layer(detected, ic, self.cycle)
             self.scenario.on_icycle_end(self, ic)
 
-    def _tick_for(self, rx: str,
-                  emissions: tuple[tuple[str, int], ...]) -> ChannelTick:
-        """What ``rx`` sees while ``emissions`` pulse, memoised per world."""
-        key = (rx, emissions)
-        tick = self._ticks.get(key)
-        if tick is None:
-            arrivals = [self.power_map.arrival(tx, pattern, rx)
-                        for tx, pattern in emissions if tx != rx]
-            tick = (ChannelTick(*superpose(arrivals, self.channel_cfg))
-                    if arrivals else _ZERO_TICK)
-            self._ticks[key] = tick
-        return tick
+    def _lit_for(self, emissions: tuple[tuple[str, int], ...]
+                 ) -> list[tuple[Agent, ChannelTick]]:
+        """The agents whose detectors see a bit while ``emissions`` pulse,
+        each with what it sees, in agent order; memoised per world.
+
+        An agent whose tick has no bit is left out: observing such a tick
+        changes nothing, and collision evidence implies a bit.
+        """
+        lit = self._lit.get(emissions)
+        if lit is None:
+            lit = []
+            for agent in self.agents.values():
+                arrivals = [self.power_map.arrival(tx, pattern, agent.name)
+                            for tx, pattern in emissions if tx != agent.name]
+                if not arrivals:
+                    continue
+                tick = ChannelTick(*superpose(arrivals, self.channel_cfg))
+                if tick.top.bit or tick.bottom.bit:
+                    lit.append((agent, tick))
+            self._lit[emissions] = lit
+        return lit
 
     def _controller_decode(self) -> None:
         """Decode the frame the ex-vivo controller saw this subcycle.

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optomac.antenna import SampledPatternTable
@@ -19,7 +19,7 @@ from optomac.channel import (
     received_power,
     superpose,
 )
-from optomac.geometry import NodePose
+from optomac.geometry import NodePose, geometry_between
 
 # Pinned path-loss values (tx_power=1, gain=1, mu=0.5).  The first one is the
 # e^{-1/2}/(4 pi) landmark; the others are the lattice distances sqrt(3),
@@ -148,6 +148,58 @@ def test_power_map_sides_follow_geometry():
     expected = received_power(cfg.tx_power, 1.0, 2.0, cfg.mu)
     assert pm.arrival("lo", 0, "hi").power == pytest.approx(expected)
     assert ("lo", 0, "lo") not in pm.arrivals
+
+
+NORMALS = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0),
+           (0.6, -0.3, 0.8)]
+
+
+@st.composite
+def sampled_deployments(draw):
+    """2-20 nodes on distinct grid points, each with a table of 1-4 patterns
+    over 3-80 distinct azimuths."""
+    points = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6),
+                                     st.integers(-2, 2)),
+                           min_size=2, max_size=20, unique=True))
+    spacing = draw(st.floats(0.25, 3.0))
+    poses, tables = {}, {}
+    for i, point in enumerate(points):
+        name = f"n{i}"
+        poses[name] = NodePose(tuple(spacing * c for c in point),
+                               normal=draw(st.sampled_from(NORMALS)))
+        tenths = draw(st.lists(st.integers(0, 3599), min_size=3, max_size=80,
+                               unique=True))
+        row = st.lists(st.floats(0.0, 20.0), min_size=len(tenths),
+                       max_size=len(tenths))
+        gains = draw(st.lists(row, min_size=1, max_size=4))
+        tables[name] = SampledPatternTable([t / 10 for t in sorted(tenths)],
+                                           gains)
+    return poses, tables
+
+
+@settings(max_examples=40, deadline=None)
+@given(sampled_deployments(), st.floats(0.0, 2.0))
+def test_power_map_is_the_scalar_formula_bit_for_bit(deployment, mu):
+    # the map interpolates all receivers of a pattern at once; every entry
+    # must still be exactly what one scalar gain lookup gives
+    poses, tables = deployment
+    cfg = ChannelConfig(mu=mu)
+    pm = build_power_map(poses, tables, cfg)
+    entries = 0
+    for tx, table in tables.items():
+        for rx in poses:
+            if rx == tx:
+                continue
+            geo = geometry_between(poses[tx], poses[rx])
+            for p in range(table.n_patterns):
+                arrival = pm.arrival(tx, p, rx)
+                assert arrival.power == received_power(
+                    cfg.tx_power, table.gain(p, geo.direction),
+                    geo.distance, cfg.mu)
+                assert type(arrival.power) is float
+                assert (arrival.source, arrival.side) == (tx, geo.side_at_b)
+                entries += 1
+    assert len(pm.arrivals) == entries
 
 
 def test_reachable_and_best_pattern():

@@ -299,6 +299,44 @@ def test_run_returns_shared_metrics():
     assert world.current_ic == 1
 
 
+def test_only_lit_listeners_observe(monkeypatch):
+    # a node far from the clique never sees a bit, so it is never asked to
+    # observe; every node that does see one is asked exactly once per cycle
+    specs = clique_specs() + [("far", 0b0100, False, Subcycle.T3,
+                               (40.0, 0.0, 0.0))]
+    trace = TraceWriter("power")
+    world, _ = make_world(specs, Variant.HANDSHAKE, trace=trace)
+    calls = []
+    observe = Agent.observe
+
+    def counting(agent, tick, *args):
+        calls.append(agent.name)
+        return observe(agent, tick, *args)
+
+    monkeypatch.setattr(Agent, "observe", counting)
+    for name in ("s1", "s2", "s3"):
+        world.agents[name].start_chain(0b1000)
+    world.run(4)
+
+    theta = world.channel_cfg.theta_detect
+    lit = []
+    for event in map(json.loads, trace.getvalue().splitlines()):
+        if event["kind"] != "power":
+            continue
+        for rx in world.agents:
+            power = {"top": 0.0, "bottom": 0.0}
+            for tx in world.agents:
+                if tx in event["sources"] and tx != rx:
+                    # every pattern of the flat tables has the same gain
+                    arrival = world.power_map.arrival(tx, 0, rx)
+                    power[arrival.side] += arrival.power
+            if max(power.values()) >= theta:
+                lit.append(rx)
+    assert "far" not in lit
+    assert world.metrics.exits > 0
+    assert sorted(calls) == sorted(lit)
+
+
 # -- subcycle stepping edge cases ----------------------------------------------
 #
 # The engine passes over silent subcycles and guard bits in one step.  Each

@@ -1,6 +1,8 @@
 """Agent state machine driven cycle by cycle with hand-built channel input."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optomac.channel import ChannelConfig, ChannelTick, DetectorReading
 from optomac.metrics import Metrics
@@ -13,6 +15,7 @@ from optomac.nodes import (
     Hooks,
     Outgoing,
     Variant,
+    _Inflight,
 )
 from optomac.protocol import (
     PRIORITY_ACK,
@@ -25,8 +28,8 @@ from optomac.protocol import (
     controller_address,
     frame_bits,
 )
-from optomac.timebase import ClockConfig, Rng, Subcycle
-from optomac.trace import NullTrace
+from optomac.timebase import FRAME_BITS, ClockConfig, Rng, Subcycle
+from optomac.trace import NullTrace, TraceWriter
 
 SENSOR = 0b0001
 PEER = 0b0010
@@ -371,3 +374,45 @@ def test_actuators_ignore_second_layer_latch():
     agent.on_second_layer(True, 0, 47)
     assert not agent.latched
     assert hooks.triggers == []
+
+
+THETA = ChannelConfig().theta_detect
+RX_BITS = st.lists(st.integers(0, 1), min_size=FRAME_BITS,
+                   max_size=FRAME_BITS)
+FAINT = st.floats(0.0, THETA, exclude_max=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(Subcycle)), st.integers(0, FRAME_BITS),
+       st.one_of(st.none(),
+                 st.tuples(st.sampled_from((0, 1, None)),
+                           st.one_of(st.none(),
+                                     st.integers(0, FRAME_BITS - 1)))),
+       RX_BITS, RX_BITS, FAINT, FAINT)
+def test_dark_tick_changes_nothing(sub, offset, inflight, top, bottom,
+                                   top_power, bottom_power):
+    # the engine asks only nodes whose detectors see a bit to observe; a
+    # tick without a bit, however faint its power, must leave a node as it
+    # was, in its own subcycle or any other
+    agent, _ = make_agent(variant=Variant.BASIC)
+    agent.trace = trace = TraceWriter("power")
+    if inflight is not None:
+        sent_bit, exited_at = inflight
+        frame = Frame(ACTUATOR, Opcode.COMMAND, SENSOR)
+        agent.inflight = _Inflight(Outgoing(frame, 0, PRIORITY_DATA),
+                                   frame_bits(frame), exited_at=exited_at,
+                                   sent_bit=sent_bit)
+    agent._rx_top, agent._rx_top_active = list(top), any(top)
+    agent._rx_bottom, agent._rx_bottom_active = list(bottom), any(bottom)
+
+    def state():
+        return (list(agent._rx_top), list(agent._rx_bottom),
+                agent._rx_top_active, agent._rx_bottom_active,
+                agent.inflight and agent.inflight.exited_at)
+
+    before = state()
+    tick = ChannelTick(top=DetectorReading(power=top_power),
+                       bottom=DetectorReading(power=bottom_power))
+    agent.observe(tick, sub, offset, 0, 17)
+    assert state() == before
+    assert trace.getvalue() == ""
