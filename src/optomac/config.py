@@ -10,6 +10,7 @@ be fixed in one pass.  ``to_dict``/``parse`` round-trip losslessly.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -473,8 +474,13 @@ def save(cfg: WorldConfig, path: str | Path) -> None:
     Path(path).write_text(dumps(cfg) + "\n")
 
 
+@functools.cache
 def load_fixture(name: str) -> WorldConfig:
-    """Load a packaged deployment by name, e.g. the nine-node reference."""
+    """Load a packaged deployment by name, e.g. the nine-node reference.
+
+    Each fixture is parsed once per process; a ``WorldConfig`` is frozen
+    down to its tuples, so callers can share it.
+    """
     ref = resources.files("optomac").joinpath("fixtures").joinpath(f"{name}.json")
     return loads(ref.read_text())
 

@@ -163,6 +163,15 @@ class Agent:
     def mode(self) -> Subcycle:
         return self.mem.working_mode
 
+    @property
+    def has_subcycle_work(self) -> bool:
+        """Whether ``end_subcycle`` can change anything: a frame in flight,
+        a receive side written this subcycle, a chain whose reply window
+        may run out, or a block whose backstop may fire."""
+        return (self.inflight is not None or self._rx_top_active
+                or self._rx_bottom_active or bool(self.chains)
+                or self.blocked_by is not None)
+
     # -- scenario entry points -------------------------------------------
 
     def start_chain(self, target: int, tag: str = "",

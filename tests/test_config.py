@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +86,15 @@ def test_load_fixture_nine_node():
     names = {n.name for n in cfg.nodes}
     assert names == {"s1", "s2", "s3", "s4", "s5", "a1", "a2", "a3", "a4"}
     assert all(n.gains is not None for n in cfg.nodes)
+
+
+def test_load_fixture_parses_once_per_process():
+    # a WorldConfig is frozen down to its tuples, so one parse is shared
+    first = load_fixture("nine_node")
+    assert load_fixture("nine_node") is first
+    text = (resources.files("optomac").joinpath("fixtures")
+            .joinpath("nine_node.json").read_text())
+    assert loads(text) == first
 
 
 def test_invalid_json_is_a_config_error():

@@ -235,12 +235,43 @@ def test_frame_sync_gap_restarts_phase():
     world, _ = make_world(pair_specs(), trace=trace,
                           laser_gaps=[LaserGap(5, 8)])
     world.run_cycles(20)
-    # the 8-cycle pause advances the wall clock without consuming budget
+    # the 8-cycle pause is part of the 20 cycles run
     assert world.cycle == 20
     assert world.phase_origin == 13
     assert gap_events(trace) == ["frame_sync"]
     # instruction cycles stay monotonic across the gap
     assert world.current_ic == 1
+
+
+def test_short_gap_keeps_phase():
+    # a gap shorter than g_sync is flywheeled: no restart, no new icycle
+    trace = TraceWriter("events")
+    world, _ = make_world(pair_specs(), trace=trace,
+                          laser_gaps=[LaserGap(5, 3)])
+    world.run_cycles(20)
+    assert world.cycle == 20
+    assert world.phase_origin == 0
+    assert world.current_ic == 0
+    assert gap_events(trace) == ["none"]
+
+
+def test_short_gap_darkens_its_cycles():
+    # s steps through its COMMAND across the gap at cycles 4-6, but the
+    # opcode's 1-bit at offset 4 reaches no one: the actuator decodes
+    # opcode 000, s times out and delivers on its retry
+    trace = TraceWriter("events")
+    world, hooks = make_world(pair_specs(), Variant.BASIC, trace=trace,
+                              laser_gaps=[LaserGap(4, 3)])
+    world.agents["s"].start_chain(0b1000)
+    world.run(2)
+    events = [json.loads(line) for line in trace.getvalue().splitlines()]
+    done = [e["cycle"] for e in events
+            if e["kind"] == "tx_done" and e["node"] == "s"]
+    rx = [(e["cycle"], e["frame"]) for e in events
+          if e["kind"] == "rx_frame" and e["node"] == "a"]
+    assert done == [11, 59]
+    assert rx == [(11, "1000 000 0001"), (59, "1000 100 0001")]
+    assert hooks.done == [("s", 71)]
 
 
 def test_mode_toggle_gap_flips_learning():
@@ -335,6 +366,45 @@ def test_only_lit_listeners_observe(monkeypatch):
     assert "far" not in lit
     assert world.metrics.exits > 0
     assert sorted(calls) == sorted(lit)
+
+
+def test_only_nodes_with_work_close_the_subcycle(monkeypatch):
+    # the far node never sends, hears or waits, so it never closes a
+    # subcycle; every node that sends or hears in a subcycle closes it
+    specs = clique_specs() + [("far", 0b0100, False, Subcycle.T3,
+                               (40.0, 0.0, 0.0))]
+    world, _ = make_world(specs, Variant.HANDSHAKE)
+    sub_len = world.clock.subcycle_len
+    closed, active = [], set()
+    end_subcycle, emit, observe = (Agent.end_subcycle, Agent.emit,
+                                   Agent.observe)
+
+    def counting_end(agent, sub, ic, cycle):
+        closed.append((agent.name, cycle // sub_len))
+        return end_subcycle(agent, sub, ic, cycle)
+
+    def counting_emit(agent, sub, offset, ic, cycle):
+        sent = emit(agent, sub, offset, ic, cycle)
+        if agent.inflight is not None:
+            active.add((agent.name, cycle // sub_len))
+        return sent
+
+    def counting_observe(agent, tick, sub, offset, ic, cycle):
+        if sub != agent.mode:             # in its own, a node only senses
+            active.add((agent.name, cycle // sub_len))
+        return observe(agent, tick, sub, offset, ic, cycle)
+
+    monkeypatch.setattr(Agent, "end_subcycle", counting_end)
+    monkeypatch.setattr(Agent, "emit", counting_emit)
+    monkeypatch.setattr(Agent, "observe", counting_observe)
+    for name in ("s1", "s2", "s3"):
+        world.agents[name].start_chain(0b1000)
+    world.run(6)
+
+    assert world.metrics.delivered == 3
+    assert "far" not in {name for name, _ in closed}
+    assert len(closed) == len(set(closed))       # once per subcycle at most
+    assert active <= set(closed)
 
 
 # -- subcycle stepping edge cases ----------------------------------------------

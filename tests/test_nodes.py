@@ -1,5 +1,7 @@
 """Agent state machine driven cycle by cycle with hand-built channel input."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from optomac.nodes import (
     REQUEST_RETRY_ICS,
     Agent,
     ChainState,
+    CommandChain,
     Hooks,
     Outgoing,
     Variant,
@@ -416,3 +419,102 @@ def test_dark_tick_changes_nothing(sub, offset, inflight, top, bottom,
     agent.observe(tick, sub, offset, 0, 17)
     assert state() == before
     assert trace.getvalue() == ""
+
+
+# -- calls the engine skips ---------------------------------------------------
+#
+# The engine leaves out calls that cannot change a node: closing a subcycle
+# without work, offset 0 of its own subcycle with nothing to send, and a
+# second-layer update that matches the latch.  Each case below draws the
+# rest of the node's state at random and checks that the call changes none
+# of it.
+
+ADDRESSES = st.sampled_from((PEER, ACTUATOR, controller_address()))
+QUEUED = st.lists(st.builds(
+    lambda to, op, priority: Outgoing(Frame(to, op, SENSOR), 0, priority),
+    ADDRESSES, st.sampled_from(list(Opcode)),
+    st.sampled_from((PRIORITY_BLOCK, PRIORITY_ACK, PRIORITY_DATA))),
+    min_size=1, max_size=3)
+CHAINS = st.lists(st.builds(
+    CommandChain, ADDRESSES, st.just("t"), st.sampled_from(list(ChainState)),
+    st.integers(0, AWAIT_WINDOW_SUBCYCLES), st.integers(0, 40)),
+    min_size=1, max_size=2)
+
+
+@st.composite
+def node_states(draw, *, inflight=True, rx=True, chains=True, blocked=True,
+                to_send=True):
+    """A sensor or actuator whose other state is drawn at random; each
+    flag set to False keeps that part empty."""
+    address = draw(st.sampled_from((SENSOR, ACTUATOR)))
+    agent, hooks = make_agent(
+        address=address, is_actuator=address == ACTUATOR,
+        mode=draw(st.sampled_from((Subcycle.T1, Subcycle.T2, Subcycle.T3))),
+        variant=draw(st.sampled_from(list(Variant))))
+    agent.trace = TraceWriter("power")
+    if inflight and draw(st.booleans()):
+        frame = Frame(ACTUATOR, Opcode.COMMAND, SENSOR)
+        agent.inflight = _Inflight(
+            Outgoing(frame, 0, PRIORITY_DATA), frame_bits(frame),
+            exited_at=draw(st.none() | st.integers(0, FRAME_BITS - 1)),
+            sent_bit=draw(st.sampled_from((0, 1, None))))
+    if rx:
+        top, bottom = draw(RX_BITS), draw(RX_BITS)
+        agent._rx_top, agent._rx_top_active = list(top), any(top)
+        agent._rx_bottom, agent._rx_bottom_active = list(bottom), any(bottom)
+    if chains and draw(st.booleans()):
+        agent.chains = draw(CHAINS)
+    if blocked and draw(st.booleans()):
+        agent.blocked_by = draw(ADDRESSES)
+    agent.blocked_since_ic = draw(st.integers(0, 40))
+    if to_send and draw(st.booleans()):
+        agent.queue = draw(QUEUED)
+    if to_send and draw(st.booleans()):
+        agent.request_target = draw(ADDRESSES)
+    agent.request_next_ic = draw(st.integers(0, 40))
+    agent.latched = draw(st.booleans())
+    return agent, hooks
+
+
+def node_state(agent: Agent, hooks: RecordingHooks) -> tuple:
+    """Everything a skipped call must leave as it was."""
+    return (list(agent._rx_top), list(agent._rx_bottom),
+            agent._rx_top_active, agent._rx_bottom_active,
+            copy.deepcopy(agent.queue), copy.deepcopy(agent.chains),
+            copy.deepcopy(agent.inflight), agent.blocked_by,
+            agent.blocked_since_ic, agent.latched, agent.request_target,
+            agent.request_next_ic, dict(agent.command_counts),
+            agent.metrics.to_json(), agent.rng.counter,
+            agent.trace.getvalue(), copy.deepcopy(vars(hooks)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(node_states(inflight=False, rx=False, chains=False, blocked=False),
+       st.sampled_from(list(Subcycle)), st.integers(0, 60),
+       st.integers(0, 3000))
+def test_end_subcycle_without_work_changes_nothing(node, sub, ic, cycle):
+    agent, hooks = node
+    assert not agent.has_subcycle_work
+    before = node_state(agent, hooks)
+    agent.end_subcycle(sub, ic, cycle)
+    assert node_state(agent, hooks) == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(node_states(inflight=False, chains=False, to_send=False),
+       st.sampled_from(list(Subcycle)), st.integers(0, 60),
+       st.integers(0, 3000))
+def test_first_bit_with_nothing_to_send_changes_nothing(node, sub, ic, cycle):
+    agent, hooks = node
+    before = node_state(agent, hooks)
+    assert agent.emit(sub, 0, ic, cycle) is None
+    assert node_state(agent, hooks) == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(node_states(), st.integers(0, 60), st.integers(0, 3000))
+def test_second_layer_matching_the_latch_changes_nothing(node, ic, cycle):
+    agent, hooks = node
+    before = node_state(agent, hooks)
+    agent.on_second_layer(agent.latched, ic, cycle)
+    assert node_state(agent, hooks) == before
