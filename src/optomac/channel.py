@@ -75,9 +75,6 @@ class ChannelTick:
     top: DetectorReading = DetectorReading()
     bottom: DetectorReading = DetectorReading()
 
-    def data_power(self) -> float:
-        return max(self.top.power, self.bottom.power)
-
 
 def superpose(arrivals: list[Arrival], cfg: ChannelConfig) -> tuple[DetectorReading, DetectorReading]:
     """Combine simultaneous 1-bit arrivals into per-detector readings."""
@@ -98,15 +95,6 @@ def superpose(arrivals: list[Arrival], cfg: ChannelConfig) -> tuple[DetectorRead
             evidence=len(set(strong)) >= 2,
         ))
     return readings[0], readings[1]
-
-
-def carrier_sense(tick: ChannelTick, cfg: ChannelConfig) -> bool:
-    """True when either detector sees first-layer power at threshold.
-
-    Callers must only sense while not emitting a 1-bit themselves; a node's
-    own emission would otherwise swamp both detectors.
-    """
-    return tick.data_power() >= cfg.theta_detect
 
 
 @dataclass

@@ -27,7 +27,12 @@ from pathlib import Path
 
 from . import config as config_mod
 from .config import ConfigError, WorldConfig, build_parts
-from .scenarios import SCENARIO_HORIZON_ICS, ScenarioResult, run_scenario
+from .scenarios import (
+    SCENARIO_HORIZON_ICS,
+    ScenarioResult,
+    default_config,
+    run_scenario,
+)
 from .trace import LEVELS, TraceWriter
 
 ARTIFACTS = ("trace.jsonl", "metrics.json", "memory.txt", "patterns.txt")
@@ -44,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=sorted(SCENARIO_HORIZON_ICS),
                         help="scenario to run (defaults to the config's)")
     parser.add_argument("--protocol", default=None,
-                        choices=("basic", "handshake"),
+                        choices=config_mod.PROTOCOL_NAMES,
                         help="MAC variant (defaults to the config's)")
     parser.add_argument("--seed", type=int, default=None,
                         help="run seed (defaults to the config's)")
@@ -80,7 +85,6 @@ def _load_config(args) -> WorldConfig:
         return config_mod.load_path(args.config)
     if args.scenario is None:
         raise ConfigError(["need --config or --scenario"])
-    from .scenarios import default_config
     return default_config(args.scenario)
 
 

@@ -21,6 +21,7 @@ from typing import Any
 from .antenna import SampledPatternTable
 from .channel import ChannelConfig
 from .geometry import HexGrid, NodePose
+from .nodes import Variant
 from .protocol import (
     NodeMemory,
     broadcast_address,
@@ -33,7 +34,7 @@ from .timebase import ClockConfig
 
 SCENARIO_NAMES = ("photothermal", "drug_delivery", "hidden_terminal",
                   "clique_contention")
-PROTOCOL_NAMES = ("basic", "handshake")
+PROTOCOL_NAMES = tuple(v.value for v in Variant)
 CLUSTER_KINDS = ("fluorescent", "actuator")
 
 _TOP_KEYS = {"grid", "clock", "channel", "seed", "protocol", "scenario",

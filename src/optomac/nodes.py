@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .channel import ChannelConfig, ChannelTick, carrier_sense
+from .channel import ChannelTick
 from .metrics import Metrics
 from .protocol import (
     PRIORITY_ACK,
@@ -116,15 +116,19 @@ class Hooks:
 
 
 class Agent:
-    """Protocol state machine for one in-vivo node."""
+    """Protocol state machine for one in-vivo node.
 
-    def __init__(self, name: str, memory: NodeMemory,
-                 channel_cfg: ChannelConfig, rng: Rng, variant: Variant,
-                 trace: TraceWriter, metrics: Metrics,
+    It owns the tests the engine asks before a call (``has_send_work``,
+    ``has_subcycle_work``), carrier sense (either detector's bit) and its
+    receive buffers, which it clears once decoded; the engine clears them
+    only when a laser gap abandons a subcycle.
+    """
+
+    def __init__(self, name: str, memory: NodeMemory, rng: Rng,
+                 variant: Variant, trace: TraceWriter, metrics: Metrics,
                  hooks: Hooks | None = None):
         self.name = name
         self.mem = memory
-        self.channel_cfg = channel_cfg
         self.rng = rng
         self.variant = variant
         self.trace = trace
@@ -133,8 +137,8 @@ class Agent:
 
         self.queue: list[Outgoing] = []
         self.inflight: _Inflight | None = None
-        # receive buffers of the current subcycle; a side that is not
-        # active holds only zeros
+        # receive buffers of the current subcycle, cleared once decoded; a
+        # side that is not active holds only zeros
         self._rx_top = [0] * FRAME_BITS
         self._rx_bottom = [0] * FRAME_BITS
         self._rx_top_active = False
@@ -162,6 +166,13 @@ class Agent:
     @property
     def mode(self) -> Subcycle:
         return self.mem.working_mode
+
+    @property
+    def has_send_work(self) -> bool:
+        """Whether ``emit`` at offset 0 of the own subcycle can load or hold
+        a frame: one in flight, a queue, a chain or a relay request."""
+        return (self.inflight is not None or bool(self.queue)
+                or bool(self.chains) or self.request_target is not None)
 
     @property
     def has_subcycle_work(self) -> bool:
@@ -225,8 +236,9 @@ class Agent:
         """Process one clock cycle of detector input."""
         if sub == self.mode:
             fl = self.inflight
+            # carrier sense: either detector sees a bit
             if (fl is not None and fl.sent_bit == 0 and fl.exited_at is None
-                    and carrier_sense(tick, self.channel_cfg)):
+                    and (tick.top.bit or tick.bottom.bit)):
                 fl.exited_at = offset
                 self.trace.event(cycle, "tx_exit", node=self.name,
                                  bit=offset, frame=fl.out.frame.describe())
@@ -240,7 +252,8 @@ class Agent:
             self._rx_bottom[offset] = 1
             self._rx_bottom_active = True
 
-    def begin_subcycle(self, sub: Subcycle) -> None:
+    def clear_receive_buffers(self) -> None:
+        """Drop whatever the receive buffers hold, a partial frame too."""
         if self._rx_top_active:
             self._rx_top = [0] * FRAME_BITS
             self._rx_top_active = False
@@ -379,6 +392,7 @@ class Agent:
             self.trace.event(cycle, "rx_frame", node=self.name, side=side,
                              frame=frame.describe(), addressed=addressed)
             decoded.append((side, frame, addressed))
+        self.clear_receive_buffers()
         if self.is_actuator:
             # Two clean NOTIFYs on opposite detectors in one subcycle are a
             # collision the recipient can see directly; it serves neither.

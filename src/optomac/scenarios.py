@@ -52,7 +52,7 @@ from .config import (
 )
 from .engine import LaserGap, ScenarioHooks, World
 from .geometry import HexGrid, cell_of
-from .learning import LearningReport, run_learning
+from .learning import LearningReport, run_learning, snapshot_text
 from .metrics import Metrics
 from .nodes import Agent, CommandChain, Hooks, Variant
 from .protocol import Opcode, controller_address
@@ -88,10 +88,6 @@ def _bump_row(peak_deg: float, height: float) -> tuple[float, ...]:
     return tuple(float(v) for v in np.round(row, 6))
 
 
-def _floor_row() -> tuple[float, ...]:
-    n = int(round(360.0 / AZIMUTH_STEP_DEG))
-    return (PATTERN_FLOOR,) * n
-
 def _flat_row(height: float) -> tuple[float, ...]:
     n = int(round(360.0 / AZIMUTH_STEP_DEG))
     return (round(height, 6),) * n
@@ -119,7 +115,7 @@ def hidden_terminal_config() -> WorldConfig:
 
     d_s1_a = math.dist(s1_pos[:2], a_pos[:2])
     d_s2_a = math.dist(s2_pos[:2], a_pos[:2])
-    floor = _floor_row()
+    floor = _flat_row(PATTERN_FLOOR)
     s1_gains = (floor,
                 _bump_row(_azimuth_between(s1_pos, a_pos), _link_height(d_s1_a)),
                 floor, floor)
@@ -142,22 +138,20 @@ def hidden_terminal_config() -> WorldConfig:
     return WorldConfig(grid=grid, nodes=nodes, scenario="hidden_terminal")
 
 
-def clique_contention_config(n_sensors: int = 3) -> WorldConfig:
-    """Sensors sharing one working subcycle, all mutually audible, plus an
-    equidistant actuator: a full-visibility contention clique."""
-    if not 2 <= n_sensors <= 3:
-        raise ValueError("the clique layout supports 2 or 3 sensors")
+def clique_contention_config() -> WorldConfig:
+    """Three sensors sharing one working subcycle, all mutually audible,
+    plus an equidistant actuator: a full-visibility contention clique."""
     grid = HexGrid(1.0, ((-1, 2, 2), (0, 0, 1), (1, 1, 1)))
-    sensor_cells = ((0, 0), (1, 1), (2, -1))[:n_sensors]
+    sensor_cells = ((0, 0), (1, 1), (2, -1))
     actuator_cell = (1, 0)
     a_pos = grid.center(actuator_cell) + (0.0,)
     reach = max(math.dist(grid.center(c), grid.center(sc))
                 for c in sensor_cells + (actuator_cell,)
                 for sc in sensor_cells + (actuator_cell,) if c != sc)
-    gains = (_flat_row(_link_height(reach)), _floor_row(), _floor_row(),
-             _floor_row())
+    floor = _flat_row(PATTERN_FLOOR)
+    gains = (_flat_row(_link_height(reach)), floor, floor, floor)
 
-    sensor_addrs = tuple(range(1, n_sensors + 1))
+    sensor_addrs = (1, 2, 3)
     nodes = tuple(
         NodeSpec(f"s{i + 1}", addr, "sensor", grid.center(cell) + (0.0,),
                  recognized=(0b1000,), azimuth_step_deg=AZIMUTH_STEP_DEG,
@@ -177,8 +171,8 @@ def drug_delivery_config() -> WorldConfig:
     s_pos = grid.center((0, 0)) + (0.0,)
     a_pos = grid.center((2, 0)) + (0.0,)
     d = math.dist(s_pos[:2], a_pos[:2])
-    gains = (_flat_row(_link_height(d)), _floor_row(), _floor_row(),
-             _floor_row())
+    floor = _flat_row(PATTERN_FLOOR)
+    gains = (_flat_row(_link_height(d)), floor, floor, floor)
     nodes = (
         NodeSpec("s1", 0b0001, "sensor", s_pos, recognized=(0b1000,),
                  azimuth_step_deg=AZIMUTH_STEP_DEG, gains=gains),
@@ -340,8 +334,7 @@ class PhotothermalDriver(ScenarioDriver):
         self.served: set[int] = set()      # origin addresses with a live task
         self.trigger_cycles: dict[str, int] = {}
         self.dose = {spec.name: 0.0 for spec in self.fluorescent}
-        scan = self.cfg.grid.scan_cells()
-        self._cell_of_position = {idx: cell for idx, cell in enumerate(scan)}
+        self._scan_cells = self.cfg.grid.scan_cells()
         self._fluorescent_cells = [(spec, cell_of(spec.position, self.cfg.grid))
                                    for spec in self.fluorescent]
 
@@ -393,7 +386,7 @@ class PhotothermalDriver(ScenarioDriver):
 
     def on_icycle_end(self, world: World, ic: int) -> None:
         for position in sorted(self.tasks):
-            cell = self._cell_of_position[position]
+            cell = self._scan_cells[position]
             targets = [spec for spec, c_cell in self._fluorescent_cells
                        if c_cell == cell and world.stimuli[spec.name].active]
             if not targets:
@@ -517,7 +510,6 @@ class ScenarioResult:
     icycles: int = 0
 
     def memory_snapshot(self) -> str:
-        from .learning import snapshot_text
         return snapshot_text(self.parts.memories)
 
 
@@ -531,7 +523,7 @@ def build_world(cfg: WorldConfig, variant: Variant, seed: int,
                           cfg.channel)
     hooks = driver if driver is not None else Hooks()
     agents = [
-        Agent(spec.name, parts.memories[spec.name], cfg.channel,
+        Agent(spec.name, parts.memories[spec.name],
               Rng(seed, stream=spec.address), variant, trace, metrics,
               hooks=hooks)
         for spec in cfg.nodes

@@ -10,11 +10,9 @@ from optomac.antenna import SampledPatternTable
 from optomac.channel import (
     Arrival,
     ChannelConfig,
-    ChannelTick,
     DetectorReading,
     best_pattern,
     build_power_map,
-    carrier_sense,
     reachable,
     received_power,
     superpose,
@@ -113,16 +111,6 @@ def test_superpose_is_or_monotone(base, extra_power, extra_side):
         assert a.bit >= b.bit
         assert a.power >= b.power
         assert set(a.strong) >= set(b.strong)
-
-
-def test_carrier_sense_uses_either_detector():
-    cfg = ChannelConfig()
-    quiet = ChannelTick()
-    assert not carrier_sense(quiet, cfg)
-    loud_bottom = ChannelTick(bottom=DetectorReading(power=0.02, bit=1))
-    assert carrier_sense(loud_bottom, cfg)
-    faint = ChannelTick(top=DetectorReading(power=0.005))
-    assert not carrier_sense(faint, cfg)
 
 
 def flat_table(gain=1.0):
@@ -224,9 +212,3 @@ def test_reachable_and_best_pattern():
     assert pm.arrival("tx", 3, "rx").power < cfg.theta_detect
     # the isotropic unit-gain return path stays below threshold at d=2
     assert not reachable(pm, tables, "rx", "tx", cfg)
-
-
-def test_data_power_is_max_of_sides():
-    tick = ChannelTick(top=DetectorReading(power=0.2),
-                       bottom=DetectorReading(power=0.7))
-    assert tick.data_power() == pytest.approx(0.7)

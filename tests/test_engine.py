@@ -65,8 +65,8 @@ def make_world(node_specs, variant=Variant.BASIC, trace=None,
         mem = NodeMemory(address=address, is_actuator=is_act,
                          working_mode=mode,
                          physical=set(addresses) - {address})
-        agents.append(Agent(name, mem, ChannelConfig(), Rng(0, address),
-                            variant, tracer, metrics, hooks=hooks))
+        agents.append(Agent(name, mem, Rng(0, address), variant, tracer,
+                            metrics, hooks=hooks))
     # every node gets four patterns of one gain toward every azimuth
     tables = {name: SampledPatternTable([0.0], [[gain]] * 4) for name in poses}
     world = World(poses, tables, agents, ClockConfig(),
@@ -282,6 +282,28 @@ def test_mode_toggle_gap_flips_learning():
     world.run_cycles(10)
     assert gap_events(trace) == ["mode_toggle"]
     assert world.phase_origin == 32
+
+
+def test_frame_sync_gap_drops_partial_frames():
+    # x's RELAY is cut after five bits by a gap in T2; the phase restarts at
+    # T1, where y sends another frame.  The listener must decode y's frame
+    # alone, not ORed with the stale head of x's
+    trace = TraceWriter("events")
+    specs = [("x", 0b0010, False, Subcycle.T2, (0.0, 0.0, 0.0)),
+             ("y", 0b0001, False, Subcycle.T1, (2.0, 0.0, 0.0)),
+             ("l", 0b0100, False, Subcycle.T3, (1.0, math.sqrt(3.0), 0.0))]
+    world, _ = make_world(specs, trace=trace, laser_gaps=[LaserGap(17, 8)])
+    relay = Frame(controller_address(), Opcode.RELAY, 0b0010)
+    world.agents["x"].queue.append(Outgoing(relay, 0, PRIORITY_DATA))
+    world.run_cycles(17)
+    notify = Frame(0b0100, Opcode.NOTIFY, 0b0001)
+    world.agents["y"].queue.append(Outgoing(notify, 0, PRIORITY_DATA))
+    world.run_cycles(8 + 12)
+    events = [json.loads(line) for line in trace.getvalue().splitlines()]
+    assert gap_events(trace) == ["frame_sync"]
+    heard = [(e["kind"], e.get("frame")) for e in events
+             if e["kind"] in ("rx_frame", "rx_reject") and e["node"] == "l"]
+    assert heard == [("rx_frame", notify.describe())]
 
 
 def test_overlapping_gaps_rejected():

@@ -67,8 +67,8 @@ def make_agent(address=SENSOR, is_actuator=False, mode=Subcycle.T1,
         physical=set(physical or {SENSOR, PEER, ACTUATOR} - {address}),
         recognized=set(recognized or ()))
     hooks = RecordingHooks()
-    agent = Agent(f"n{address}", mem, ChannelConfig(), Rng(0, address),
-                  variant, NullTrace(), Metrics(), hooks=hooks)
+    agent = Agent(f"n{address}", mem, Rng(0, address), variant, NullTrace(),
+                  Metrics(), hooks=hooks)
     return agent, hooks
 
 
@@ -79,16 +79,15 @@ def strong_tick(bit: int, side: str = "top") -> ChannelTick:
 
 
 def run_own_subcycle(agent: Agent, ic: int = 0, base_cycle: int = 0,
-                     jam_at: int | None = None) -> list:
-    """One transmit subcycle; optionally jam the channel at one bit offset."""
+                     jam_at: int | None = None, jam_side: str = "top") -> list:
+    """One transmit subcycle; optionally jam one detector at one bit offset."""
     sub = agent.mode
-    agent.begin_subcycle(sub)
     sent = []
     for off in range(SUBCYCLE_LEN):
         cycle = base_cycle + off
         sent.append(agent.emit(sub, off, ic, cycle))
         if jam_at is not None and off == jam_at:
-            agent.observe(strong_tick(1), sub, off, ic, cycle)
+            agent.observe(strong_tick(1, jam_side), sub, off, ic, cycle)
     agent.end_subcycle(sub, ic, base_cycle + SUBCYCLE_LEN - 1)
     return sent
 
@@ -96,7 +95,6 @@ def run_own_subcycle(agent: Agent, ic: int = 0, base_cycle: int = 0,
 def feed_subcycle(agent: Agent, sub: Subcycle, ic: int = 0,
                   base_cycle: int = 0, top=None, bottom=None) -> None:
     """One receive subcycle delivering whole frames per detector side."""
-    agent.begin_subcycle(sub)
     for off in range(SUBCYCLE_LEN):
         top_bit = top[off] if top is not None and off < len(top) else 0
         bot_bit = bottom[off] if bottom is not None and off < len(bottom) else 0
@@ -138,27 +136,27 @@ def test_handshake_starts_with_notify():
 
 
 def test_cdwm_exit_requeues_at_head():
-    agent, _ = make_agent(variant=Variant.BASIC)
-    agent.start_chain(ACTUATOR)
     # COMMAND toward 1000 from 0001 opens 1000100...; bit 1 is a mute bit,
-    # so a foreign pulse there must force an exit
-    sent = run_own_subcycle(agent, jam_at=1)
-    assert sent[1][0] == 0
-    assert [s for s in sent[2:] if s is not None] == []
-    assert agent.metrics.exits == 1
-    assert agent.queue and agent.queue[0].frame.opcode is Opcode.COMMAND
-    assert agent.metrics.issued == 0
-    # the requeued frame goes out untouched next own subcycle
-    sent = run_own_subcycle(agent, ic=1, base_cycle=48)
-    assert [s[0] for s in sent[:11]] == \
-        list(frame_bits(Frame(ACTUATOR, Opcode.COMMAND, SENSOR)))
-    assert agent.metrics.issued == 1
+    # so a foreign pulse there, on either detector, must force an exit
+    for jam_side in ("top", "bottom"):
+        agent, _ = make_agent(variant=Variant.BASIC)
+        agent.start_chain(ACTUATOR)
+        sent = run_own_subcycle(agent, jam_at=1, jam_side=jam_side)
+        assert sent[1][0] == 0
+        assert [s for s in sent[2:] if s is not None] == []
+        assert agent.metrics.exits == 1
+        assert agent.queue and agent.queue[0].frame.opcode is Opcode.COMMAND
+        assert agent.metrics.issued == 0
+        # the requeued frame goes out untouched next own subcycle
+        sent = run_own_subcycle(agent, ic=1, base_cycle=48)
+        assert [s[0] for s in sent[:11]] == \
+            list(frame_bits(Frame(ACTUATOR, Opcode.COMMAND, SENSOR)))
+        assert agent.metrics.issued == 1
 
 
 def test_own_pulse_does_not_trigger_exit():
     agent, _ = make_agent(variant=Variant.BASIC)
     agent.start_chain(ACTUATOR)
-    agent.begin_subcycle(Subcycle.T1)
     sent = agent.emit(Subcycle.T1, 0, 0, 0)
     assert sent[0] == 1
     # carrier sensing is only armed while the node is mute
@@ -506,6 +504,7 @@ def test_end_subcycle_without_work_changes_nothing(node, sub, ic, cycle):
        st.integers(0, 3000))
 def test_first_bit_with_nothing_to_send_changes_nothing(node, sub, ic, cycle):
     agent, hooks = node
+    assert not agent.has_send_work
     before = node_state(agent, hooks)
     assert agent.emit(sub, 0, ic, cycle) is None
     assert node_state(agent, hooks) == before

@@ -1,14 +1,16 @@
 """Scripted scenario runs: frozen seed-0 outcomes, conservation, determinism."""
 
 import dataclasses
+import re
 from importlib import resources
 
 import pytest
 
-from optomac.config import format_address
+from optomac.config import SCENARIO_NAMES, format_address
 from optomac.metrics import Metrics
 from optomac.protocol import Opcode
 from optomac.scenarios import (
+    DRIVERS,
     SCENARIO_HORIZON_ICS,
     clique_contention_config,
     default_config,
@@ -36,11 +38,18 @@ def test_default_config_names_and_rejection():
         default_config("cryotherapy")
 
 
-def test_clique_builder_sensor_counts():
-    assert len(clique_contention_config(2).nodes) == 3
-    assert len(clique_contention_config(3).nodes) == 4
-    with pytest.raises(ValueError, match="2 or 3"):
-        clique_contention_config(4)
+def test_scenario_names_agree():
+    # config validates names without importing the scenarios that run them
+    names = set(SCENARIO_NAMES)
+    assert len(names) == len(SCENARIO_NAMES)
+    assert set(DRIVERS) == names
+    assert set(SCENARIO_HORIZON_ICS) == names
+    for name in SCENARIO_NAMES:
+        assert default_config(name).scenario == name
+    # the rejection lists every name default_config builds
+    expected = re.escape(f"expected one of {sorted(names)}")
+    with pytest.raises(ValueError, match=expected + "$"):
+        default_config("cryotherapy")
 
 
 def test_hidden_terminal_seed0_basic():
