@@ -47,7 +47,7 @@ from .channel import (
 from .geometry import NodePose
 from .metrics import Metrics
 from .nodes import Agent
-from .protocol import Frame, controller_address, parse_bits
+from .protocol import BIT_MASK, Frame, controller_address, parse_mask
 from .timebase import (
     FRAME_BITS,
     ClockConfig,
@@ -128,8 +128,8 @@ class World:
         self.controller_frames: list[tuple[int, Frame]] = []
         self._controller_hears = (set(controller_hears)
                                   if controller_hears is not None else None)
-        self._controller_bits: list[int] = []
-        self._controller_active = False
+        # what the controller saw this subcycle, as a bit mask
+        self._controller_bits = 0
         self._evidence_seen: set[tuple[str, int, int]] = set()
         # emissions -> the (agent, tick) pairs whose tick has a bit
         self._lit: dict[tuple, list[tuple[Agent, ChannelTick]]] = {}
@@ -238,8 +238,7 @@ class World:
         self.cycle = min(stop, last + 1)
 
     def _begin_subcycle(self, sub: Subcycle, ic: int) -> None:
-        self._controller_bits = [0] * FRAME_BITS
-        self._controller_active = False
+        self._controller_bits = 0
         if sub == Subcycle.T1:
             self.scenario.on_icycle_start(self, ic)
 
@@ -254,8 +253,7 @@ class World:
             return
         if any(self._controller_hears is None or tx in self._controller_hears
                for tx, _ in emissions):
-            self._controller_bits[off] = 1
-            self._controller_active = True
+            self._controller_bits |= BIT_MASK[off]
         for agent, tick in self._lit_for(tuple(emissions)):
             if tick.top.evidence or tick.bottom.evidence:
                 seen = (agent.name, ic, int(sub))
@@ -273,7 +271,7 @@ class World:
         for agent in self.agents.values():
             if agent.has_subcycle_work:
                 agent.end_subcycle(sub, ic, self.cycle)
-        if self._controller_active:
+        if self._controller_bits != 0:
             self._controller_decode()
         if sub == Subcycle.T4:
             for agent in self._sensors:
@@ -316,11 +314,7 @@ class World:
         (all of them unless ``controller_hears`` narrows the set, modelling
         deep nodes whose light does not reach the skin).
         """
-        bits = tuple(self._controller_bits)
-        try:
-            frame = parse_bits(bits)
-        except ValueError:
-            return
+        frame = parse_mask(self._controller_bits)
         if frame.recipient != controller_address():
             return
         self.controller_frames.append((self.cycle, frame))

@@ -27,6 +27,7 @@ from .protocol import (
     PRIORITY_ACK,
     PRIORITY_BLOCK,
     PRIORITY_DATA,
+    BIT_MASK,
     Backoff,
     Bits,
     Frame,
@@ -137,12 +138,11 @@ class Agent:
 
         self.queue: list[Outgoing] = []
         self.inflight: _Inflight | None = None
-        # receive buffers of the current subcycle, cleared once decoded; a
-        # side that is not active holds only zeros
-        self._rx_top = [0] * FRAME_BITS
-        self._rx_bottom = [0] * FRAME_BITS
-        self._rx_top_active = False
-        self._rx_bottom_active = False
+        # receive buffers of the current subcycle as bit masks (see
+        # ``protocol.BIT_MASK``), cleared once decoded; 0 on a side that
+        # saw no bit
+        self._rx_top = 0
+        self._rx_bottom = 0
         self.chains: list[CommandChain] = []
         self.blocked_by: int | None = None
         self.blocked_since_ic = 0
@@ -179,8 +179,8 @@ class Agent:
         """Whether ``end_subcycle`` can change anything: a frame in flight,
         a receive side written this subcycle, a chain whose reply window
         may run out, or a block whose backstop may fire."""
-        return (self.inflight is not None or self._rx_top_active
-                or self._rx_bottom_active or bool(self.chains)
+        return (self.inflight is not None or self._rx_top != 0
+                or self._rx_bottom != 0 or bool(self.chains)
                 or self.blocked_by is not None)
 
     # -- scenario entry points -------------------------------------------
@@ -246,26 +246,19 @@ class Agent:
         if sub == Subcycle.T4 or offset >= FRAME_BITS:
             return
         if tick.top.bit:
-            self._rx_top[offset] = 1
-            self._rx_top_active = True
+            self._rx_top |= BIT_MASK[offset]
         if tick.bottom.bit:
-            self._rx_bottom[offset] = 1
-            self._rx_bottom_active = True
+            self._rx_bottom |= BIT_MASK[offset]
 
     def clear_receive_buffers(self) -> None:
         """Drop whatever the receive buffers hold, a partial frame too."""
-        if self._rx_top_active:
-            self._rx_top = [0] * FRAME_BITS
-            self._rx_top_active = False
-        if self._rx_bottom_active:
-            self._rx_bottom = [0] * FRAME_BITS
-            self._rx_bottom_active = False
+        self._rx_top = self._rx_bottom = 0
 
     def end_subcycle(self, sub: Subcycle, ic: int, cycle: int) -> None:
         if sub == self.mode:
             self._finish_own_subcycle(cycle)
         elif sub != Subcycle.T4:
-            if self._rx_top_active or self._rx_bottom_active:
+            if self._rx_top != 0 or self._rx_bottom != 0:
                 self._receive_subcycle(ic, cycle)
             self._tick_windows(ic, cycle)
         if (self.blocked_by is not None
@@ -374,17 +367,16 @@ class Agent:
 
     def _receive_subcycle(self, ic: int, cycle: int) -> None:
         decoded: list[tuple[str, Frame, bool]] = []
-        for side, bits, active in (
-                ("top", self._rx_top, self._rx_top_active),
-                ("bottom", self._rx_bottom, self._rx_bottom_active)):
-            if not active:
+        for side, mask in (("top", self._rx_top),
+                           ("bottom", self._rx_bottom)):
+            if mask == 0:
                 continue
-            result = decode_verify(tuple(bits), self.mem)
+            result = decode_verify(mask, self.mem)
             if result.verdict in (Verdict.MALFORMED, Verdict.COLLISION_SUSPECT):
                 self.metrics.rx_rejects += 1
                 self.trace.event(cycle, "rx_reject", node=self.name,
                                  side=side, reason=result.verdict.value,
-                                 bits="".join(map(str, bits)))
+                                 bits=f"{mask:0{FRAME_BITS}b}")
                 continue
             frame = result.frame
             assert frame is not None

@@ -6,6 +6,13 @@ address MSB separates sensors (0) from actuators (1); all-ones broadcasts,
 all-ones-minus-one is the ex-vivo controller.  Documents and traces write an
 address as a 4-bit binary string (``format_address``/``parse_address``).
 
+The codec is memoised.  ``parse_mask`` keeps each decoded ``Frame`` and
+``frame_bits`` and ``Frame.describe`` keep each frame's bits and text, in
+module-level tables filled lazily as runs meet frames, so each holds at most
+2^``FRAME_BITS`` entries.  Every call validates its input before it consults
+a table, and only valid results are stored, so a cached answer is never given
+for an input the codec rejects.
+
 Arbitration exploits the OR channel: a transmitter listens during each of its
 own 0-bits and exits the subcycle the moment it hears a foreign 1, so among
 mutually visible contenders the lexicographically greatest frame survives
@@ -67,12 +74,49 @@ class Frame:
     transmitter: int
 
     def describe(self) -> str:
-        return (f"{format_address(self.recipient)} {self.opcode.value:03b} "
-                f"{format_address(self.transmitter)}")
+        return _cached(_TEXT_OF_FRAME, _describe, self)
+
+
+# The mask of bit ``k`` of a frame, MSB first: a frame's bits as one integer.
+BIT_MASK = tuple(1 << (FRAME_BITS - 1 - k) for k in range(FRAME_BITS))
+
+# Codec tables, filled lazily; see the module docstring.
+_ADDRESSES = 1 << ADDRESS_BITS
+_FRAME_OF_MASK: dict[int, Frame] = {}
+_BITS_OF_FRAME: dict[Frame, Bits] = {}
+_TEXT_OF_FRAME: dict[Frame, str] = {}
+
+
+def _cached(table: dict, compute, frame: Frame):
+    """``compute(frame)``, kept in ``table`` once it succeeds.
+
+    Only a frame the codec can carry uses the table: int addresses that fit
+    ``ADDRESS_BITS`` and an ``Opcode``, so a table holds at most
+    2^``FRAME_BITS`` entries.  A frame with fields of other types is
+    computed afresh, because ``1.0 == 1`` and ``6 == Opcode.ACK`` compare and
+    hash equal, yet neither formats as the other.
+    """
+    r, t = frame.recipient, frame.transmitter
+    if not (type(r) is int and type(t) is int and 0 <= r < _ADDRESSES
+            and 0 <= t < _ADDRESSES and type(frame.opcode) is Opcode):
+        return compute(frame)
+    value = table.get(frame)
+    if value is None:
+        value = table[frame] = compute(frame)
+    return value
+
+
+def _describe(frame: Frame) -> str:
+    return (f"{format_address(frame.recipient)} {frame.opcode.value:03b} "
+            f"{format_address(frame.transmitter)}")
 
 
 def frame_bits(frame: Frame) -> Bits:
     """Serialize MSB first: recipient, opcode, transmitter."""
+    return _cached(_BITS_OF_FRAME, _frame_bits, frame)
+
+
+def _frame_bits(frame: Frame) -> Bits:
     w = ADDRESS_BITS
     for name, value, width in (("recipient", frame.recipient, w),
                                ("opcode", int(frame.opcode), 3),
@@ -84,11 +128,23 @@ def frame_bits(frame: Frame) -> Bits:
 
 
 def parse_bits(bits: Bits) -> Frame:
-    w = ADDRESS_BITS
     if len(bits) != FRAME_BITS or any(b not in (0, 1) for b in bits):
         raise ValueError("malformed frame bits")
-    as_int = lambda chunk: int("".join(map(str, chunk)), 2)
-    return Frame(as_int(bits[:w]), Opcode(as_int(bits[w:w + 3])), as_int(bits[w + 3:]))
+    # str() also rejects elements equal to 0 or 1 that are not integers,
+    # such as True and 1.0
+    return parse_mask(int("".join(map(str, bits)), 2))
+
+
+def parse_mask(mask: int) -> Frame:
+    """Decode a frame from its ``FRAME_BITS`` bits as one integer, MSB first."""
+    if type(mask) is not int or not 0 <= mask < 1 << FRAME_BITS:
+        raise ValueError("malformed frame bits")
+    frame = _FRAME_OF_MASK.get(mask)
+    if frame is None:
+        w = ADDRESS_BITS
+        frame = _FRAME_OF_MASK[mask] = Frame(
+            mask >> (w + 3), Opcode(mask >> w & 0b111), mask & (_ADDRESSES - 1))
+    return frame
 
 
 def posn_frame(payload: int) -> Frame:
@@ -141,8 +197,9 @@ class DecodeResult:
     verdict: Verdict
 
 
-def decode_verify(bits: Bits, mem: NodeMemory) -> DecodeResult:
-    """Parse a received stream and vet it against local knowledge.
+def decode_verify(mask: int, mem: NodeMemory) -> DecodeResult:
+    """Parse a received stream, given as a bit mask (see ``parse_mask``),
+    and vet it against local knowledge.
 
     A frame claiming a transmitter this node cannot physically hear is the
     signature of an OR-merged collision, hence collision-suspect.  Frames for
@@ -150,7 +207,7 @@ def decode_verify(bits: Bits, mem: NodeMemory) -> DecodeResult:
     are flagged not-for-me.
     """
     try:
-        frame = parse_bits(bits)
+        frame = parse_mask(mask)
     except ValueError:
         return DecodeResult(None, Verdict.MALFORMED)
     if frame.transmitter not in mem.physical \

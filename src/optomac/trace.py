@@ -1,18 +1,24 @@
 """Structured run traces.
 
 Events are written as JSON lines with sorted keys so that two runs with the
-same seed produce byte-identical files.  Three verbosity levels are supported:
+same seed produce byte-identical files.  One encoder, built once at import,
+writes every line; each equals ``json.dumps(record, sort_keys=True)``.  Three
+verbosity levels are supported:
 
 * ``summary``: scenario milestones and end-of-run records only.
 * ``events``:  adds per-frame protocol events (transmissions, decodes,
   blocks, timeouts).
 * ``power``:   adds per-subcycle detector power records.
+
+Every event kind has a level in ``_KIND_LEVEL``; a writer rejects an event
+of any other kind with ``ValueError``.
 """
 
 from __future__ import annotations
 
 import io
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 LEVELS = ("summary", "events", "power")
 
@@ -38,6 +44,19 @@ _KIND_LEVEL = {
     "power": 2,
 }
 
+# The C encoder that ``json.dumps(record, sort_keys=True)`` builds on every
+# call, built once: no circular-reference check (records hold no cycles),
+# ASCII output, ": " and ", " separators, sorted keys, NaN and infinities
+# allowed, and ``TypeError`` for any value JSON has no form for.
+_encode = c_make_encoder(None, json.JSONEncoder().default,
+                         encode_basestring_ascii, None, ": ", ", ",
+                         True, False, True)
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in _KIND_LEVEL:
+        raise ValueError(f"unknown trace event kind {kind!r}")
+
 
 class TraceWriter:
     """Collects run events and serializes them as JSON lines."""
@@ -45,19 +64,27 @@ class TraceWriter:
     def __init__(self, level: str = "events"):
         if level not in LEVELS:
             raise ValueError(f"unknown trace level {level!r}")
-        self.level = LEVELS.index(level)
+        rank = LEVELS.index(level)
+        self._wanted = frozenset(kind for kind, at in _KIND_LEVEL.items()
+                                 if at <= rank)
         self.sink = io.StringIO()
         self.count = 0
 
     def wants(self, kind: str) -> bool:
-        return _KIND_LEVEL.get(kind, 1) <= self.level
+        """Whether this writer records ``kind``; an unknown kind raises."""
+        if kind in self._wanted:
+            return True
+        _check_kind(kind)
+        return False
 
     def event(self, cycle: int, kind: str, **payload) -> None:
-        if not self.wants(kind):
+        if kind not in self._wanted:
+            _check_kind(kind)
             return
-        record = {"cycle": cycle, "kind": kind}
-        record.update(payload)
-        self.sink.write(json.dumps(record, sort_keys=True) + "\n")
+        # ``cycle`` and ``kind`` cannot also be keywords of ``payload``
+        payload["cycle"] = cycle
+        payload["kind"] = kind
+        self.sink.write("".join(_encode(payload, 0)) + "\n")
         self.count += 1
 
     def getvalue(self) -> str:
@@ -69,9 +96,5 @@ class NullTrace(TraceWriter):
 
     def __init__(self):
         super().__init__("summary")
+        self._wanted = frozenset()
 
-    def wants(self, kind: str) -> bool:  # noqa: ARG002 - interface parity
-        return False
-
-    def event(self, cycle: int, kind: str, **payload) -> None:
-        return

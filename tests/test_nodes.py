@@ -378,8 +378,7 @@ def test_actuators_ignore_second_layer_latch():
 
 
 THETA = ChannelConfig().theta_detect
-RX_BITS = st.lists(st.integers(0, 1), min_size=FRAME_BITS,
-                   max_size=FRAME_BITS)
+RX_BITS = st.integers(0, (1 << FRAME_BITS) - 1)
 FAINT = st.floats(0.0, THETA, exclude_max=True)
 
 
@@ -403,12 +402,10 @@ def test_dark_tick_changes_nothing(sub, offset, inflight, top, bottom,
         agent.inflight = _Inflight(Outgoing(frame, 0, PRIORITY_DATA),
                                    frame_bits(frame), exited_at=exited_at,
                                    sent_bit=sent_bit)
-    agent._rx_top, agent._rx_top_active = list(top), any(top)
-    agent._rx_bottom, agent._rx_bottom_active = list(bottom), any(bottom)
+    agent._rx_top, agent._rx_bottom = top, bottom
 
     def state():
-        return (list(agent._rx_top), list(agent._rx_bottom),
-                agent._rx_top_active, agent._rx_bottom_active,
+        return (agent._rx_top, agent._rx_bottom,
                 agent.inflight and agent.inflight.exited_at)
 
     before = state()
@@ -457,9 +454,7 @@ def node_states(draw, *, inflight=True, rx=True, chains=True, blocked=True,
             exited_at=draw(st.none() | st.integers(0, FRAME_BITS - 1)),
             sent_bit=draw(st.sampled_from((0, 1, None))))
     if rx:
-        top, bottom = draw(RX_BITS), draw(RX_BITS)
-        agent._rx_top, agent._rx_top_active = list(top), any(top)
-        agent._rx_bottom, agent._rx_bottom_active = list(bottom), any(bottom)
+        agent._rx_top, agent._rx_bottom = draw(RX_BITS), draw(RX_BITS)
     if chains and draw(st.booleans()):
         agent.chains = draw(CHAINS)
     if blocked and draw(st.booleans()):
@@ -476,8 +471,7 @@ def node_states(draw, *, inflight=True, rx=True, chains=True, blocked=True,
 
 def node_state(agent: Agent, hooks: RecordingHooks) -> tuple:
     """Everything a skipped call must leave as it was."""
-    return (list(agent._rx_top), list(agent._rx_bottom),
-            agent._rx_top_active, agent._rx_bottom_active,
+    return (agent._rx_top, agent._rx_bottom,
             copy.deepcopy(agent.queue), copy.deepcopy(agent.chains),
             copy.deepcopy(agent.inflight), agent.blocked_by,
             agent.blocked_since_ic, agent.latched, agent.request_target,

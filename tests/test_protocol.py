@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from optomac import protocol
 from optomac.protocol import (
     Backoff,
     Frame,
@@ -18,14 +19,20 @@ from optomac.protocol import (
     frame_bits,
     is_actuator_address,
     parse_bits,
+    parse_mask,
     posn_frame,
     posn_payload,
 )
-from optomac.timebase import Rng
+from optomac.timebase import FRAME_BITS, Rng
 
 
 def bits(text: str) -> tuple:
     return tuple(int(c) for c in text)
+
+
+def mask(frame: Frame) -> int:
+    """A frame's bits as one integer, MSB first, as receivers hold them."""
+    return int("".join(map(str, frame_bits(frame))), 2)
 
 
 def test_address_constants():
@@ -46,24 +53,63 @@ def test_frame_bits_pinned_vectors():
     assert block.describe() == "1111 111 1000"
 
 
+# Each malformed input below equals, or nearly equals, one the codec has
+# already answered: a cached answer must never stand in for the check
+# (True == 1, 1.0 == 1), so every check runs twice.
+
+
 def test_frame_bits_field_validation():
-    with pytest.raises(ValueError):
-        frame_bits(Frame(16, Opcode.ACK, 0))
-    with pytest.raises(ValueError):
-        frame_bits(Frame(0, Opcode.ACK, -1))
+    notify = Frame(0b1000, Opcode.NOTIFY, 0b0001)
+    assert frame_bits(notify) == bits("10001010001")
+    assert notify.describe() == "1000 101 0001"
+    twin = Frame(8.0, Opcode.NOTIFY, 1)
+    assert twin == notify
+    for _ in range(2):
+        # describe() formats what does not fit, but does not keep it
+        wide = Frame(16, Opcode.ACK, 0)
+        assert wide.describe() == "10000 110 0000"
+        assert wide not in protocol._TEXT_OF_FRAME
+        with pytest.raises(ValueError):
+            frame_bits(wide)
+        with pytest.raises(ValueError):
+            frame_bits(Frame(0, Opcode.ACK, -1))
+        with pytest.raises(ValueError):
+            frame_bits(twin)
+        with pytest.raises(ValueError):
+            twin.describe()
 
 
-@given(st.integers(0, 15), st.sampled_from(list(Opcode)), st.integers(0, 15))
-def test_codec_roundtrip(recipient, opcode, transmitter):
-    frame = Frame(recipient, opcode, transmitter)
-    assert parse_bits(frame_bits(frame)) == frame
+def reference_fields(text: str) -> tuple[int, int, int]:
+    """Recipient, opcode and transmitter of a frame written as 11 bits."""
+    return int(text[:4], 2), int(text[4:7], 2), int(text[7:], 2)
+
+
+def test_codec_roundtrip():
+    # every bit pattern, twice: the second pass is answered from the
+    # codec's tables
+    for _ in range(2):
+        for value in range(1 << FRAME_BITS):
+            text = f"{value:011b}"
+            recipient, opcode, transmitter = reference_fields(text)
+            want = Frame(recipient, Opcode(opcode), transmitter)
+            frame = parse_bits(bits(text))
+            assert frame == want
+            assert parse_mask(value) == want
+            assert frame_bits(frame) == frame_bits(want) == bits(text)
+            assert frame.describe() == f"{text[:4]} {text[4:7]} {text[7:]}"
 
 
 def test_parse_bits_rejects_malformed():
-    with pytest.raises(ValueError):
-        parse_bits(bits("1010"))
-    with pytest.raises(ValueError):
-        parse_bits((1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0))
+    good = bits("10001010001")
+    assert parse_bits(good) == parse_mask(0b10001010001)
+    for _ in range(2):
+        for bad in (bits("1010"), good + (0,), good[:2] + (2,) + good[3:],
+                    (True,) + good[1:], good[:10] + (1.0,)):
+            with pytest.raises(ValueError):
+                parse_bits(bad)
+        for bad in (True, 1.0, float(0b10001010001), -1, 1 << FRAME_BITS):
+            with pytest.raises(ValueError):
+                parse_mask(bad)
 
 
 @given(st.integers(0, 255))
@@ -88,8 +134,7 @@ def make_memory() -> NodeMemory:
 
 def test_decode_verify_accepts_known_sender():
     mem = make_memory()
-    result = decode_verify(frame_bits(Frame(0b1000, Opcode.NOTIFY, 0b0001)),
-                           mem)
+    result = decode_verify(mask(Frame(0b1000, Opcode.NOTIFY, 0b0001)), mem)
     assert result.verdict is Verdict.OK
     assert result.frame == Frame(0b1000, Opcode.NOTIFY, 0b0001)
 
@@ -97,13 +142,13 @@ def test_decode_verify_accepts_known_sender():
 def test_decode_verify_broadcast_is_ok():
     mem = make_memory()
     result = decode_verify(
-        frame_bits(Frame(broadcast_address(), Opcode.BLOCK, 0b0010)), mem)
+        mask(Frame(broadcast_address(), Opcode.BLOCK, 0b0010)), mem)
     assert result.verdict is Verdict.OK
 
 
 def test_decode_verify_not_for_me():
     mem = make_memory()
-    result = decode_verify(frame_bits(Frame(0b0010, Opcode.ACK, 0b0001)), mem)
+    result = decode_verify(mask(Frame(0b0010, Opcode.ACK, 0b0001)), mem)
     assert result.verdict is Verdict.NOT_FOR_ME
     assert result.frame is not None
 
@@ -112,7 +157,7 @@ def test_decode_verify_collision_suspect_before_addressing():
     # an implausible transmitter outranks the recipient check: the OR of two
     # colliding frames usually claims a sender nobody can hear
     mem = make_memory()
-    merged = frame_bits(Frame(0b0110, Opcode.ACK, 0b0111))
+    merged = mask(Frame(0b0110, Opcode.ACK, 0b0111))
     result = decode_verify(merged, mem)
     assert result.verdict is Verdict.COLLISION_SUSPECT
 
@@ -120,7 +165,7 @@ def test_decode_verify_collision_suspect_before_addressing():
 def test_decode_verify_controller_is_always_plausible():
     mem = make_memory()
     frame = Frame(0b1000, Opcode.POSN, controller_address())
-    assert decode_verify(frame_bits(frame), mem).verdict is Verdict.OK
+    assert decode_verify(mask(frame), mem).verdict is Verdict.OK
 
 
 def test_decode_verify_check_physical_off():
@@ -128,14 +173,15 @@ def test_decode_verify_check_physical_off():
     # but the controller is implausible
     mem = NodeMemory(address=0b1000, is_actuator=True)
     frame = Frame(0b1000, Opcode.PROBE, 0b0001)
-    assert decode_verify(frame_bits(frame), mem).verdict is \
+    assert decode_verify(mask(frame), mem).verdict is \
         Verdict.COLLISION_SUSPECT
 
 
 def test_decode_verify_malformed_first():
     mem = make_memory()
-    assert decode_verify((1, 1, 1), mem).verdict is Verdict.MALFORMED
-    assert decode_verify((1, 1, 1), mem).frame is None
+    for malformed in (1 << FRAME_BITS, -1, True, bits("10001010001")):
+        assert decode_verify(malformed, mem).verdict is Verdict.MALFORMED
+        assert decode_verify(malformed, mem).frame is None
 
 
 # -- backoff -------------------------------------------------------------------

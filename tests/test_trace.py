@@ -1,0 +1,78 @@
+"""Trace writer: the bytes of every line, levels and the set of event kinds."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from optomac.scenarios import SCENARIO_HORIZON_ICS, run_scenario
+from optomac.trace import _KIND_LEVEL, LEVELS, NullTrace, TraceWriter
+
+# names with quotes, backslashes, control and non-ASCII characters
+NAMES = st.text(max_size=6) | st.sampled_from(
+    ('a"b', "back\\slash", "tab\there", "ñodo", "节点", "\U0001f52c", ""))
+SCALARS = (st.none() | st.booleans() | st.integers(-10**20, 10**20)
+           | st.floats() | st.sampled_from((float("inf"), float("-inf"),
+                                            float("nan"), -0.0, 1e-300))
+           | NAMES)
+VALUES = st.recursive(SCALARS, lambda inner: (
+    st.lists(inner, max_size=4)
+    | st.dictionaries(NAMES, inner, max_size=4)), max_leaves=12)
+PAYLOADS = st.dictionaries(NAMES.filter(lambda k: k not in ("cycle", "kind")),
+                           VALUES, max_size=5)
+EVENTS = st.lists(st.tuples(st.integers(0, 10**9),
+                            st.sampled_from(sorted(_KIND_LEVEL)), PAYLOADS),
+                  max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(EVENTS)
+def test_lines_equal_json_dumps_with_sorted_keys(events):
+    writer = TraceWriter("power")
+    for cycle, kind, payload in events:
+        writer.event(cycle, kind, **payload)
+    want = "".join(json.dumps({"cycle": cycle, "kind": kind, **payload},
+                              sort_keys=True) + "\n"
+                   for cycle, kind, payload in events)
+    assert writer.getvalue() == want
+    assert writer.count == len(events)
+
+
+def test_a_value_json_has_no_form_for_raises_type_error():
+    writer = TraceWriter("power")
+    with pytest.raises(TypeError):
+        writer.event(0, "power", sources={"a"})
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_each_level_writes_the_kinds_at_or_below_it(level):
+    writer = TraceWriter(level)
+    for kind in sorted(_KIND_LEVEL):
+        writer.event(3, kind)
+    written = [json.loads(line)["kind"] for line in writer.getvalue().splitlines()]
+    want = sorted(k for k, at in _KIND_LEVEL.items()
+                  if at <= LEVELS.index(level))
+    assert written == want
+    assert writer.count == len(want)
+    assert [k for k in sorted(_KIND_LEVEL) if writer.wants(k)] == want
+
+
+@pytest.mark.parametrize("writer", [TraceWriter(level) for level in LEVELS]
+                         + [NullTrace()], ids=[*LEVELS, "null"])
+def test_unknown_kind_is_rejected(writer):
+    with pytest.raises(ValueError, match="unknown trace event kind"):
+        writer.event(0, "tx_strat", node="s1")
+    with pytest.raises(ValueError, match="unknown trace event kind"):
+        writer.wants("tx_strat")
+    assert writer.getvalue() == ""
+    assert writer.count == 0
+
+
+@pytest.mark.parametrize("protocol", ("basic", "handshake"))
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_HORIZON_ICS))
+def test_every_emitted_kind_has_a_level(scenario, protocol):
+    writer = TraceWriter("power")
+    run_scenario(scenario, protocol=protocol, seed=0, trace=writer)
+    kinds = {json.loads(line)["kind"] for line in writer.getvalue().splitlines()}
+    assert kinds and kinds <= set(_KIND_LEVEL)
