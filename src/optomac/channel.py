@@ -7,6 +7,12 @@ what lets frames arriving from distinct sides be separated.  Wavelength
 filters split the medium into three logical channels: first-layer frames,
 second-layer fluorescence, and the simplex second-layer command channel.
 
+Nodes are stationary, so ``build_power_map`` precomputes the channel once
+per deployment as plain float tables indexed in config order, taking each
+link's geometry and exponential attenuation once.  The engine sums table
+rows to find which detectors see a bit; ``superpose`` builds the reading of
+each such detector, and serves tests as the reference for all of them.
+
 Collision evidence (two individually strong arrivals at one detector) is a
 simulator-side observation used by metrics and tests; protocol code only ever
 sees detector bits and frame-format failures.
@@ -16,10 +22,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .antenna import SampledPatternTable, azimuth_deg
-from .geometry import NodePose, geometry_between
+from .antenna import SampledPatternTable
+from .geometry import NodePose
 
 
 @dataclass(frozen=True)
@@ -101,56 +107,84 @@ def superpose(arrivals: list[Arrival], cfg: ChannelConfig) -> tuple[DetectorRead
 class PowerMap:
     """Per-(tx, pattern, rx) arrival power and side, precomputed once.
 
-    Nodes are stationary, so channel evaluation inside the clock loop reduces
-    to dictionary lookups.
+    Nodes are stationary, so the channel inside the clock loop reduces to
+    table reads.  Nodes are indexed in config order (``index``):
+    ``power[tx][pattern][rx]`` is the power a pattern of ``tx`` delivers at
+    ``rx``, 0.0 at ``tx`` itself, and ``top[tx][rx]`` whether that light
+    lands on ``rx``'s top detector.
     """
-    arrivals: dict[tuple[str, int, str], Arrival] = field(default_factory=dict)
+    index: dict[str, int]
+    power: list[list[list[float]]]
+    top: list[list[bool]]
 
     def arrival(self, tx: str, pattern: int, rx: str) -> Arrival:
-        return self.arrivals[(tx, pattern, rx)]
+        i, j = self.index[tx], self.index[rx]
+        rows = self.power[i]
+        if i == j or not 0 <= pattern < len(rows):
+            raise KeyError((tx, pattern, rx))
+        return Arrival(tx, rows[pattern][j],
+                       "top" if self.top[i][j] else "bottom")
 
 
 def build_power_map(poses: dict[str, NodePose],
                     tables: dict[str, SampledPatternTable],
                     cfg: ChannelConfig) -> PowerMap:
-    """Precompute arrivals for all pairs; ``tables`` maps each node to its
-    own gain table.
+    """Precompute the power tables for all pairs; ``tables`` maps each node
+    to its own gain table.
 
-    Per transmitter, the receivers' geometry is taken once and each pattern's
-    gain toward all of them comes from one ``gains_at`` interpolation; the
-    power of each entry is then the scalar ``received_power``, so every entry
-    equals ``received_power(tx_power, table.gain(p, direction), ...)``.
+    Per link, the geometry, ``exp(-mu d)`` and ``4 pi d^2`` are taken once;
+    per transmitter and pattern, the gains toward all receivers come from one
+    ``gains_at`` interpolation.  Each entry repeats the IEEE operations of
+    ``geometry_between``, ``azimuth_deg`` and ``received_power`` in their
+    order, so it equals ``received_power(tx_power, table.gain(p, direction),
+    distance, mu)`` bit for bit.
     """
-    pm = PowerMap()
-    for tx, tx_pose in poses.items():
+    names = tuple(poses)
+    pose_list = [poses[name] for name in names]
+    tx_power, mu = cfg.tx_power, cfg.mu
+    power: list[list[list[float]]] = []
+    top: list[list[bool]] = []
+    for i, tx in enumerate(names):
+        ax, ay, az = pose_list[i].position
+        sides = [True] * len(names)
+        # (rx index, exp(-mu d), 4 pi d^2) per link
+        links: list[tuple[int, float, float]] = []
+        azimuths: list[float] = []
+        for j, rx_pose in enumerate(pose_list):
+            if j == i:
+                continue
+            bx, by, bz = rx_pose.position
+            dx, dy, dz = bx - ax, by - ay, bz - az
+            d = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if d == 0:
+                raise ValueError("poses are coincident")
+            ux, uy, uz = dx / d, dy / d, dz / d
+            nx, ny, nz = rx_pose.normal
+            sides[j] = -ux * nx + -uy * ny + -uz * nz >= 0
+            azimuths.append(math.degrees(math.atan2(uy, ux)) % 360.0
+                            if ux != 0.0 or uy != 0.0 else 0.0)
+            links.append((j, math.exp(-mu * d), 4.0 * math.pi * d * d))
         table = tables[tx]
-        links = [(rx, geometry_between(tx_pose, rx_pose))
-                 for rx, rx_pose in poses.items() if rx != tx]
-        azimuths = [azimuth_deg(geo.direction) for _, geo in links]
-        gains = [table.gains_at(p, azimuths).tolist()
-                 for p in range(table.n_patterns)]
-        for i, (rx, geo) in enumerate(links):
-            for p, row in enumerate(gains):
-                power = received_power(cfg.tx_power, row[i], geo.distance,
-                                       cfg.mu)
-                pm.arrivals[(tx, p, rx)] = Arrival(tx, power, geo.side_at_b)
-    return pm
+        rows = []
+        for p in range(table.n_patterns):
+            row = [0.0] * len(names)
+            gains = table.gains_at(p, azimuths).tolist()
+            for (j, e, den), g in zip(links, gains):
+                row[j] = tx_power * g * e / den
+            rows.append(row)
+        power.append(rows)
+        top.append(sides)
+    return PowerMap({name: i for i, name in enumerate(names)}, power, top)
 
 
-def reachable(pm: PowerMap, tables, tx: str, rx: str, cfg: ChannelConfig) -> bool:
-    """Ground-truth physical reachability: any pattern delivers a detectable bit."""
-    return any(pm.arrival(tx, p, rx).power >= cfg.theta_detect
-               for p in range(tables[tx].n_patterns))
-
-
-def best_pattern(pm: PowerMap, tables, tx: str, rx: str) -> int:
+def best_pattern(pm: PowerMap, tx: str, rx: str) -> int:
     """Index of the transmit pattern with the highest power at ``rx``.
 
     Ties resolve to the lowest index, matching what a node learns from
     pattern trials.
     """
-    powers = [pm.arrival(tx, p, rx).power
-              for p in range(tables[tx].n_patterns)]
+    j = pm.index[rx]
+    powers = [row[j] for row in pm.power[pm.index[tx]]]
     best = 0
     for p, value in enumerate(powers):
         if value > powers[best]:

@@ -6,8 +6,10 @@ that have something to send (``Agent.has_send_work``) for a bit and, for the
 rest of the frame, only the ones that then hold a frame.  Each cycle that
 carries light runs in two phases: the transmitters present their bit, then
 the channel superposes the simultaneous pulses and the nodes whose detectors
-see a bit observe the result.  A cycle in which a node's detectors see no
-bit leaves that node unchanged, so it is not asked to observe.  A subcycle
+see a bit observe the result.  Which detectors see a bit comes from summing
+the emitters' rows of the power tables; only those nodes get a reading
+(``superpose``).  A cycle in which a node's detectors see no bit leaves that
+node unchanged, so it is not asked to observe.  A subcycle
 without a transmitter, and the guard bits of one with a transmitter, carry
 no light and are passed over to the subcycle's last cycle, where only the
 nodes with work close the subcycle (``Agent.has_subcycle_work``).  A node
@@ -114,6 +116,9 @@ class World:
                          for sub in Subcycle}
         self._sensors = [a for a in agents if not a.is_actuator]
         self.power_map: PowerMap = build_power_map(poses, tables, channel_cfg)
+        # each agent with its column in the power map
+        self._columns = [(a, self.power_map.index[a.name])
+                         for a in self.agents.values()]
         self.stimuli: dict[str, Stimulus] = {}
         self.laser_gaps = sorted(laser_gaps or [], key=lambda g: g.cycle)
         for earlier, later in zip(self.laser_gaps, self.laser_gaps[1:]):
@@ -294,15 +299,28 @@ class World:
         """
         lit = self._lit.get(emissions)
         if lit is None:
+            pm = self.power_map
+            theta = self.channel_cfg.theta_detect
+            rows = []
+            for tx, pattern in emissions:
+                i = pm.index[tx]
+                rows.append((pm.power[i][pattern], pm.top[i]))
             lit = []
-            for agent in self.agents.values():
-                arrivals = [self.power_map.arrival(tx, pattern, agent.name)
-                            for tx, pattern in emissions if tx != agent.name]
-                if not arrivals:
-                    continue
-                tick = ChannelTick(*superpose(arrivals, self.channel_cfg))
-                if tick.top.bit or tick.bottom.bit:
-                    lit.append((agent, tick))
+            for agent, j in self._columns:
+                # the same sums in the same order as ``superpose``; an
+                # emitter's own entry is 0.0 and adds nothing
+                top = bottom = 0.0
+                for power, tops in rows:
+                    if tops[j]:
+                        top += power[j]
+                    else:
+                        bottom += power[j]
+                if top >= theta or bottom >= theta:
+                    arrivals = [pm.arrival(tx, pattern, agent.name)
+                                for tx, pattern in emissions
+                                if tx != agent.name]
+                    lit.append((agent, ChannelTick(
+                        *superpose(arrivals, self.channel_cfg))))
             self._lit[emissions] = lit
         return lit
 

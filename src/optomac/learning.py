@@ -71,19 +71,19 @@ def run_position_learning(grid: HexGrid, poses: dict[str, NodePose],
             report.flags.append(f"{name}: outside scanned grid, unpositioned")
 
 
-def run_topology_learning(memories: dict[str, NodeMemory], tables,
+def run_topology_learning(memories: dict[str, NodeMemory],
                           cfg: ChannelConfig, pm: PowerMap,
                           report: LearningReport) -> None:
     """Probe every pattern; physical = union of acknowledged recipients."""
     names = _ordered(memories)
+    columns = [(rx, pm.index[rx]) for rx in names]
     for name in names:
         mem = memories[name]
         mem.physical.clear()
-        for p in range(tables[name].n_patterns):
-            hearers = tuple(sorted(
-                rx for rx in names
-                if rx != name
-                and pm.arrival(name, p, rx).power >= cfg.theta_detect))
+        # a node's own entry is 0.0, below any threshold
+        for p, row in enumerate(pm.power[pm.index[name]]):
+            hearers = tuple(sorted(rx for rx, j in columns
+                                   if row[j] >= cfg.theta_detect))
             for rx in hearers:
                 mem.physical.add(memories[rx].address)
             report.probe_events.append((name, p, hearers))
@@ -94,7 +94,7 @@ def run_topology_learning(memories: dict[str, NodeMemory], tables,
                     " is not physically reachable")
 
 
-def run_direction_learning(memories: dict[str, NodeMemory], tables,
+def run_direction_learning(memories: dict[str, NodeMemory],
                            cfg: ChannelConfig, pm: PowerMap,
                            report: LearningReport) -> None:
     """Trial every pattern per physical recipient; store the argmax id."""
@@ -111,8 +111,9 @@ def run_direction_learning(memories: dict[str, NodeMemory], tables,
                     " has no node, pattern left 0")
                 mem.optimal_pattern[addr] = 0
                 continue
-            best = best_pattern(pm, tables, name, other)
-            if pm.arrival(name, best, other).power < cfg.theta_detect:
+            best = best_pattern(pm, name, other)
+            if (pm.power[pm.index[name]][best][pm.index[other]]
+                    < cfg.theta_detect):
                 report.flags.append(
                     f"{name}: no trial heard by {other}, pattern left 0")
                 mem.optimal_pattern[addr] = 0
@@ -144,8 +145,8 @@ def run_learning(grid: HexGrid, poses: dict[str, NodePose],
     pm = power_map if power_map is not None else build_power_map(poses, tables, cfg)
     report = LearningReport()
     run_position_learning(grid, poses, memories, report)
-    run_topology_learning(memories, tables, cfg, pm, report)
-    run_direction_learning(memories, tables, cfg, pm, report)
+    run_topology_learning(memories, cfg, pm, report)
+    run_direction_learning(memories, cfg, pm, report)
     run_mode_learning(poses, memories, report)
     return report
 

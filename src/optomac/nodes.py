@@ -130,6 +130,8 @@ class Agent:
                  hooks: Hooks | None = None):
         self.name = name
         self.mem = memory
+        # learning fixes the working mode before any agent exists
+        self.mode: Subcycle = memory.working_mode
         self.rng = rng
         self.variant = variant
         self.trace = trace
@@ -162,10 +164,6 @@ class Agent:
     @property
     def is_actuator(self) -> bool:
         return self.mem.is_actuator
-
-    @property
-    def mode(self) -> Subcycle:
-        return self.mem.working_mode
 
     @property
     def has_send_work(self) -> bool:

@@ -1,4 +1,4 @@
-"""Frame codec, address space, backoff, and bit-serial arbitration.
+"""Frame codec, address space, node memory and backoff.
 
 A frame is recipient | opcode | transmitter, MSB first: ``FRAME_BITS`` = 11
 bits at the fixed 4-bit address width, both defined in ``timebase``.  The
@@ -13,10 +13,11 @@ module-level tables filled lazily as runs meet frames, so each holds at most
 a table, and only valid results are stored, so a cached answer is never given
 for an input the codec rejects.
 
-Arbitration exploits the OR channel: a transmitter listens during each of its
-own 0-bits and exits the subcycle the moment it hears a foreign 1, so among
-mutually visible contenders the lexicographically greatest frame survives
-untouched.  A BLOCK (broadcast recipient + opcode 111) opens with a run of
+The frame format serves bit-serial arbitration, which each node runs
+(``nodes.Agent``) over the OR channel: a transmitter listens during each of
+its own 0-bits and exits the subcycle the moment it hears a foreign 1, so
+among mutually visible contenders the lexicographically greatest frame
+survives untouched.  A BLOCK (broadcast recipient + opcode 111) opens with a run of
 ones no other frame kind can match, which is what gives it priority.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from .timebase import ADDRESS_BITS, FRAME_BITS, Subcycle
 
@@ -240,50 +241,3 @@ class Backoff:
         delay = rng.next_int(1, self.cw)
         self.cw = min(self.cw * 2, self.cw_max)
         return delay
-
-
-@dataclass(frozen=True)
-class TransmitOutcome:
-    completed: bool
-    exit_bit: int | None = None
-
-
-def arbitration_winner(frames: Iterable[Bits]) -> Bits:
-    """Reference model: the lexicographically greatest bit string survives."""
-    frames = list(frames)
-    if not frames:
-        raise ValueError("no contenders")
-    return max(frames)
-
-
-def contention_round(frames: dict[str, Bits], hears: dict[str, set[str]] | None = None,
-                     ) -> tuple[dict[str, TransmitOutcome], Bits]:
-    """Bit-serial arbitration among synchronized transmitters.
-
-    hears[a] is the set of senders a can carrier-sense (full clique when
-    omitted).  Returns per-sender outcomes plus the OR stream an omniscient
-    receiver would see.  A sender exits when it emits a 0 while an active,
-    audible sender emits a 1; its already-sent prefix is untouched and it
-    stays silent for the rest of the subcycle.
-    """
-    names = sorted(frames)
-    length = {len(b) for b in frames.values()}
-    if len(length) != 1:
-        raise ValueError("contending frames must share one length")
-    n_bits = length.pop()
-    if hears is None:
-        hears = {a: set(names) - {a} for a in names}
-    active = set(names)
-    outcome: dict[str, TransmitOutcome] = {}
-    or_stream: list[int] = []
-    for k in range(n_bits):
-        ones = {a for a in active if frames[a][k] == 1}
-        or_stream.append(1 if ones else 0)
-        exiting = [a for a in active
-                   if frames[a][k] == 0 and any(o in hears[a] for o in ones)]
-        for a in exiting:
-            outcome[a] = TransmitOutcome(False, k)
-            active.discard(a)
-    for a in active:
-        outcome[a] = TransmitOutcome(True)
-    return outcome, tuple(or_stream)

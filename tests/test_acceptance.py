@@ -24,9 +24,9 @@ from optomac.cli import ARTIFACTS, main
 from optomac.config import build_parts, load_fixture
 from optomac.geometry import HexGrid, neighbors, working_mode_of
 from optomac.learning import run_learning
-from optomac.protocol import arbitration_winner, contention_round
 from optomac.scenarios import run_scenario
 from optomac.timebase import Rng, Subcycle
+from oracles import arbitration_winner, contention_round
 
 FRAME_BITS = 11
 RESERVATION_PREFIX = 7  # broadcast recipient + BLOCK opcode, all ones

@@ -10,14 +10,21 @@ from optomac.antenna import SampledPatternTable
 from optomac.channel import (
     Arrival,
     ChannelConfig,
+    ChannelTick,
     DetectorReading,
     best_pattern,
     build_power_map,
-    reachable,
     received_power,
     superpose,
 )
+from optomac.engine import World
 from optomac.geometry import NodePose, geometry_between
+from optomac.metrics import Metrics
+from optomac.nodes import Agent, Variant
+from optomac.protocol import NodeMemory
+from optomac.timebase import ClockConfig, Rng
+from optomac.trace import NullTrace
+from oracles import reachable
 
 # Pinned path-loss values (tx_power=1, gain=1, mu=0.5).  The first one is the
 # e^{-1/2}/(4 pi) landmark; the others are the lattice distances sqrt(3),
@@ -129,13 +136,22 @@ def test_power_map_sides_follow_geometry():
     cfg = ChannelConfig()
     poses = two_node_poses()
     pm = build_power_map(poses, {name: flat_table() for name in poses}, cfg)
+    lo, hi = pm.index["lo"], pm.index["hi"]
     # "hi" sits above "lo", so its light lands on lo's top detector;
     # lo's light approaches hi from below
+    assert pm.top[hi][lo] is True
+    assert pm.top[lo][hi] is False
     assert pm.arrival("hi", 0, "lo").side == "top"
     assert pm.arrival("lo", 0, "hi").side == "bottom"
     expected = received_power(cfg.tx_power, 1.0, 2.0, cfg.mu)
-    assert pm.arrival("lo", 0, "hi").power == pytest.approx(expected)
-    assert ("lo", 0, "lo") not in pm.arrivals
+    assert pm.power[lo][0][hi] == pytest.approx(expected)
+    assert pm.arrival("lo", 0, "hi").power == pm.power[lo][0][hi]
+    # a node does not light its own detectors
+    for x in (lo, hi):
+        assert [row[x] for row in pm.power[x]] == [0.0] * 4
+    for name in poses:
+        with pytest.raises(KeyError):
+            pm.arrival(name, 0, name)
 
 
 NORMALS = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0),
@@ -143,12 +159,12 @@ NORMALS = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0),
 
 
 @st.composite
-def sampled_deployments(draw):
-    """2-20 nodes on distinct grid points, each with a table of 1-4 patterns
-    over 3-80 distinct azimuths."""
+def sampled_deployments(draw, max_nodes=20):
+    """2 to ``max_nodes`` nodes on distinct grid points, each with a table of
+    1-4 patterns over 3-80 distinct azimuths."""
     points = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6),
                                      st.integers(-2, 2)),
-                           min_size=2, max_size=20, unique=True))
+                           min_size=2, max_size=max_nodes, unique=True))
     spacing = draw(st.floats(0.25, 3.0))
     poses, tables = {}, {}
     for i, point in enumerate(points):
@@ -166,28 +182,40 @@ def sampled_deployments(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(sampled_deployments(), st.floats(0.0, 2.0))
-def test_power_map_is_the_scalar_formula_bit_for_bit(deployment, mu):
-    # the map interpolates all receivers of a pattern at once; every entry
-    # must still be exactly what one scalar gain lookup gives
+@given(sampled_deployments(), st.floats(0.0, 2.0), st.floats(0.1, 10.0))
+def test_power_map_is_the_scalar_formula_bit_for_bit(deployment, mu,
+                                                     tx_power):
+    # the map takes each link's geometry and attenuation once and all
+    # receivers of a pattern in one interpolation; every entry must still be
+    # exactly what the scalar formula with one gain lookup gives
     poses, tables = deployment
-    cfg = ChannelConfig(mu=mu)
+    cfg = ChannelConfig(mu=mu, tx_power=tx_power)
     pm = build_power_map(poses, tables, cfg)
-    entries = 0
+    assert pm.index == {name: i for i, name in enumerate(poses)}
+    assert len(pm.power) == len(pm.top) == len(poses)
     for tx, table in tables.items():
+        i = pm.index[tx]
+        assert len(pm.power[i]) == table.n_patterns
+        assert all(len(row) == len(poses) for row in pm.power[i])
+        assert len(pm.top[i]) == len(poses)
         for rx in poses:
+            j = pm.index[rx]
             if rx == tx:
+                for p, row in enumerate(pm.power[i]):
+                    assert row[i] == 0.0 and type(row[i]) is float
+                    with pytest.raises(KeyError):
+                        pm.arrival(tx, p, rx)
                 continue
             geo = geometry_between(poses[tx], poses[rx])
+            assert pm.top[i][j] is (geo.side_at_b == "top")
             for p in range(table.n_patterns):
-                arrival = pm.arrival(tx, p, rx)
-                assert arrival.power == received_power(
+                power = pm.power[i][p][j]
+                assert power == received_power(
                     cfg.tx_power, table.gain(p, geo.direction),
                     geo.distance, cfg.mu)
-                assert type(arrival.power) is float
-                assert (arrival.source, arrival.side) == (tx, geo.side_at_b)
-                entries += 1
-    assert len(pm.arrivals) == entries
+                assert type(power) is float
+                assert pm.arrival(tx, p, rx) == Arrival(tx, power,
+                                                        geo.side_at_b)
 
 
 def test_reachable_and_best_pattern():
@@ -206,9 +234,64 @@ def test_reachable_and_best_pattern():
         "rx": flat_table(),
     }
     pm = build_power_map(poses, tables, cfg)
-    assert reachable(pm, tables, "tx", "rx", cfg)
-    assert best_pattern(pm, tables, "tx", "rx") == 1
+    assert reachable(pm, "tx", "rx", cfg)
+    assert best_pattern(pm, "tx", "rx") == 1
     # the weak pattern alone would not cross the detector threshold
     assert pm.arrival("tx", 3, "rx").power < cfg.theta_detect
     # the isotropic unit-gain return path stays below threshold at d=2
-    assert not reachable(pm, tables, "rx", "tx", cfg)
+    assert not reachable(pm, "rx", "tx", cfg)
+
+
+def scalar_arrival(poses, tables, cfg, tx, pattern, rx):
+    """One arrival from the geometry and the scalar formula alone."""
+    geo = geometry_between(poses[tx], poses[rx])
+    power = received_power(cfg.tx_power, tables[tx].gain(pattern,
+                                                         geo.direction),
+                           geo.distance, cfg.mu)
+    return Arrival(tx, power, geo.side_at_b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_deployments(max_nodes=14), st.floats(0.0, 2.0), st.data())
+def test_lit_set_matches_superpose_oracle(deployment, mu, data):
+    # the World sums power-table rows to find the lit receivers and reads
+    # only those through superpose; the oracle superposes every receiver's
+    # scalar arrivals and keeps the ticks with a bit
+    poses, tables = deployment
+    names = list(poses)
+    order = data.draw(st.lists(st.sampled_from(names), min_size=1,
+                               unique=True), label="emitters")
+    emissions = tuple(
+        (tx, data.draw(st.integers(0, tables[tx].n_patterns - 1),
+                       label=f"pattern of {tx}"))
+        for tx in order)
+
+    def oracle_tick(cfg, rx):
+        return ChannelTick(*superpose(
+            [scalar_arrival(poses, tables, cfg, tx, p, rx)
+             for tx, p in emissions if tx != rx], cfg))
+
+    cfg = ChannelConfig(mu=mu)
+    # half the time, put the threshold exactly on one detector's power, so
+    # that the detector sits on the boundary, or on the sum of both, which
+    # neither detector of that node reaches alone when both see light
+    pin = data.draw(st.one_of(st.none(), st.sampled_from(names)), label="pin")
+    if pin is not None:
+        tick = oracle_tick(cfg, pin)
+        theta = data.draw(st.sampled_from([
+            tick.top.power, tick.bottom.power,
+            tick.top.power + tick.bottom.power]), label="threshold")
+        if theta > 1e-12:
+            cfg = ChannelConfig(mu=mu, theta_detect=theta,
+                                theta_fluor=theta / 2)
+    agents = [Agent(name, NodeMemory(address=i + 1), Rng(0, i + 1),
+                    Variant.BASIC, NullTrace(), Metrics())
+              for i, name in enumerate(names)]
+    world = World(poses, tables, agents, ClockConfig(), cfg)
+    expected = []
+    for name in names:
+        tick = oracle_tick(cfg, name)
+        if tick.top.bit or tick.bottom.bit:
+            expected.append((name, tick))
+    got = [(agent.name, tick) for agent, tick in world._lit_for(emissions)]
+    assert got == expected

@@ -19,12 +19,12 @@ from optomac.protocol import (
     Frame,
     NodeMemory,
     Opcode,
-    contention_round,
     controller_address,
     frame_bits,
 )
 from optomac.timebase import ClockConfig, Rng, Subcycle
 from optomac.trace import TraceWriter
+from oracles import contention_round
 
 
 class DoneRecorder(Hooks):

@@ -9,12 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optomac.antenna import SampledPatternTable
-from optomac.channel import (
-    ChannelConfig,
-    best_pattern,
-    build_power_map,
-    reachable,
-)
+from optomac.channel import ChannelConfig, best_pattern, build_power_map
 from optomac.config import build_parts
 from optomac.geometry import HexGrid, NodePose
 from optomac.learning import (
@@ -24,6 +19,7 @@ from optomac.learning import (
 )
 from optomac.protocol import NodeMemory, posn_payload
 from optomac.timebase import Subcycle
+from oracles import reachable
 
 
 def golden_snapshot() -> str:
@@ -195,7 +191,7 @@ def test_learning_matches_channel_oracle(deployment):
             if rx == tx:
                 continue
             addr = memories[rx].address
-            linked = reachable(pm, tables, tx, rx, cfg)
+            linked = reachable(pm, tx, rx, cfg)
             assert (addr in mem.physical) == linked
             assert mem.optimal_pattern.get(addr) == (
-                best_pattern(pm, tables, tx, rx) if linked else None)
+                best_pattern(pm, tx, rx) if linked else None)

@@ -11,9 +11,7 @@ from optomac.protocol import (
     NodeMemory,
     Opcode,
     Verdict,
-    arbitration_winner,
     broadcast_address,
-    contention_round,
     controller_address,
     decode_verify,
     frame_bits,
@@ -24,6 +22,7 @@ from optomac.protocol import (
     posn_payload,
 )
 from optomac.timebase import FRAME_BITS, Rng
+from oracles import arbitration_winner, contention_round
 
 
 def bits(text: str) -> tuple:

@@ -152,7 +152,7 @@ def main() -> int:
             if (tx, rx) in linked:
                 if top < SAFETY * cfg.theta_detect:
                     failures.append(f"link {tx}->{rx} weak: {top:.3e}")
-                got = best_pattern(pm, tables, tx, rx)
+                got = best_pattern(pm, tx, rx)
                 if got != linked[tx, rx]:
                     failures.append(f"link {tx}->{rx} pattern {got}, "
                                     f"want {linked[tx, rx]}")
