@@ -135,7 +135,8 @@ def build_power_map(poses: dict[str, NodePose],
     Per link, the geometry, ``exp(-mu d)`` and ``4 pi d^2`` are taken once;
     per transmitter and pattern, the gains toward all receivers come from one
     ``gains_at`` interpolation.  Each entry repeats the IEEE operations of
-    ``geometry_between``, ``azimuth_deg`` and ``received_power`` in their
+    the link geometry (the reference ``geometry_between`` in
+    ``tests/oracles.py``), ``azimuth_deg`` and ``received_power`` in their
     order, so it equals ``received_power(tx_power, table.gain(p, direction),
     distance, mu)`` bit for bit.
     """

@@ -2,24 +2,28 @@
 
 Frames are aligned to subcycles and a node starts one only at offset 0 of
 its own working subcycle, so at offset 0 the engine asks only those nodes
-that have something to send (``Agent.has_send_work``) for a bit and, for the
-rest of the frame, only the ones that then hold a frame.  Each cycle that
-carries light runs in two phases: the transmitters present their bit, then
-the channel superposes the simultaneous pulses and the nodes whose detectors
-see a bit observe the result.  Which detectors see a bit comes from summing
-the emitters' rows of the power tables; only those nodes get a reading
-(``superpose``).  A cycle in which a node's detectors see no bit leaves that
-node unchanged, so it is not asked to observe.  A subcycle
-without a transmitter, and the guard bits of one with a transmitter, carry
-no light and are passed over to the subcycle's last cycle, where only the
-nodes with work close the subcycle (``Agent.has_subcycle_work``).  A node
+that have something to send in this instruction cycle
+(``Agent.has_send_work``) for a bit and, for the rest of the frame, only
+the ones that then hold a frame.  Each cycle that carries light runs in two
+phases: the transmitters present their bit, then the channel superposes the
+simultaneous pulses and the nodes whose detectors see a bit observe the
+result.  Which detectors see a bit comes from summing the emitters' rows of
+the power tables; only those nodes get a reading (``superpose``).  A cycle
+in which a node's detectors see no bit leaves that node unchanged, so it is
+not asked to observe.  A subcycle without a transmitter, and the guard bits
+of one with a transmitter, carry no light and are passed over to the
+subcycle's last cycle.  There only the pending nodes close the subcycle:
+the World keeps them as one int bit mask in node order, setting the bits
+of the transmitters after offset 0 and of the nodes that saw a bit, and
+keeping a node's bit after its close only while it still has work
+(``Agent.has_subcycle_work``: a chain awaiting a reply or a block).  A node
 clears its receive buffers once it has decoded them, and a sensor gets a
 second-layer update only when its fluorescence reading differs from its
 latch; every call left out would change nothing.  Which nodes see a bit,
-and what they see, is memoised per set of simultaneous emissions, and each
-sensor's fluorescence reading per stimulus state.  No node ever sees a
-partial cycle, so runs are reproducible bit-for-bit given the same seed and
-configuration.
+and what they see, is memoised per set of simultaneous emissions with its
+bit mask, and each sensor's fluorescence reading per stimulus state.  No
+node ever sees a partial cycle, so runs are reproducible bit-for-bit given
+the same seed and configuration.
 
 Timekeeping is phase-relative.  A gap in the external laser clock shorter
 than ``g_sync`` is flywheeled: the phase holds and its cycles run as usual,
@@ -111,14 +115,19 @@ class World:
         self.scenario = scenario if scenario is not None else ScenarioHooks()
         self.agents = {a.name: a for a in agents}
         self.by_address = {a.address: a for a in agents}
+        # bit i of an agent set (``_pending``, the lit masks) is _order[i]
+        self._order = list(self.agents.values())
         # working modes are fixed by learning, before the World exists
-        self._senders = {sub: [a for a in agents if a.mode == sub]
+        self._senders = {sub: [(a, 1 << i) for i, a in enumerate(self._order)
+                               if a.mode == sub]
                          for sub in Subcycle}
+        # the agents to close at the end of the current subcycle
+        self._pending = 0
         self._sensors = [a for a in agents if not a.is_actuator]
         self.power_map: PowerMap = build_power_map(poses, tables, channel_cfg)
         # each agent with its column in the power map
-        self._columns = [(a, self.power_map.index[a.name])
-                         for a in self.agents.values()]
+        self._columns = [(a, 1 << i, self.power_map.index[a.name])
+                         for i, a in enumerate(self._order)]
         self.stimuli: dict[str, Stimulus] = {}
         self.laser_gaps = sorted(laser_gaps or [], key=lambda g: g.cycle)
         for earlier, later in zip(self.laser_gaps, self.laser_gaps[1:]):
@@ -136,8 +145,10 @@ class World:
         # what the controller saw this subcycle, as a bit mask
         self._controller_bits = 0
         self._evidence_seen: set[tuple[str, int, int]] = set()
-        # emissions -> the (agent, tick) pairs whose tick has a bit
-        self._lit: dict[tuple, list[tuple[Agent, ChannelTick]]] = {}
+        # emissions -> the (agent, tick) pairs whose tick has a bit, and
+        # those agents as a bit mask
+        self._lit: dict[tuple, tuple[list[tuple[Agent, ChannelTick]],
+                                     int]] = {}
         # sensor name -> fluorescence detected, for the current stimuli
         self._detected: dict[str, bool] = {}
 
@@ -215,11 +226,12 @@ class World:
     def _run_subcycle(self, stop: int) -> None:
         """Run from the current cycle to the end of its subcycle or ``stop``.
 
-        Only the nodes whose working mode is this subcycle emit at offset 0,
-        and afterwards only those that then hold a frame, over the frame's
-        bits.  Nothing else can happen before the subcycle's last cycle, so
-        a subcycle without a transmitter and the guard bits are passed over.
-        A subcycle cut short by ``stop`` skips its end-of-subcycle work.
+        Only the nodes whose working mode is this subcycle and that have
+        something to send emit at offset 0, and afterwards only those that
+        then hold a frame, over the frame's bits.  Nothing else can happen
+        before the subcycle's last cycle, so a subcycle without a
+        transmitter and the guard bits are passed over.  A subcycle cut
+        short by ``stop`` skips its end-of-subcycle work.
         """
         sub, off, ic = self._phase()
         start = self.cycle - off
@@ -229,10 +241,15 @@ class World:
         if off == 0:
             self._begin_subcycle(sub, ic)
             # a sender with nothing to send loads nothing and stays silent
-            self._emit_cycle([a for a in senders if a.has_send_work],
-                             sub, 0, ic)
+            ready = [a for a, _ in senders if a.has_send_work(ic)]
+            if ready:
+                self._emit_cycle(ready, sub, 0, ic)
             first += 1
-        transmitters = [a for a in senders if a.inflight is not None]
+        transmitters = []
+        for agent, bit in senders:
+            if agent.inflight is not None:
+                transmitters.append(agent)
+                self._pending |= bit
         if transmitters:
             for cycle in range(first, min(start + FRAME_BITS, stop)):
                 self.cycle = cycle
@@ -244,7 +261,7 @@ class World:
 
     def _begin_subcycle(self, sub: Subcycle, ic: int) -> None:
         self._controller_bits = 0
-        if sub == Subcycle.T1:
+        if sub is Subcycle.T1:
             self.scenario.on_icycle_start(self, ic)
 
     def _emit_cycle(self, transmitters: list[Agent], sub: Subcycle, off: int,
@@ -259,7 +276,9 @@ class World:
         if any(self._controller_hears is None or tx in self._controller_hears
                for tx, _ in emissions):
             self._controller_bits |= BIT_MASK[off]
-        for agent, tick in self._lit_for(tuple(emissions)):
+        lit, lit_mask = self._lit_for(tuple(emissions))
+        self._pending |= lit_mask
+        for agent, tick in lit:
             if tick.top.evidence or tick.bottom.evidence:
                 seen = (agent.name, ic, int(sub))
                 if seen not in self._evidence_seen:
@@ -271,14 +290,11 @@ class World:
                              sources=sorted(n for n, _ in emissions))
 
     def _end_subcycle(self, sub: Subcycle, ic: int) -> None:
-        # in agent order, each tested just before its turn: a hook run by
-        # an earlier agent may hand work to a later one
-        for agent in self.agents.values():
-            if agent.has_subcycle_work:
-                agent.end_subcycle(sub, ic, self.cycle)
+        if self._pending:
+            self._close_agents(sub, ic)
         if self._controller_bits != 0:
             self._controller_decode()
-        if sub == Subcycle.T4:
+        if sub is Subcycle.T4:
             for agent in self._sensors:
                 detected = self._detected.get(agent.name)
                 if detected is None:
@@ -289,16 +305,35 @@ class World:
                     agent.on_second_layer(detected, ic, self.cycle)
             self.scenario.on_icycle_end(self, ic)
 
+    def _close_agents(self, sub: Subcycle, ic: int) -> None:
+        """Close the subcycle on the pending agents, in agent order.
+
+        An agent stays pending while it still has work (a reply window or a
+        block to time out).  Only an agent's own ``end_subcycle`` can give
+        it such work; a hook it runs may hand another agent something to
+        send, which the offset-0 test finds, but nothing to close.
+        """
+        order = self._order
+        todo = self._pending
+        while todo:
+            bit = todo & -todo
+            agent = order[bit.bit_length() - 1]
+            agent.end_subcycle(sub, ic, self.cycle)
+            if not agent.has_subcycle_work:
+                self._pending &= ~bit
+            todo = self._pending & ~((bit << 1) - 1)
+
     def _lit_for(self, emissions: tuple[tuple[str, int], ...]
-                 ) -> list[tuple[Agent, ChannelTick]]:
+                 ) -> tuple[list[tuple[Agent, ChannelTick]], int]:
         """The agents whose detectors see a bit while ``emissions`` pulse,
-        each with what it sees, in agent order; memoised per world.
+        each with what it sees, in agent order, and the same agents as a
+        bit mask; memoised per world.
 
         An agent whose tick has no bit is left out: observing such a tick
         changes nothing, and collision evidence implies a bit.
         """
-        lit = self._lit.get(emissions)
-        if lit is None:
+        entry = self._lit.get(emissions)
+        if entry is None:
             pm = self.power_map
             theta = self.channel_cfg.theta_detect
             rows = []
@@ -306,7 +341,8 @@ class World:
                 i = pm.index[tx]
                 rows.append((pm.power[i][pattern], pm.top[i]))
             lit = []
-            for agent, j in self._columns:
+            mask = 0
+            for agent, bit, j in self._columns:
                 # the same sums in the same order as ``superpose``; an
                 # emitter's own entry is 0.0 and adds nothing
                 top = bottom = 0.0
@@ -321,8 +357,9 @@ class World:
                                 if tx != agent.name]
                     lit.append((agent, ChannelTick(
                         *superpose(arrivals, self.channel_cfg))))
-            self._lit[emissions] = lit
-        return lit
+                    mask |= bit
+            entry = self._lit[emissions] = (lit, mask)
+        return entry
 
     def _controller_decode(self) -> None:
         """Decode the frame the ex-vivo controller saw this subcycle.

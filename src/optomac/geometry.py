@@ -13,7 +13,7 @@ free.  Each node has a surface normal separating its two detectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .timebase import Subcycle
 
@@ -110,26 +110,3 @@ class NodePose:
         if n == 0:
             raise ValueError("normal must be nonzero")
         self.normal = tuple(c / n for c in self.normal)  # type: ignore[assignment]
-
-
-@dataclass(frozen=True)
-class PathGeometry:
-    distance: float
-    direction: tuple[float, float, float]  # unit vector a -> b
-    side_at_b: str  # "top" | "bottom"
-
-
-def geometry_between(a: NodePose, b: NodePose) -> PathGeometry:
-    """Distance, unit direction a->b, and which of b's detectors faces a.
-
-    side_at_b is "top" when the arriving signal comes from the half-space b's
-    normal points into (grazing incidence counts as top).
-    """
-    d = tuple(bb - aa for aa, bb in zip(a.position, b.position))
-    dist = math.sqrt(sum(c * c for c in d))
-    if dist == 0:
-        raise ValueError("poses are coincident")
-    u = tuple(c / dist for c in d)
-    incoming = sum(-uc * nc for uc, nc in zip(u, b.normal))
-    side = "top" if incoming >= 0 else "bottom"
-    return PathGeometry(dist, u, side)  # type: ignore[arg-type]

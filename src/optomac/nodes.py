@@ -66,6 +66,10 @@ class ChainState(enum.Enum):
     BACKOFF = "backoff"
 
 
+_SEND_STATES = (ChainState.SEND_NOTIFY, ChainState.SEND_COMMAND)
+_AWAIT_STATES = (ChainState.AWAIT_BLOCK, ChainState.AWAIT_ACK)
+
+
 @dataclass
 class CommandChain:
     """One sensor-to-actuator delivery attempt (NOTIFY/COMMAND + replies)."""
@@ -165,21 +169,39 @@ class Agent:
     def is_actuator(self) -> bool:
         return self.mem.is_actuator
 
-    @property
-    def has_send_work(self) -> bool:
-        """Whether ``emit`` at offset 0 of the own subcycle can load or hold
-        a frame: one in flight, a queue, a chain or a relay request."""
-        return (self.inflight is not None or bool(self.queue)
-                or bool(self.chains) or self.request_target is not None)
+    def has_send_work(self, ic: int) -> bool:
+        """Whether ``emit`` at offset 0 of the own subcycle in instruction
+        cycle ``ic`` can load or hold a frame: one in flight, a queue, a
+        chain in a ``SEND_*`` state or whose backoff has ended, or a relay
+        request that falls due.  When False, that call changes nothing."""
+        if self.inflight is not None or self.queue:
+            return True
+        for chain in self.chains:
+            if chain.state is ChainState.BACKOFF:
+                if ic >= chain.retry_ic:
+                    return True
+            elif chain.state in _SEND_STATES:
+                return True
+        return (self.request_target is not None
+                and ic >= self.request_next_ic)
 
     @property
     def has_subcycle_work(self) -> bool:
         """Whether ``end_subcycle`` can change anything: a frame in flight,
-        a receive side written this subcycle, a chain whose reply window
-        may run out, or a block whose backstop may fire."""
-        return (self.inflight is not None or self._rx_top != 0
-                or self._rx_bottom != 0 or bool(self.chains)
-                or self.blocked_by is not None)
+        a receive side written this subcycle, a chain awaiting a reply
+        whose window may run out, or a block whose backstop may fire.
+        When False, that call changes nothing.
+
+        Only ``end_subcycle`` itself moves a chain into an ``AWAIT_*``
+        state or sets a block; chains that scenario hooks start are in a
+        ``SEND_*`` state."""
+        if (self.inflight is not None or self._rx_top != 0
+                or self._rx_bottom != 0 or self.blocked_by is not None):
+            return True
+        for chain in self.chains:
+            if chain.state in _AWAIT_STATES:
+                return True
+        return False
 
     # -- scenario entry points -------------------------------------------
 
@@ -469,8 +491,7 @@ class Agent:
 
     def _tick_windows(self, ic: int, cycle: int) -> None:
         for chain in self.chains:
-            if chain.state not in (ChainState.AWAIT_BLOCK,
-                                   ChainState.AWAIT_ACK):
+            if chain.state not in _AWAIT_STATES:
                 continue
             chain.window -= 1
             if chain.window > 0:

@@ -14,6 +14,7 @@ learning once, before the World starts, so the engine only traces a long gap
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 SUBCYCLES_PER_ICYCLE = 4
@@ -26,6 +27,10 @@ class Subcycle(enum.IntEnum):
     T2 = 2
     T3 = 3
     T4 = 4
+
+
+# Subcycle by index, looked up without calling the enum
+_SUBCYCLES = tuple(Subcycle)
 
 
 class NonClockEvent(enum.Enum):
@@ -50,11 +55,11 @@ class ClockConfig:
         if not 0 < self.g_sync < self.g_mode:
             raise ValueError("need 0 < g_sync < g_mode")
 
-    @property
+    @functools.cached_property
     def subcycle_len(self) -> int:
         return FRAME_BITS + self.guard_bits
 
-    @property
+    @functools.cached_property
     def icycle_len(self) -> int:
         return SUBCYCLES_PER_ICYCLE * self.subcycle_len
 
@@ -64,7 +69,7 @@ def subcycle_of(cycle: int, cfg: ClockConfig) -> tuple[Subcycle, int]:
     if cycle < 0:
         raise ValueError("cycle must be non-negative")
     k, offset = divmod(cycle % cfg.icycle_len, cfg.subcycle_len)
-    return Subcycle(k + 1), offset
+    return _SUBCYCLES[k], offset
 
 
 def detect_nonclock(missing_run: int, cfg: ClockConfig) -> NonClockEvent:

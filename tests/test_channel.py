@@ -18,13 +18,13 @@ from optomac.channel import (
     superpose,
 )
 from optomac.engine import World
-from optomac.geometry import NodePose, geometry_between
+from optomac.geometry import NodePose
 from optomac.metrics import Metrics
 from optomac.nodes import Agent, Variant
 from optomac.protocol import NodeMemory
 from optomac.timebase import ClockConfig, Rng
 from optomac.trace import NullTrace
-from oracles import reachable
+from oracles import geometry_between, reachable
 
 # Pinned path-loss values (tx_power=1, gain=1, mu=0.5).  The first one is the
 # e^{-1/2}/(4 pi) landmark; the others are the lattice distances sqrt(3),
@@ -293,5 +293,7 @@ def test_lit_set_matches_superpose_oracle(deployment, mu, data):
         tick = oracle_tick(cfg, name)
         if tick.top.bit or tick.bottom.bit:
             expected.append((name, tick))
-    got = [(agent.name, tick) for agent, tick in world._lit_for(emissions)]
-    assert got == expected
+    lit, mask = world._lit_for(emissions)
+    assert [(agent.name, tick) for agent, tick in lit] == expected
+    # the mask holds the same agents, bit i for the i-th
+    assert mask == sum(1 << names.index(name) for name, _ in expected)

@@ -24,7 +24,7 @@ from optomac.protocol import (
 )
 from optomac.timebase import ClockConfig, Rng, Subcycle
 from optomac.trace import TraceWriter
-from oracles import contention_round
+from oracles import PollingWorld, contention_round
 
 
 class DoneRecorder(Hooks):
@@ -53,7 +53,7 @@ class FrameRecorder(ScenarioHooks):
 
 def make_world(node_specs, variant=Variant.BASIC, trace=None,
                controller_hears=None, laser_gaps=None, scenario=None,
-               gain=5.0):
+               gain=5.0, world_cls=World):
     """node_specs: (name, address, is_actuator, mode, position) tuples."""
     poses, agents = {}, []
     metrics = Metrics()
@@ -69,10 +69,10 @@ def make_world(node_specs, variant=Variant.BASIC, trace=None,
                             metrics, hooks=hooks))
     # every node gets four patterns of one gain toward every azimuth
     tables = {name: SampledPatternTable([0.0], [[gain]] * 4) for name in poses}
-    world = World(poses, tables, agents, ClockConfig(),
-                  ChannelConfig(), trace=tracer, metrics=metrics,
-                  scenario=scenario, laser_gaps=laser_gaps,
-                  controller_hears=controller_hears)
+    world = world_cls(poses, tables, agents, ClockConfig(),
+                      ChannelConfig(), trace=tracer, metrics=metrics,
+                      scenario=scenario, laser_gaps=laser_gaps,
+                      controller_hears=controller_hears)
     return world, hooks
 
 
@@ -427,6 +427,67 @@ def test_only_nodes_with_work_close_the_subcycle(monkeypatch):
     assert "far" not in {name for name, _ in closed}
     assert len(closed) == len(set(closed))       # once per subcycle at most
     assert active <= set(closed)
+
+
+def random_specs(kind, side, gain):
+    """The pair or the clique with its sides scaled by ``side``."""
+    specs = pair_specs() if kind == "pair" else clique_specs()
+    return [(name, address, is_act, mode, tuple(c * side / 2.0 for c in pos))
+            for name, address, is_act, mode, pos in specs]
+
+
+GAP_LENGTHS = st.one_of(st.integers(1, 7), st.integers(8, 31),
+                        st.integers(32, 40))
+
+
+@st.composite
+def gap_lists(draw):
+    gaps, cycle = [], 0
+    for _ in range(draw(st.integers(0, 3))):
+        cycle += draw(st.integers(0, 150))
+        length = draw(GAP_LENGTHS)
+        gaps.append(LaserGap(cycle, length))
+        cycle += length
+    return gaps
+
+
+# run some cycles, or start a chain or a relay request on one sensor
+STEPS = st.lists(st.one_of(
+    st.tuples(st.just("run"), st.integers(1, 70)),
+    st.tuples(st.sampled_from(("chain", "request")), st.integers(0, 2))),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(("pair", "clique")), st.floats(1.0, 4.0),
+       st.floats(0.5, 20.0), st.sampled_from(list(Variant)), gap_lists(),
+       STEPS)
+def test_pending_set_matches_polling_oracle(kind, side, gain, variant, gaps,
+                                            steps):
+    # the World closes only the agents in its pending set and asks only the
+    # senders with exact send work at offset 0; the oracle polls every
+    # agent with the broad tests.  Runs, traces and clocks must agree
+    specs = random_specs(kind, side, gain)
+    sensors = [name for name, _, is_act, _, _ in specs if not is_act]
+    runs = []
+    for world_cls in (World, PollingWorld):
+        trace = TraceWriter("power")
+        world, _ = make_world(specs, variant, trace=trace, gain=gain,
+                              laser_gaps=list(gaps), world_cls=world_cls)
+        for step, arg in steps:
+            if step == "run":
+                world.run_cycles(arg)
+                continue
+            agent = world.agents[sensors[arg % len(sensors)]]
+            if step == "chain":
+                agent.start_chain(0b1000, cycle=world.cycle)
+            else:
+                agent.start_request(controller_address(), world.current_ic)
+        world.run_cycles(3 * world.clock.icycle_len)
+        runs.append((trace.getvalue(), world.metrics.to_json(), world.cycle,
+                     world.phase_origin, world.current_ic,
+                     world.controller_frames))
+    assert runs[0] == runs[1]
 
 
 # -- subcycle stepping edge cases ----------------------------------------------

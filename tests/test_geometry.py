@@ -11,11 +11,11 @@ from optomac.geometry import (
     HexGrid,
     NodePose,
     cell_of,
-    geometry_between,
     neighbors,
     working_mode_of,
 )
 from optomac.timebase import Subcycle
+from oracles import geometry_between
 
 
 def test_centers():

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from optomac.config import WorldConfig
 from optomac.scenarios import SCENARIO_HORIZON_ICS, run_scenario
 from optomac.trace import TraceWriter
 
@@ -24,9 +25,13 @@ PROTOCOLS = ("basic", "handshake")
 SEEDS = range(10)
 
 
-def run_digest(scenario: str, protocol: str, seed: int) -> str:
+def run_digest(scenario: str, protocol: str, seed: int,
+               cfg: WorldConfig | None = None) -> str:
+    """Digest of one run's power trace and metrics; ``cfg`` defaults to the
+    scenario's packaged deployment."""
     trace = TraceWriter("power")
-    result = run_scenario(scenario, protocol=protocol, seed=seed, trace=trace)
+    result = run_scenario(scenario, cfg=cfg, protocol=protocol, seed=seed,
+                          trace=trace)
     h = hashlib.sha256()
     h.update(trace.getvalue().encode())
     h.update((result.metrics.to_json() + "\n").encode())

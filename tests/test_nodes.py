@@ -3,7 +3,7 @@
 import copy
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from optomac.channel import ChannelConfig, ChannelTick, DetectorReading
@@ -430,17 +430,29 @@ QUEUED = st.lists(st.builds(
     ADDRESSES, st.sampled_from(list(Opcode)),
     st.sampled_from((PRIORITY_BLOCK, PRIORITY_ACK, PRIORITY_DATA))),
     min_size=1, max_size=3)
-CHAINS = st.lists(st.builds(
-    CommandChain, ADDRESSES, st.just("t"), st.sampled_from(list(ChainState)),
-    st.integers(0, AWAIT_WINDOW_SUBCYCLES), st.integers(0, 40)),
-    min_size=1, max_size=2)
+
+
+def near(ic: int):
+    """An instruction cycle just before, at or just after ``ic``."""
+    return st.integers(max(0, ic - 2), ic + 2)
+
+
+def chains_near(ic: int):
+    """Chains in any state, with retry times on both sides of ``ic``."""
+    return st.lists(st.builds(
+        CommandChain, ADDRESSES, st.just("t"),
+        st.sampled_from(list(ChainState)),
+        st.integers(0, AWAIT_WINDOW_SUBCYCLES), near(ic)),
+        min_size=1, max_size=3)
 
 
 @st.composite
-def node_states(draw, *, inflight=True, rx=True, chains=True, blocked=True,
-                to_send=True):
-    """A sensor or actuator whose other state is drawn at random; each
-    flag set to False keeps that part empty."""
+def node_states(draw, *, inflight=True, rx=True, blocked=True, queue=True):
+    """A sensor or actuator, its other state drawn at random, and the
+    instruction cycle of the call under test; each flag set to False keeps
+    that part empty.  Chains in every state and a relay request are always
+    drawn, with their due times around that instruction cycle."""
+    ic = draw(st.integers(0, 60))
     address = draw(st.sampled_from((SENSOR, ACTUATOR)))
     agent, hooks = make_agent(
         address=address, is_actuator=address == ACTUATOR,
@@ -455,18 +467,18 @@ def node_states(draw, *, inflight=True, rx=True, chains=True, blocked=True,
             sent_bit=draw(st.sampled_from((0, 1, None))))
     if rx:
         agent._rx_top, agent._rx_bottom = draw(RX_BITS), draw(RX_BITS)
-    if chains and draw(st.booleans()):
-        agent.chains = draw(CHAINS)
+    if draw(st.booleans()):
+        agent.chains = draw(chains_near(ic))
     if blocked and draw(st.booleans()):
         agent.blocked_by = draw(ADDRESSES)
     agent.blocked_since_ic = draw(st.integers(0, 40))
-    if to_send and draw(st.booleans()):
+    if queue and draw(st.booleans()):
         agent.queue = draw(QUEUED)
-    if to_send and draw(st.booleans()):
+    if draw(st.booleans()):
         agent.request_target = draw(ADDRESSES)
-    agent.request_next_ic = draw(st.integers(0, 40))
+    agent.request_next_ic = draw(near(ic))
     agent.latched = draw(st.booleans())
-    return agent, hooks
+    return agent, hooks, ic
 
 
 def node_state(agent: Agent, hooks: RecordingHooks) -> tuple:
@@ -480,34 +492,36 @@ def node_state(agent: Agent, hooks: RecordingHooks) -> tuple:
             agent.trace.getvalue(), copy.deepcopy(vars(hooks)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(node_states(inflight=False, rx=False, chains=False, blocked=False),
-       st.sampled_from(list(Subcycle)), st.integers(0, 60),
-       st.integers(0, 3000))
-def test_end_subcycle_without_work_changes_nothing(node, sub, ic, cycle):
-    agent, hooks = node
-    assert not agent.has_subcycle_work
+@settings(max_examples=300, deadline=None)
+@given(node_states(inflight=False, rx=False, blocked=False),
+       st.sampled_from(list(Subcycle)), st.integers(0, 3000))
+def test_end_subcycle_without_work_changes_nothing(node, sub, cycle):
+    # chains that wait for nothing, queued frames and relay requests are no
+    # reason to close a subcycle
+    agent, hooks, ic = node
+    assume(not agent.has_subcycle_work)
     before = node_state(agent, hooks)
     agent.end_subcycle(sub, ic, cycle)
     assert node_state(agent, hooks) == before
 
 
-@settings(max_examples=150, deadline=None)
-@given(node_states(inflight=False, chains=False, to_send=False),
-       st.sampled_from(list(Subcycle)), st.integers(0, 60),
-       st.integers(0, 3000))
-def test_first_bit_with_nothing_to_send_changes_nothing(node, sub, ic, cycle):
-    agent, hooks = node
-    assert not agent.has_send_work
+@settings(max_examples=300, deadline=None)
+@given(node_states(inflight=False, queue=False), st.integers(0, 3000))
+def test_first_bit_with_nothing_to_send_changes_nothing(node, cycle):
+    # chains that wait for a reply or for their backoff to end, and a relay
+    # request not yet due, are nothing to send; the engine asks a node at
+    # offset 0 of its own subcycle only
+    agent, hooks, ic = node
+    assume(not agent.has_send_work(ic))
     before = node_state(agent, hooks)
-    assert agent.emit(sub, 0, ic, cycle) is None
+    assert agent.emit(agent.mode, 0, ic, cycle) is None
     assert node_state(agent, hooks) == before
 
 
 @settings(max_examples=150, deadline=None)
-@given(node_states(), st.integers(0, 60), st.integers(0, 3000))
-def test_second_layer_matching_the_latch_changes_nothing(node, ic, cycle):
-    agent, hooks = node
+@given(node_states(), st.integers(0, 3000))
+def test_second_layer_matching_the_latch_changes_nothing(node, cycle):
+    agent, hooks, ic = node
     before = node_state(agent, hooks)
     agent.on_second_layer(agent.latched, ic, cycle)
     assert node_state(agent, hooks) == before
