@@ -9,9 +9,12 @@ second-layer fluorescence, and the simplex second-layer command channel.
 
 Nodes are stationary, so ``build_power_map`` precomputes the channel once
 per deployment as plain float tables indexed in config order, taking each
-link's geometry and exponential attenuation once.  The engine sums table
-rows to find which detectors see a bit; ``superpose`` builds the reading of
-each such detector, and serves tests as the reference for all of them.
+link's geometry and exponential attenuation once.  The engine reads each
+detector's bit and collision evidence straight from the table rows, summing
+the emitters' entries per side and counting the individually strong ones.
+``superpose`` builds the full reading of one detector from ``Arrival``
+values; it is the reference the tests and the scorecard check the tables
+against.
 
 Collision evidence (two individually strong arrivals at one detector) is a
 simulator-side observation used by metrics and tests; protocol code only ever
@@ -73,13 +76,6 @@ class DetectorReading:
     bit: int = 0
     strong: tuple[str, ...] = ()   # sources individually >= theta_detect
     evidence: bool = False         # >= 2 distinct strong first-layer sources
-
-
-@dataclass(frozen=True)
-class ChannelTick:
-    """What one node's detectors see during one clock cycle."""
-    top: DetectorReading = DetectorReading()
-    bottom: DetectorReading = DetectorReading()
 
 
 def superpose(arrivals: list[Arrival], cfg: ChannelConfig) -> tuple[DetectorReading, DetectorReading]:

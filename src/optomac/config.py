@@ -66,6 +66,17 @@ class NodeSpec:
     def is_actuator(self) -> bool:
         return self.kind == "actuator"
 
+    @functools.cached_property
+    def table(self) -> SampledPatternTable:
+        """This node's gain table, built on first use and kept: the spec is
+        frozen and nothing writes to a table, so every run shares it."""
+        if self.gains is not None:
+            step = self.azimuth_step_deg
+            azimuths = [i * step for i in range(int(round(360.0 / step)))]
+            return SampledPatternTable(azimuths, list(map(list, self.gains)))
+        # isotropic fallback: four patterns of unit gain in every direction
+        return SampledPatternTable([0.0], [[1.0]] * 4)
+
 
 @dataclass(frozen=True)
 class ClusterSpec:
@@ -498,19 +509,14 @@ class WorldParts:
 
 
 def build_parts(cfg: WorldConfig) -> WorldParts:
-    """Instantiate poses, antenna tables and pre-learning memories."""
+    """Instantiate poses and pre-learning memories, which learning writes,
+    and collect each node's shared gain table (``NodeSpec.table``)."""
     poses: dict[str, NodePose] = {}
     tables: dict[str, SampledPatternTable] = {}
     memories: dict[str, NodeMemory] = {}
     for spec in cfg.nodes:
         poses[spec.name] = NodePose(position=spec.position, normal=spec.normal)
-        if spec.gains is not None:
-            step = spec.azimuth_step_deg
-            azimuths = [i * step for i in range(int(round(360.0 / step)))]
-            tables[spec.name] = SampledPatternTable(azimuths, list(map(list, spec.gains)))
-        else:
-            # isotropic fallback: four patterns of unit gain in every direction
-            tables[spec.name] = SampledPatternTable([0.0], [[1.0]] * 4)
+        tables[spec.name] = spec.table
         memories[spec.name] = NodeMemory(
             address=spec.address, is_actuator=spec.is_actuator,
             recognized=set(spec.recognized))

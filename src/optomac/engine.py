@@ -7,10 +7,12 @@ that have something to send in this instruction cycle
 the ones that then hold a frame.  Each cycle that carries light runs in two
 phases: the transmitters present their bit, then the channel superposes the
 simultaneous pulses and the nodes whose detectors see a bit observe the
-result.  Which detectors see a bit comes from summing the emitters' rows of
-the power tables; only those nodes get a reading (``superpose``).  A cycle
-in which a node's detectors see no bit leaves that node unchanged, so it is
-not asked to observe.  A subcycle without a transmitter, and the guard bits
+result.  Each detector's bit comes from summing the emitters' entries in
+the power tables per side, and its collision evidence from counting the
+emitters whose own entry reaches the threshold; a node observes its two
+detector bits, and no per-arrival reading is built.  A cycle in which a
+node's detectors see no bit leaves that node unchanged, so it is not asked
+to observe.  A subcycle without a transmitter, and the guard bits
 of one with a transmitter, carry no light and are passed over to the
 subcycle's last cycle.  There only the pending nodes close the subcycle:
 the World keeps them as one int bit mask in node order, setting the bits
@@ -42,14 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    ChannelConfig,
-    ChannelTick,
-    PowerMap,
-    build_power_map,
-    received_power,
-    superpose,
-)
+from .channel import ChannelConfig, PowerMap, build_power_map, received_power
+from .channel import superpose  # noqa: F401  bench/layers.py wraps engine.superpose
 from .geometry import NodePose
 from .metrics import Metrics
 from .nodes import Agent
@@ -145,9 +141,9 @@ class World:
         # what the controller saw this subcycle, as a bit mask
         self._controller_bits = 0
         self._evidence_seen: set[tuple[str, int, int]] = set()
-        # emissions -> the (agent, tick) pairs whose tick has a bit, and
-        # those agents as a bit mask
-        self._lit: dict[tuple, tuple[list[tuple[Agent, ChannelTick]],
+        # emissions -> (agent, top bit, bottom bit, collision evidence) of
+        # each agent that sees a bit, and those agents as a bit mask
+        self._lit: dict[tuple, tuple[list[tuple[Agent, bool, bool, bool]],
                                      int]] = {}
         # sensor name -> fluorescence detected, for the current stimuli
         self._detected: dict[str, bool] = {}
@@ -278,13 +274,13 @@ class World:
             self._controller_bits |= BIT_MASK[off]
         lit, lit_mask = self._lit_for(tuple(emissions))
         self._pending |= lit_mask
-        for agent, tick in lit:
-            if tick.top.evidence or tick.bottom.evidence:
+        for agent, top, bottom, evidence in lit:
+            if evidence:
                 seen = (agent.name, ic, int(sub))
                 if seen not in self._evidence_seen:
                     self._evidence_seen.add(seen)
                     self.metrics.collisions += 1
-            agent.observe(tick, sub, off, ic, self.cycle)
+            agent.observe(top, bottom, sub, off, ic, self.cycle)
         if self.trace.wants("power"):
             self.trace.event(self.cycle, "power",
                              sources=sorted(n for n, _ in emissions))
@@ -324,13 +320,18 @@ class World:
             todo = self._pending & ~((bit << 1) - 1)
 
     def _lit_for(self, emissions: tuple[tuple[str, int], ...]
-                 ) -> tuple[list[tuple[Agent, ChannelTick]], int]:
+                 ) -> tuple[list[tuple[Agent, bool, bool, bool]], int]:
         """The agents whose detectors see a bit while ``emissions`` pulse,
-        each with what it sees, in agent order, and the same agents as a
-        bit mask; memoised per world.
+        in agent order, each with its top and bottom bit and whether either
+        side has collision evidence, and the same agents as a bit mask;
+        memoised per world.
 
-        An agent whose tick has no bit is left out: observing such a tick
-        changes nothing, and collision evidence implies a bit.
+        A side's bit is the sum of the emitters' entries reaching
+        ``theta_detect``, as in ``superpose``; its evidence is two or more
+        emitters whose own entry reaches it, ``superpose``'s "two distinct
+        strong sources", since the emitters of one cycle are distinct.  An
+        agent without a bit is left out: observing nothing changes nothing,
+        and evidence implies a bit.
         """
         entry = self._lit.get(emissions)
         if entry is None:
@@ -344,19 +345,22 @@ class World:
             mask = 0
             for agent, bit, j in self._columns:
                 # the same sums in the same order as ``superpose``; an
-                # emitter's own entry is 0.0 and adds nothing
+                # emitter's own entry is 0.0, adds nothing and is not strong
                 top = bottom = 0.0
+                strong_top = strong_bottom = 0
                 for power, tops in rows:
+                    p = power[j]
                     if tops[j]:
-                        top += power[j]
+                        top += p
+                        if p >= theta:
+                            strong_top += 1
                     else:
-                        bottom += power[j]
+                        bottom += p
+                        if p >= theta:
+                            strong_bottom += 1
                 if top >= theta or bottom >= theta:
-                    arrivals = [pm.arrival(tx, pattern, agent.name)
-                                for tx, pattern in emissions
-                                if tx != agent.name]
-                    lit.append((agent, ChannelTick(
-                        *superpose(arrivals, self.channel_cfg))))
+                    lit.append((agent, top >= theta, bottom >= theta,
+                                strong_top >= 2 or strong_bottom >= 2))
                     mask |= bit
             entry = self._lit[emissions] = (lit, mask)
         return entry

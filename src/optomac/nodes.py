@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .channel import ChannelTick
 from .metrics import Metrics
 from .protocol import (
     PRIORITY_ACK,
@@ -171,16 +170,22 @@ class Agent:
 
     def has_send_work(self, ic: int) -> bool:
         """Whether ``emit`` at offset 0 of the own subcycle in instruction
-        cycle ``ic`` can load or hold a frame: one in flight, a queue, a
-        chain in a ``SEND_*`` state or whose backoff has ended, or a relay
-        request that falls due.  When False, that call changes nothing."""
-        if self.inflight is not None or self.queue:
+        cycle ``ic`` can load or hold a frame, or refresh a chain or a
+        request: one in flight, a chain whose backoff has ended, a relay
+        request that falls due, a queued BLOCK or ACK, and, unless the node
+        is blocked, queued data or a chain in a ``SEND_*`` state.  When
+        False, that call changes nothing."""
+        if self.inflight is not None:
             return True
+        blocked = self.blocked_by is not None
+        for out in self.queue:
+            if not blocked or out.priority != PRIORITY_DATA:
+                return True
         for chain in self.chains:
             if chain.state is ChainState.BACKOFF:
                 if ic >= chain.retry_ic:
                     return True
-            elif chain.state in _SEND_STATES:
+            elif chain.state in _SEND_STATES and not blocked:
                 return True
         return (self.request_target is not None
                 and ic >= self.request_next_ic)
@@ -251,23 +256,24 @@ class Agent:
         fl.sent_bit = fl.bits[offset]
         return fl.bits[offset], fl.out.pattern
 
-    def observe(self, tick: ChannelTick, sub: Subcycle, offset: int,
+    def observe(self, top: bool, bottom: bool, sub: Subcycle, offset: int,
                 ic: int, cycle: int) -> None:
-        """Process one clock cycle of detector input."""
+        """Process one clock cycle of detector input: the top and bottom
+        detector bits."""
         if sub == self.mode:
             fl = self.inflight
             # carrier sense: either detector sees a bit
             if (fl is not None and fl.sent_bit == 0 and fl.exited_at is None
-                    and (tick.top.bit or tick.bottom.bit)):
+                    and (top or bottom)):
                 fl.exited_at = offset
                 self.trace.event(cycle, "tx_exit", node=self.name,
                                  bit=offset, frame=fl.out.frame.describe())
             return
         if sub == Subcycle.T4 or offset >= FRAME_BITS:
             return
-        if tick.top.bit:
+        if top:
             self._rx_top |= BIT_MASK[offset]
-        if tick.bottom.bit:
+        if bottom:
             self._rx_bottom |= BIT_MASK[offset]
 
     def clear_receive_buffers(self) -> None:

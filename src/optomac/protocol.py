@@ -128,14 +128,6 @@ def _frame_bits(frame: Frame) -> Bits:
     return tuple(int(c) for c in text)
 
 
-def parse_bits(bits: Bits) -> Frame:
-    if len(bits) != FRAME_BITS or any(b not in (0, 1) for b in bits):
-        raise ValueError("malformed frame bits")
-    # str() also rejects elements equal to 0 or 1 that are not integers,
-    # such as True and 1.0
-    return parse_mask(int("".join(map(str, bits)), 2))
-
-
 def parse_mask(mask: int) -> Frame:
     """Decode a frame from its ``FRAME_BITS`` bits as one integer, MSB first."""
     if type(mask) is not int or not 0 <= mask < 1 << FRAME_BITS:

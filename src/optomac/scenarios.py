@@ -35,6 +35,7 @@ Scenarios
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -211,7 +212,10 @@ def photothermal_config() -> WorldConfig:
                                clusters=clusters, controller_hears=hears)
 
 
+@functools.cache
 def default_config(scenario: str) -> WorldConfig:
+    """The packaged deployment of ``scenario``, built once per process; a
+    ``WorldConfig`` is frozen, so callers share it and its gain tables."""
     builders = {
         "photothermal": photothermal_config,
         "drug_delivery": drug_delivery_config,

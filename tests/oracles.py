@@ -1,9 +1,10 @@
 """Reference models the tests check the live simulator against.
 
 Each restates one rule of the model in its simplest form, apart from the
-code a run executes: the geometry of one link, arbitration as a maximum and
-as a bit-serial round over pairwise carrier sense, reachability from the
-power map, and an engine that polls every agent for work.
+code a run executes: the geometry of one link, decoding a frame from its bit
+tuple, arbitration as a maximum and as a bit-serial round over pairwise
+carrier sense, reachability from the power map, and an engine that polls
+every agent for work.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from optomac.channel import ChannelConfig, PowerMap
 from optomac.engine import World
 from optomac.geometry import NodePose
 from optomac.nodes import Agent
-from optomac.protocol import Bits
+from optomac.protocol import Bits, Frame, parse_mask
 from optomac.timebase import FRAME_BITS, Subcycle
 
 
@@ -41,6 +42,15 @@ def geometry_between(a: NodePose, b: NodePose) -> PathGeometry:
     incoming = sum(-uc * nc for uc, nc in zip(u, b.normal))
     side = "top" if incoming >= 0 else "bottom"
     return PathGeometry(dist, u, side)  # type: ignore[arg-type]
+
+
+def parse_bits(bits: Bits) -> Frame:
+    """Decode a frame from its ``FRAME_BITS`` bits as a tuple, MSB first."""
+    if len(bits) != FRAME_BITS or any(b not in (0, 1) for b in bits):
+        raise ValueError("malformed frame bits")
+    # str() also rejects elements equal to 0 or 1 that are not integers,
+    # such as True and 1.0
+    return parse_mask(int("".join(map(str, bits)), 2))
 
 
 @dataclass(frozen=True)

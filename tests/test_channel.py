@@ -10,7 +10,6 @@ from optomac.antenna import SampledPatternTable
 from optomac.channel import (
     Arrival,
     ChannelConfig,
-    ChannelTick,
     DetectorReading,
     best_pattern,
     build_power_map,
@@ -254,9 +253,9 @@ def scalar_arrival(poses, tables, cfg, tx, pattern, rx):
 @settings(max_examples=60, deadline=None)
 @given(sampled_deployments(max_nodes=14), st.floats(0.0, 2.0), st.data())
 def test_lit_set_matches_superpose_oracle(deployment, mu, data):
-    # the World sums power-table rows to find the lit receivers and reads
-    # only those through superpose; the oracle superposes every receiver's
-    # scalar arrivals and keeps the ticks with a bit
+    # the World reads each lit receiver's bits and collision evidence from
+    # the power-table rows; the oracle superposes every receiver's scalar
+    # arrivals and keeps the readings with a bit
     poses, tables = deployment
     names = list(poses)
     order = data.draw(st.lists(st.sampled_from(names), min_size=1,
@@ -266,21 +265,31 @@ def test_lit_set_matches_superpose_oracle(deployment, mu, data):
                        label=f"pattern of {tx}"))
         for tx in order)
 
-    def oracle_tick(cfg, rx):
-        return ChannelTick(*superpose(
-            [scalar_arrival(poses, tables, cfg, tx, p, rx)
-             for tx, p in emissions if tx != rx], cfg))
+    def arrivals_at(cfg, rx):
+        return [scalar_arrival(poses, tables, cfg, tx, p, rx)
+                for tx, p in emissions if tx != rx]
 
     cfg = ChannelConfig(mu=mu)
-    # half the time, put the threshold exactly on one detector's power, so
-    # that the detector sits on the boundary, or on the sum of both, which
-    # neither detector of that node reaches alone when both see light
+    # half the time, put the threshold exactly on one node's power: on a
+    # detector's sum, so that the detector sits on the boundary; on the sum
+    # of both, which neither detector reaches alone when both see light; on
+    # one arrival, which is then just strong; on the second strongest
+    # arrival of a side, which makes exactly two strong sources there; or
+    # on the weaker of the strongest top and the strongest bottom arrival,
+    # which makes one strong source on each side
     pin = data.draw(st.one_of(st.none(), st.sampled_from(names)), label="pin")
     if pin is not None:
-        tick = oracle_tick(cfg, pin)
-        theta = data.draw(st.sampled_from([
-            tick.top.power, tick.bottom.power,
-            tick.top.power + tick.bottom.power]), label="threshold")
+        arrivals = arrivals_at(cfg, pin)
+        top, bottom = superpose(arrivals, cfg)
+        sides = {side: sorted((a.power for a in arrivals if a.side == side),
+                              reverse=True) for side in ("top", "bottom")}
+        candidates = [top.power, bottom.power, top.power + bottom.power]
+        candidates += [a.power for a in arrivals]
+        candidates += [powers[1] for powers in sides.values()
+                       if len(powers) >= 2]
+        if sides["top"] and sides["bottom"]:
+            candidates.append(min(sides["top"][0], sides["bottom"][0]))
+        theta = data.draw(st.sampled_from(candidates), label="threshold")
         if theta > 1e-12:
             cfg = ChannelConfig(mu=mu, theta_detect=theta,
                                 theta_fluor=theta / 2)
@@ -290,10 +299,44 @@ def test_lit_set_matches_superpose_oracle(deployment, mu, data):
     world = World(poses, tables, agents, ClockConfig(), cfg)
     expected = []
     for name in names:
-        tick = oracle_tick(cfg, name)
-        if tick.top.bit or tick.bottom.bit:
-            expected.append((name, tick))
+        top, bottom = superpose(arrivals_at(cfg, name), cfg)
+        if top.bit or bottom.bit:
+            expected.append((name, top.bit == 1, bottom.bit == 1,
+                             top.evidence or bottom.evidence))
     lit, mask = world._lit_for(emissions)
-    assert [(agent.name, tick) for agent, tick in lit] == expected
+    assert [(agent.name, top, bottom, evidence)
+            for agent, top, bottom, evidence in lit] == expected
     # the mask holds the same agents, bit i for the i-th
-    assert mask == sum(1 << names.index(name) for name, _ in expected)
+    assert mask == sum(1 << names.index(name) for name, *_ in expected)
+
+
+def test_lit_evidence_needs_two_strong_emitters_on_one_side():
+    # a receiver at the origin faces up; "a" and "b" sit above it and "c"
+    # below, each 1.0 away, and every table is flat, so every arrival has
+    # the same power and the threshold is put exactly on it
+    poses = {"rx": NodePose((0.0, 0.0, 0.0)),
+             "a": NodePose((0.0, 0.0, 1.0)),
+             "b": NodePose((0.6, 0.0, 0.8)),
+             "c": NodePose((0.0, 0.0, -1.0))}
+    tables = {name: flat_table() for name in poses}
+    theta = received_power(1.0, 1.0, 1.0, 0.5)
+    cfg = ChannelConfig(theta_detect=theta, theta_fluor=theta / 2)
+    agents = [Agent(name, NodeMemory(address=i + 1), Rng(0, i + 1),
+                    Variant.BASIC, NullTrace(), Metrics())
+              for i, name in enumerate(poses)]
+    world = World(poses, tables, agents, ClockConfig(), cfg)
+
+    def seen_at_rx(*emitters):
+        lit, _ = world._lit_for(tuple((tx, 0) for tx in emitters))
+        return [entry[1:] for entry in lit if entry[0].name == "rx"]
+
+    # (top bit, bottom bit, evidence)
+    assert seen_at_rx("a") == [(True, False, False)]
+    assert seen_at_rx("a", "b") == [(True, False, True)]
+    # one strong source per side is no evidence
+    assert seen_at_rx("a", "c") == [(True, True, False)]
+    assert seen_at_rx("c", "a") == [(True, True, False)]
+    # a receiver that emits adds neither light nor a source of its own
+    assert seen_at_rx("rx", "a") == [(True, False, False)]
+    assert seen_at_rx("a", "rx") == [(True, False, False)]
+    assert seen_at_rx("a", "rx", "b") == [(True, False, True)]

@@ -1,6 +1,7 @@
 """Deployment document schema: parsing, validation, round-trips, assembly."""
 
 import copy
+import dataclasses
 import json
 import math
 from importlib import resources
@@ -25,6 +26,7 @@ from optomac.config import (
 )
 from optomac.scenarios import (
     clique_contention_config,
+    default_config,
     drug_delivery_config,
     hidden_terminal_config,
     photothermal_config,
@@ -230,6 +232,35 @@ def test_build_parts_tables():
         flat.gain(4, (1.0, 0.0, 0.0))
     assert parts.memories["s1"].recognized == {0b1000}
     assert parts.memories["a1"].is_actuator
+
+
+def test_tables_and_packaged_configs_are_built_once_per_process():
+    # nothing writes to a config or a gain table, so runs share them; poses
+    # and memories are written by learning, so each run gets its own
+    cfg = default_config("photothermal")
+    assert default_config("photothermal") is cfg
+    first, second = build_parts(cfg), build_parts(cfg)
+    for spec in cfg.nodes:
+        assert first.tables[spec.name] is second.tables[spec.name]
+        assert first.tables[spec.name] is spec.table
+        assert first.poses[spec.name] is not second.poses[spec.name]
+        assert first.memories[spec.name] is not second.memories[spec.name]
+
+
+def test_a_replaced_spec_gets_its_own_table():
+    doc = minimal_doc()
+    doc["nodes"][0]["patterns"] = {"azimuth_step_deg": 90.0,
+                                   "gains": [[1.0, 2.0, 3.0, 4.0]]}
+    spec = parse(doc).nodes[0]
+    table = spec.table
+    doubled = dataclasses.replace(
+        spec, gains=tuple(tuple(2.0 * g for g in row) for row in spec.gains))
+    assert doubled.table is not table
+    assert doubled.table.gains.tolist() == [[2.0, 4.0, 6.0, 8.0]]
+    assert spec.table is table
+    assert table.gains.tolist() == [[1.0, 2.0, 3.0, 4.0]]
+    # a spec with equal fields but its own identity builds its own table
+    assert dataclasses.replace(spec).table is not table
 
 
 def test_dumps_is_canonical_json():

@@ -362,9 +362,9 @@ def test_only_lit_listeners_observe(monkeypatch):
     calls = []
     observe = Agent.observe
 
-    def counting(agent, tick, *args):
+    def counting(agent, top, bottom, *args):
         calls.append(agent.name)
-        return observe(agent, tick, *args)
+        return observe(agent, top, bottom, *args)
 
     monkeypatch.setattr(Agent, "observe", counting)
     for name in ("s1", "s2", "s3"):
@@ -390,6 +390,27 @@ def test_only_lit_listeners_observe(monkeypatch):
     assert sorted(calls) == sorted(lit)
 
 
+def test_blocked_node_with_only_data_queued_is_not_asked(monkeypatch):
+    # a blocked node sends only BLOCK and ACK frames, so while it holds
+    # nothing but data the engine does not ask it for a bit
+    world, _ = make_world(clique_specs())
+    s1 = world.agents["s1"]
+    s1.blocked_by = 0b1000
+    s1.queue.append(Outgoing(Frame(0b1000, Opcode.RELAY, s1.address), 0,
+                             PRIORITY_DATA))
+    asked = []
+    emit = Agent.emit
+
+    def counting_emit(agent, *args):
+        asked.append(agent.name)
+        return emit(agent, *args)
+
+    monkeypatch.setattr(Agent, "emit", counting_emit)
+    world.run(3)
+    assert asked == []
+    assert len(s1.queue) == 1
+
+
 def test_only_nodes_with_work_close_the_subcycle(monkeypatch):
     # the far node never sends, hears or waits, so it never closes a
     # subcycle; every node that sends or hears in a subcycle closes it
@@ -411,10 +432,10 @@ def test_only_nodes_with_work_close_the_subcycle(monkeypatch):
             active.add((agent.name, cycle // sub_len))
         return sent
 
-    def counting_observe(agent, tick, sub, offset, ic, cycle):
+    def counting_observe(agent, top, bottom, sub, offset, ic, cycle):
         if sub != agent.mode:             # in its own, a node only senses
             active.add((agent.name, cycle // sub_len))
-        return observe(agent, tick, sub, offset, ic, cycle)
+        return observe(agent, top, bottom, sub, offset, ic, cycle)
 
     monkeypatch.setattr(Agent, "end_subcycle", counting_end)
     monkeypatch.setattr(Agent, "emit", counting_emit)

@@ -16,13 +16,12 @@ from optomac.protocol import (
     decode_verify,
     frame_bits,
     is_actuator_address,
-    parse_bits,
     parse_mask,
     posn_frame,
     posn_payload,
 )
 from optomac.timebase import FRAME_BITS, Rng
-from oracles import arbitration_winner, contention_round
+from oracles import arbitration_winner, contention_round, parse_bits
 
 
 def bits(text: str) -> tuple:

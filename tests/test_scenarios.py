@@ -1,11 +1,13 @@
 """Scripted scenario runs: frozen seed-0 outcomes, conservation, determinism."""
 
 import dataclasses
+import hashlib
 import re
 from importlib import resources
 
 import pytest
 
+from optomac import cli
 from optomac.config import SCENARIO_NAMES, format_address
 from optomac.metrics import Metrics
 from optomac.protocol import Opcode
@@ -203,6 +205,29 @@ def test_same_seed_runs_are_identical():
     assert metrics_a == metrics_b
     trace_c, _ = capture(8)
     assert trace_c != trace_a
+
+
+def artifacts_digest(name: str, protocol: str, seed: int) -> str:
+    """sha256 over the four artifacts of one run, as the CLI writes them."""
+    trace = TraceWriter("power")
+    result = run_scenario(name, protocol=protocol, seed=seed, trace=trace)
+    h = hashlib.sha256()
+    for artifact, body in cli._artifact_map(result, trace).items():
+        h.update(artifact.encode() + b"\0" + body.encode() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+@pytest.mark.parametrize("protocol", ["basic", "handshake"])
+def test_seed_artifacts_do_not_depend_on_earlier_runs(name, protocol):
+    # every run shares the packaged config and its gain tables, built once
+    # per process; a seed's artifacts must not depend on the seeds run
+    # before it in the same process
+    seeds = range(4)
+    forward = [artifacts_digest(name, protocol, seed) for seed in seeds]
+    backward = [artifacts_digest(name, protocol, seed)
+                for seed in reversed(seeds)]
+    assert forward == backward[::-1]
 
 
 def test_max_cycles_truncates_to_whole_icycles():
