@@ -10,8 +10,8 @@ The package layers, bottom up:
   pattern synthesis.
 * :mod:`optomac.channel` - on-off-keyed optical propagation with OR
   superposition per detector side.
-* :mod:`optomac.protocol` - frame codec, receive vetting, arbitration and
-  backoff reference models, per-node memory tables.
+* :mod:`optomac.protocol` - frame codec, address space, receive vetting,
+  per-node memory tables and backoff.
 * :mod:`optomac.nodes` - sensor/actuator protocol state machines.
 * :mod:`optomac.engine` - world simulation stepped one subcycle at a time.
 * :mod:`optomac.learning` - four-phase commissioning pass that fills the

@@ -30,7 +30,7 @@ from .protocol import (
     is_actuator_address,
     parse_address,
 )
-from .timebase import ClockConfig
+from .timebase import ClockConfig, overlapping_gaps
 
 SCENARIO_NAMES = ("photothermal", "drug_delivery", "hidden_terminal",
                   "clique_contention")
@@ -111,6 +111,16 @@ def _num(x: Any) -> bool:
     Infinity, integers too large for a float and booleans."""
     return (isinstance(x, (int, float)) and not isinstance(x, bool)
             and abs(x) <= sys.float_info.max)
+
+
+def valid_seed(x: Any) -> bool:
+    """The rule for ``seed``: a non-negative integer, not a boolean."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def valid_max_cycles(x: Any) -> bool:
+    """The rule for ``max_cycles``: a positive integer, not a boolean."""
+    return isinstance(x, int) and not isinstance(x, bool) and x > 0
 
 
 def _vec3(raw: Any) -> tuple[float, float, float] | None:
@@ -301,7 +311,7 @@ def parse(data: Any) -> WorldConfig:
     channel = _parse_section(data.get("channel"), ChannelConfig, "channel", bad)
 
     seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not valid_seed(seed):
         bad.append("seed: must be a non-negative integer")
         seed = 0
 
@@ -317,9 +327,7 @@ def parse(data: Any) -> WorldConfig:
         scenario = None
 
     max_cycles = data.get("max_cycles")
-    if max_cycles is not None and (not isinstance(max_cycles, int)
-                                   or isinstance(max_cycles, bool)
-                                   or max_cycles <= 0):
+    if max_cycles is not None and not valid_max_cycles(max_cycles):
         bad.append("max_cycles: must be a positive integer")
         max_cycles = None
 
@@ -371,6 +379,10 @@ def parse(data: Any) -> WorldConfig:
         bad.append("laser_gaps: must be a list of [start_cycle, length]")
     else:
         gaps = [tuple(g) for g in raw_gaps]
+        clash = overlapping_gaps(gaps)
+        if clash is not None:
+            bad.append(f"laser_gaps: {list(clash[0])} and {list(clash[1])} "
+                       "overlap")
 
     if bad:
         raise ConfigError(bad)
@@ -383,12 +395,20 @@ def parse(data: Any) -> WorldConfig:
 
 
 def _check_cross_references(nodes: list[NodeSpec], bad: list[str]) -> None:
-    by_position: dict[tuple[float, float, float], str] = {}
-    for spec in nodes:
-        other = by_position.setdefault(spec.position, spec.name)
-        if other != spec.name:
-            bad.append(f"nodes {other!r} and {spec.name!r} share position "
-                       f"{list(spec.position)}")
+    for i, spec in enumerate(nodes):
+        for other in nodes[:i]:
+            # the channel needs a distance above 0, squared as it squares it
+            dx, dy, dz = (a - b for a, b in zip(spec.position, other.position))
+            if dx * dx + dy * dy + dz * dz > 0.0 or other.name == spec.name:
+                continue
+            if spec.position == other.position:
+                bad.append(f"nodes {other.name!r} and {spec.name!r} share "
+                           f"position {list(spec.position)}")
+            else:
+                bad.append(f"nodes {other.name!r} and {spec.name!r} are too "
+                           f"close: {list(other.position)} and "
+                           f"{list(spec.position)} are at distance 0")
+            break
     by_address: dict[int, str] = {}
     for spec in nodes:
         other = by_address.get(spec.address)

@@ -56,6 +56,7 @@ from .timebase import (
     NonClockEvent,
     Subcycle,
     detect_nonclock,
+    overlapping_gaps,
     subcycle_of,
 )
 from .trace import NullTrace, TraceWriter
@@ -126,9 +127,10 @@ class World:
                          for i, a in enumerate(self._order)]
         self.stimuli: dict[str, Stimulus] = {}
         self.laser_gaps = sorted(laser_gaps or [], key=lambda g: g.cycle)
-        for earlier, later in zip(self.laser_gaps, self.laser_gaps[1:]):
-            if earlier.cycle + earlier.length > later.cycle:
-                raise ValueError("laser gaps overlap")
+        clash = overlapping_gaps((g.cycle, g.length) for g in self.laser_gaps)
+        if clash is not None:
+            raise ValueError(f"laser gaps {list(clash[0])} and "
+                             f"{list(clash[1])} overlap")
 
         self.cycle = 0
         self.phase_origin = 0

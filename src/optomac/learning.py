@@ -21,7 +21,9 @@ four phases, one subject at a time in address order:
 Acknowledgements and trial feedback ride the controller's reliable ex-vivo
 loop, so phases run at frame granularity: the schedule serializes
 transmissions, no arbitration can occur, and what each node learns is
-exactly what the channel model predicts.
+exactly what the channel model predicts.  The simulator therefore writes
+each phase's outcome straight into the memory tables, read off the power
+map; it builds and logs no learning frame.
 
 Recognized recipients (who may command whom) are part of the deployment
 configuration, not learned; learning only checks that every configured
@@ -35,18 +37,15 @@ from dataclasses import dataclass, field
 
 from .channel import ChannelConfig, PowerMap, best_pattern, build_power_map
 from .geometry import HexGrid, NodePose, cell_of, working_mode_of
-from .protocol import Frame, NodeMemory, format_address, posn_frame
+from .protocol import NodeMemory, format_address
 from .timebase import Subcycle
 
 
 @dataclass
 class LearningReport:
-    """Frame-level record of one learning pass (for traces and tests)."""
+    """What one learning pass leaves besides the memories: a flag per
+    node it could not configure as the deployment asks."""
 
-    position_frames: list[tuple[str, Frame]] = field(default_factory=list)
-    probe_events: list[tuple[str, int, tuple[str, ...]]] = field(default_factory=list)
-    trial_events: list[tuple[str, str, int]] = field(default_factory=list)
-    mode_frames: list[tuple[str, Frame]] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
 
 
@@ -65,7 +64,6 @@ def run_position_learning(grid: HexGrid, poses: dict[str, NodePose],
         if cell in scan:
             pose.cell = cell
             memories[name].position_id = scan[cell]
-            report.position_frames.append((name, posn_frame(scan[cell])))
         else:
             memories[name].position_id = -1
             report.flags.append(f"{name}: outside scanned grid, unpositioned")
@@ -76,17 +74,15 @@ def run_topology_learning(memories: dict[str, NodeMemory],
                           report: LearningReport) -> None:
     """Probe every pattern; physical = union of acknowledged recipients."""
     names = _ordered(memories)
-    columns = [(rx, pm.index[rx]) for rx in names]
+    columns = [(memories[rx].address, pm.index[rx]) for rx in names]
     for name in names:
         mem = memories[name]
         mem.physical.clear()
         # a node's own entry is 0.0, below any threshold
-        for p, row in enumerate(pm.power[pm.index[name]]):
-            hearers = tuple(sorted(rx for rx, j in columns
-                                   if row[j] >= cfg.theta_detect))
-            for rx in hearers:
-                mem.physical.add(memories[rx].address)
-            report.probe_events.append((name, p, hearers))
+        for row in pm.power[pm.index[name]]:
+            for addr, j in columns:
+                if row[j] >= cfg.theta_detect:
+                    mem.physical.add(addr)
         for addr in sorted(mem.recognized):
             if addr not in mem.physical:
                 report.flags.append(
@@ -119,7 +115,6 @@ def run_direction_learning(memories: dict[str, NodeMemory],
                 mem.optimal_pattern[addr] = 0
                 continue
             mem.optimal_pattern[addr] = best
-            report.trial_events.append((name, other, best))
 
 
 def run_mode_learning(poses: dict[str, NodePose],
@@ -132,9 +127,7 @@ def run_mode_learning(poses: dict[str, NodePose],
             mem.working_mode = Subcycle.T1
             report.flags.append(f"{name}: unpositioned, mode defaults to T1")
             continue
-        mode = working_mode_of(poses[name].cell)
-        mem.working_mode = mode
-        report.mode_frames.append((name, posn_frame(int(mode))))
+        mem.working_mode = working_mode_of(poses[name].cell)
 
 
 def run_learning(grid: HexGrid, poses: dict[str, NodePose],
@@ -171,37 +164,3 @@ def snapshot_text(memories: dict[str, NodeMemory]) -> str:
             lines.append(f"  pattern {format_address(addr)} "
                          f"{mem.optimal_pattern[addr]}")
     return "\n".join(lines) + "\n"
-
-
-def parse_snapshot(text: str) -> dict[str, dict]:
-    """Parse ``snapshot_text`` output back into plain dictionaries."""
-    nodes: dict[str, dict] = {}
-    current: dict | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        key = parts[0]
-        if key == "node":
-            current = {"patterns": {}, "physical": set(), "recognized": set()}
-            nodes[parts[1]] = current
-        elif current is None:
-            raise ValueError(f"field before any node: {line!r}")
-        elif key == "address":
-            current["address"] = int(parts[1], 2)
-        elif key == "kind":
-            current["kind"] = parts[1]
-        elif key == "position":
-            current["position"] = int(parts[1])
-        elif key == "mode":
-            current["mode"] = parts[1]
-        elif key == "physical":
-            current["physical"] = {int(p, 2) for p in parts[1:]}
-        elif key == "recognized":
-            current["recognized"] = {int(p, 2) for p in parts[1:]}
-        elif key == "pattern":
-            current["patterns"][int(parts[1], 2)] = int(parts[2])
-        else:
-            raise ValueError(f"unknown snapshot field {key!r}")
-    return nodes

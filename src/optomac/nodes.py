@@ -65,7 +65,9 @@ class ChainState(enum.Enum):
     BACKOFF = "backoff"
 
 
-_SEND_STATES = (ChainState.SEND_NOTIFY, ChainState.SEND_COMMAND)
+# the frame a chain in each ``SEND_*`` state sends
+_SEND_OPCODES = {ChainState.SEND_NOTIFY: Opcode.NOTIFY,
+                 ChainState.SEND_COMMAND: Opcode.COMMAND}
 _AWAIT_STATES = (ChainState.AWAIT_BLOCK, ChainState.AWAIT_ACK)
 
 
@@ -105,9 +107,6 @@ class Hooks:
     """Scenario callbacks.  The default implementation does nothing."""
 
     def on_trigger(self, agent: "Agent", ic: int) -> None:
-        pass
-
-    def on_stimulus_cleared(self, agent: "Agent", ic: int) -> None:
         pass
 
     def on_actuation(self, agent: "Agent", commander: int, meta: dict,
@@ -171,21 +170,17 @@ class Agent:
     def has_send_work(self, ic: int) -> bool:
         """Whether ``emit`` at offset 0 of the own subcycle in instruction
         cycle ``ic`` can load or hold a frame, or refresh a chain or a
-        request: one in flight, a chain whose backoff has ended, a relay
-        request that falls due, a queued BLOCK or ACK, and, unless the node
-        is blocked, queued data or a chain in a ``SEND_*`` state.  When
-        False, that call changes nothing."""
+        request: one in flight, one ``_next_out`` names, a chain whose
+        backoff has ended or a relay request that falls due.  When False,
+        that call changes nothing."""
         if self.inflight is not None:
             return True
-        blocked = self.blocked_by is not None
-        for out in self.queue:
-            if not blocked or out.priority != PRIORITY_DATA:
-                return True
+        # ``_next_out`` names nothing without a queue or a chain, the case of
+        # most calls, which the engine makes for every sender every subcycle
+        if (self.queue or self.chains) and self._next_out() is not None:
+            return True
         for chain in self.chains:
-            if chain.state is ChainState.BACKOFF:
-                if ic >= chain.retry_ic:
-                    return True
-            elif chain.state in _SEND_STATES and not blocked:
+            if chain.state is ChainState.BACKOFF and ic >= chain.retry_ic:
                 return True
         return (self.request_target is not None
                 and ic >= self.request_next_ic)
@@ -304,7 +299,6 @@ class Agent:
         elif not detected and self.latched:
             self.latched = False
             self.clear_requests()
-            self.hooks.on_stimulus_cleared(self, ic)
 
     # -- transmit side -----------------------------------------------------
 
@@ -336,28 +330,35 @@ class Agent:
                          frame=out.frame.describe(),
                          pattern=out.pattern)
 
-    def _pick(self) -> Outgoing | None:
-        for priority in (PRIORITY_BLOCK, PRIORITY_ACK):
-            for out in self.queue:
-                if out.priority == priority:
-                    self.queue.remove(out)
-                    return out
-        if self.blocked_by is not None:
-            return None
+    def _next_out(self) -> Outgoing | None:
+        """The frame ``emit`` loads next, left in place: the first queued
+        frame of the highest priority, else one for the first chain in a
+        ``SEND_*`` state.  A blocked node sends only BLOCK and ACK frames."""
+        blocked = self.blocked_by is not None
+        best = None
         for out in self.queue:
-            if out.priority == PRIORITY_DATA:
-                self.queue.remove(out)
-                return out
+            if best is None or out.priority < best.priority:
+                best = out
+        if best is not None and not (blocked and best.priority == PRIORITY_DATA):
+            return best
+        if blocked:
+            return None
         for chain in self.chains:
-            if chain.state is ChainState.SEND_NOTIFY:
-                frame = Frame(chain.target, Opcode.NOTIFY, self.address)
-            elif chain.state is ChainState.SEND_COMMAND:
-                frame = Frame(chain.target, Opcode.COMMAND, self.address)
-            else:
-                continue
-            pattern = self.mem.pattern_toward(chain.target)
-            return Outgoing(frame, pattern, PRIORITY_DATA, chain=chain)
+            opcode = _SEND_OPCODES.get(chain.state)
+            if opcode is not None:
+                return Outgoing(Frame(chain.target, opcode, self.address),
+                                self.mem.pattern_toward(chain.target),
+                                PRIORITY_DATA, chain=chain)
         return None
+
+    def _pick(self) -> Outgoing | None:
+        """Take what ``_next_out`` names, off the queue if it was queued."""
+        out = self._next_out()
+        for i, queued in enumerate(self.queue):
+            if queued is out:
+                del self.queue[i]
+                break
+        return out
 
     def _finish_own_subcycle(self, cycle: int) -> None:
         fl = self.inflight
@@ -398,14 +399,13 @@ class Agent:
             if mask == 0:
                 continue
             result = decode_verify(mask, self.mem)
-            if result.verdict in (Verdict.MALFORMED, Verdict.COLLISION_SUSPECT):
+            if result.verdict is Verdict.COLLISION_SUSPECT:
                 self.metrics.rx_rejects += 1
                 self.trace.event(cycle, "rx_reject", node=self.name,
                                  side=side, reason=result.verdict.value,
                                  bits=f"{mask:0{FRAME_BITS}b}")
                 continue
             frame = result.frame
-            assert frame is not None
             addressed = result.verdict is Verdict.OK
             self.trace.event(cycle, "rx_frame", node=self.name, side=side,
                              frame=frame.describe(), addressed=addressed)
@@ -491,7 +491,7 @@ class Agent:
         if any(o.frame == onward for o in self.queue):
             return
         self.queue.append(Outgoing(onward, self.mem.pattern_toward(
-            controller_address()), PRIORITY_DATA, meta={"forwarded": True}))
+            controller_address()), PRIORITY_DATA))
 
     # -- timers --------------------------------------------------------------
 

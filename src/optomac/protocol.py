@@ -140,23 +140,10 @@ def parse_mask(mask: int) -> Frame:
     return frame
 
 
-def posn_frame(payload: int) -> Frame:
-    """POSN repurposes both address fields as a payload (position id or mode)."""
-    w = ADDRESS_BITS
-    if not 0 <= payload < (1 << (2 * w)):
-        raise ValueError(f"payload {payload} does not fit in {2 * w} bits")
-    return Frame(payload >> w, Opcode.POSN, payload & ((1 << w) - 1))
-
-
-def posn_payload(frame: Frame) -> int:
-    return (frame.recipient << ADDRESS_BITS) | frame.transmitter
-
-
 class Verdict(enum.Enum):
     OK = "ok"
     NOT_FOR_ME = "not-for-me"
     COLLISION_SUSPECT = "collision-suspect"
-    MALFORMED = "malformed"
 
 
 @dataclass
@@ -186,7 +173,7 @@ class NodeMemory:
 
 @dataclass(frozen=True)
 class DecodeResult:
-    frame: Frame | None
+    frame: Frame
     verdict: Verdict
 
 
@@ -199,10 +186,7 @@ def decode_verify(mask: int, mem: NodeMemory) -> DecodeResult:
     other recipients still parse (third parties observe BLOCK/ACK traffic) but
     are flagged not-for-me.
     """
-    try:
-        frame = parse_mask(mask)
-    except ValueError:
-        return DecodeResult(None, Verdict.MALFORMED)
+    frame = parse_mask(mask)
     if frame.transmitter not in mem.physical \
             and frame.transmitter != controller_address():
         return DecodeResult(frame, Verdict.COLLISION_SUSPECT)

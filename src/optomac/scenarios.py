@@ -50,6 +50,8 @@ from .config import (
     build_parts,
     format_address,
     load_fixture,
+    valid_max_cycles,
+    valid_seed,
 )
 from .engine import LaserGap, ScenarioHooks, World
 from .geometry import HexGrid, cell_of
@@ -563,12 +565,9 @@ def run_scenario(name: str | None = None, cfg: WorldConfig | None = None,
         raise ValueError("config does not name a scenario")
     if name not in DRIVERS:
         raise ValueError(f"unknown scenario {name!r}")
-    if seed is not None and (not isinstance(seed, int)
-                             or isinstance(seed, bool) or seed < 0):
+    if seed is not None and not valid_seed(seed):
         raise ValueError(f"seed: must be a non-negative integer, got {seed!r}")
-    if max_cycles is not None and (not isinstance(max_cycles, int)
-                                   or isinstance(max_cycles, bool)
-                                   or max_cycles <= 0):
+    if max_cycles is not None and not valid_max_cycles(max_cycles):
         raise ValueError("max_cycles: must be a positive integer, "
                          f"got {max_cycles!r}")
 
@@ -601,6 +600,9 @@ def run_scenario(name: str | None = None, cfg: WorldConfig | None = None,
                 break
         status = "ok" if driver.finished(world) else "timeout"
     driver.finalize(world, status)
+    # the World and every agent hold the driver; dropping its link back
+    # lets the run be freed by reference counting, not the cyclic GC
+    driver.world = None
     tracer.event(world.cycle, "run_end", scenario=name, status=status,
                  icycles=ran, **metrics.summary())
     return ScenarioResult(name=name, cfg=cfg, status=status, metrics=metrics,

@@ -88,6 +88,17 @@ def detect_nonclock(missing_run: int, cfg: ClockConfig) -> NonClockEvent:
     return NonClockEvent.NONE
 
 
+def overlapping_gaps(gaps) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """The first two clock gaps, each ``(start_cycle, length)``, of which the
+    earlier still runs when the later starts, taken in a stable sort by
+    start; None when no two overlap."""
+    ordered = sorted(gaps, key=lambda g: g[0])
+    for earlier, later in zip(ordered, ordered[1:]):
+        if earlier[0] + earlier[1] > later[0]:
+            return earlier, later
+    return None
+
+
 # SplitMix64 constants.
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -105,7 +116,7 @@ def _stream_base(seed: int, stream: int) -> int:
 
 
 class Rng:
-    """Counter-based splittable generator.
+    """Counter-based generator with independent streams.
 
     A draw is a pure function of (seed, stream, draw index), so per-node
     streams are independent of the order in which nodes are stepped and a
@@ -113,13 +124,8 @@ class Rng:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = seed
-        self.stream = stream
         self.counter = 0
         self._base = _stream_base(seed, stream)
-
-    def split(self, stream: int) -> "Rng":
-        return Rng(self.seed, stream)
 
     def next_u64(self) -> int:
         value = _mix64(self._base + self.counter * _GAMMA)

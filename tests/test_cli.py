@@ -195,9 +195,14 @@ def test_removed_keys_exit_two(tmp_path, capsys, section, key):
      "clusters[0] (lesion).emit_power: must be a non-negative number"),
     (("nodes", 1, "position"), [0.0, 0.0, 0.0],
      "nodes 's1' and 'a1' share position [0.0, 0.0, 0.0]"),
+    # distinct positions whose squared distance underflows to 0
+    (("nodes", 1, "position"), [0.0, 3e-183, 0.0],
+     "nodes 's1' and 'a1' are too close"),
+    (("laser_gaps",), [[40, 3], [0, 10], [5, 8]],
+     "laser_gaps: [0, 10] and [5, 8] overlap"),
 ], ids=["guard_bits-1.5", "position-inf", "position-nan", "step-inf",
         "step-nan", "cell_radius-inf", "mu-nan", "emit_power-nan",
-        "coincident-nodes"])
+        "coincident-nodes", "nodes-at-distance-0", "overlapping-gaps"])
 def test_unrunnable_values_exit_two(tmp_path, capsys, path, value, message):
     # json writes and reads NaN and Infinity; none of these may reach a run
     doc = to_dict(drug_delivery_config())

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from optomac.antenna import SampledPatternTable
 from optomac.config import (
+    SCENARIO_NAMES,
     ConfigError,
     build_parts,
     dumps,
@@ -281,30 +282,97 @@ def _leaf_paths(node, path=()):
         yield path
 
 
-DRUG_DOC = to_dict(drug_delivery_config())
-# A gain table holds 4 x 72 alike entries; its first one stands for all, so
-# the draws spread over the leaves that differ in kind.
-DRUG_LEAVES = [p for p in _leaf_paths(DRUG_DOC)
-               if "gains" not in p or p[-2:] == (0, 0)]
+SCENARIO_DOCS = {name: to_dict(default_config(name))
+                 for name in SCENARIO_NAMES}
 ODD_VALUES = [0, -1, 1.5, 1e-9, 1e9, math.nan, math.inf, -math.inf, True,
               "1", None]
+FUZZ_CYCLES = 480
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(DRUG_LEAVES),
-                          st.sampled_from(ODD_VALUES)),
-                min_size=1, max_size=3))
-def test_accepted_configs_run(edits):
-    """A document either fails validation or runs; it never raises else."""
-    doc = copy.deepcopy(DRUG_DOC)
-    for path, value in edits:
+def _leaves(doc):
+    """Leaf paths of a document.  A gain table holds 4 x 72 alike entries;
+    its first one stands for all, so the draws spread over the leaves that
+    differ in kind."""
+    return [p for p in _leaf_paths(doc)
+            if "gains" not in p or p[-2:] == (0, 0)]
+
+
+def _drop_node(doc, idx):
+    """Remove a node and every reference to it, so the rest still holds."""
+    gone = doc["nodes"].pop(idx)
+    for node in doc["nodes"]:
+        node["recognized"] = [a for a in node["recognized"]
+                              if a != gone["address"]]
+    if "controller_hears" in doc:
+        doc["controller_hears"] = [n for n in doc["controller_hears"]
+                                   if n != gone["name"]]
+    for cluster in doc.get("clusters", []):
+        if cluster.get("attached") == gone["name"]:
+            del cluster["attached"]
+
+
+def _add_node(doc, idx, offset):
+    """Copy a node under a fresh name and the lowest free address of its
+    class, moved by ``offset`` in the plane."""
+    twin = copy.deepcopy(doc["nodes"][idx])
+    used = {node["address"] for node in doc["nodes"]}
+    actuator = twin["kind"] == "actuator"
+    # 1110 and 1111 are reserved
+    free = [format_address(a) for a in range(0b1110)
+            if (a >= 0b1000) == actuator and format_address(a) not in used]
+    if not free:
+        return
+    twin["name"] = "extra"
+    twin["address"] = free[0]
+    twin["position"] = [twin["position"][0] + offset[0],
+                        twin["position"][1] + offset[1],
+                        twin["position"][2]]
+    doc["nodes"].append(twin)
+
+
+def _edited_document(data):
+    """A packaged scenario's document after structural edits (a node
+    dropped or added, a node's ``recognized`` emptied, random laser gaps)
+    and up to two odd leaf values, each drawn from ``data``."""
+    name = data.draw(st.sampled_from(SCENARIO_NAMES), label="scenario")
+    doc = copy.deepcopy(SCENARIO_DOCS[name])
+    n = len(doc["nodes"])
+    edit = data.draw(st.sampled_from(("keep", "drop", "add")), label="edit")
+    if edit == "drop":
+        _drop_node(doc, data.draw(st.integers(0, n - 1), label="node"))
+    elif edit == "add":
+        _add_node(doc, data.draw(st.integers(0, n - 1), label="node"),
+                  data.draw(st.tuples(st.floats(-1.5, 1.5),
+                                      st.floats(-1.5, 1.5)), label="offset"))
+    if doc["nodes"] and data.draw(st.booleans(), label="clear recognized"):
+        idx = data.draw(st.integers(0, len(doc["nodes"]) - 1), label="of")
+        doc["nodes"][idx]["recognized"] = []
+    if data.draw(st.booleans(), label="gaps"):
+        doc["laser_gaps"] = data.draw(st.lists(
+            st.tuples(st.integers(0, FUZZ_CYCLES), st.integers(0, 40))
+            .map(list), max_size=3), label="laser_gaps")
+    leaves = _leaves(doc)
+    for _ in range(data.draw(st.integers(0, 2), label="leaf edits")):
+        path = data.draw(st.sampled_from(leaves), label="leaf")
         target = doc
         for key in path[:-1]:
             target = target[key]
-        target[path[-1]] = value
+        target[path[-1]] = data.draw(st.sampled_from(ODD_VALUES),
+                                     label="value")
+    return name, doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 3))
+def test_accepted_configs_run(data, seed):
+    """A document either fails validation or runs to an end status; it
+    never raises else."""
+    name, doc = _edited_document(data)
     try:
         cfg = parse(doc)
     except ConfigError:
         return
     # a config may leave the scenario to the command line
-    run_scenario("drug_delivery", cfg=cfg, seed=0, max_cycles=480)
+    result = run_scenario(name, cfg=cfg, seed=seed, max_cycles=FUZZ_CYCLES)
+    assert result.status in ("ok", "timeout", "idle")
+

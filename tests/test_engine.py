@@ -31,16 +31,12 @@ class DoneRecorder(Hooks):
     def __init__(self):
         self.done = []
         self.triggers = []
-        self.cleared = []
 
     def on_chain_done(self, agent, chain, cycle):
         self.done.append((agent.name, cycle))
 
     def on_trigger(self, agent, ic):
         self.triggers.append((agent.name, ic))
-
-    def on_stimulus_cleared(self, agent, ic):
-        self.cleared.append((agent.name, ic))
 
 
 class FrameRecorder(ScenarioHooks):
@@ -333,7 +329,6 @@ def test_fluorescence_latch_and_release():
     world.set_stimulus("lesion", False)
     world.run(1)
     assert not world.agents["s"].latched
-    assert hooks.cleared == [("s", 2)]
 
 
 def test_weak_stimulus_stays_below_latch_threshold():

@@ -4,7 +4,6 @@ import copy
 
 from importlib import resources
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,12 +11,8 @@ from optomac.antenna import SampledPatternTable
 from optomac.channel import ChannelConfig, best_pattern, build_power_map
 from optomac.config import build_parts
 from optomac.geometry import HexGrid, NodePose
-from optomac.learning import (
-    parse_snapshot,
-    run_learning,
-    snapshot_text,
-)
-from optomac.protocol import NodeMemory, posn_payload
+from optomac.learning import run_learning, snapshot_text
+from optomac.protocol import NodeMemory
 from optomac.timebase import Subcycle
 from oracles import reachable
 
@@ -50,42 +45,6 @@ def test_learning_is_idempotent(nine_node_cfg):
     run_learning(nine_node_cfg.grid, parts.poses, parts.memories,
                  parts.tables, nine_node_cfg.channel)
     assert snapshot_text(parts.memories) == first
-
-
-def test_snapshot_roundtrip(nine_node_learned):
-    parts, _ = nine_node_learned
-    text = snapshot_text(parts.memories)
-    back = parse_snapshot(text)
-    assert set(back) == set(parts.memories)
-    for name, mem in parts.memories.items():
-        entry = back[name]
-        assert entry["address"] == mem.address
-        assert entry["kind"] == ("actuator" if mem.is_actuator else "sensor")
-        assert entry["position"] == mem.position_id
-        assert entry["mode"] == mem.working_mode.name
-        assert entry["physical"] == mem.physical
-        assert entry["recognized"] == mem.recognized
-        assert entry["patterns"] == mem.optimal_pattern
-
-
-def test_parse_snapshot_rejects_stray_fields():
-    with pytest.raises(ValueError):
-        parse_snapshot("address 0001\n")
-    with pytest.raises(ValueError):
-        parse_snapshot("node x\n  wavelength 3\n")
-
-
-def test_position_frames_carry_scan_indices(nine_node_learned):
-    parts, report = nine_node_learned
-    for name, frame in report.position_frames:
-        assert posn_payload(frame) == parts.memories[name].position_id
-
-
-def test_mode_frames_match_memory(nine_node_learned):
-    parts, report = nine_node_learned
-    assert len(report.mode_frames) == len(parts.memories)
-    for name, frame in report.mode_frames:
-        assert posn_payload(frame) == int(parts.memories[name].working_mode)
 
 
 # -- hand-built micro-deployments ---------------------------------------------
@@ -131,13 +90,10 @@ def test_topology_is_union_over_patterns():
     tables = {"s": SampledPatternTable([0.0, 180.0], [[0.0, 0.0], [5.0, 5.0]]),
               "a": flat_table(0.0)}
     cfg = ChannelConfig()
-    report = run_learning(grid, poses, memories, tables, cfg)
+    run_learning(grid, poses, memories, tables, cfg)
     assert memories["s"].physical == {0b1000}
     assert memories["s"].optimal_pattern == {0b1000: 1}
     assert memories["a"].physical == set()
-    heard = [ev for ev in report.probe_events if ev[0] == "s" and ev[2]]
-    assert heard == [("s", 1, ("a",))]
-    assert ("s", "a", 1) in report.trial_events
 
 
 def test_learning_reuses_a_prebuilt_power_map():

@@ -42,15 +42,11 @@ SUBCYCLE_LEN = ClockConfig().subcycle_len
 class RecordingHooks(Hooks):
     def __init__(self):
         self.triggers = []
-        self.cleared = []
         self.actuations = []
         self.done = []
 
     def on_trigger(self, agent, ic):
         self.triggers.append(ic)
-
-    def on_stimulus_cleared(self, agent, ic):
-        self.cleared.append(ic)
 
     def on_actuation(self, agent, commander, meta, cycle):
         self.actuations.append((commander, meta["count"], cycle))
@@ -335,13 +331,11 @@ def test_relay_forwarding_keeps_origin():
                           mode=Subcycle.T3)
     relay = frame_bits(Frame(ACTUATOR, Opcode.RELAY, PEER))
     feed_subcycle(agent, Subcycle.T1, top=relay)
-    forwarded = [o for o in agent.queue if o.meta.get("forwarded")]
-    assert len(forwarded) == 1
-    assert forwarded[0].frame == Frame(controller_address(), Opcode.RELAY,
-                                       PEER)
+    onward = Frame(controller_address(), Opcode.RELAY, PEER)
+    assert [o.frame for o in agent.queue] == [onward]
     # the same request again while one copy is queued is dropped
     feed_subcycle(agent, Subcycle.T1, ic=1, base_cycle=48, top=relay)
-    assert len([o for o in agent.queue if o.meta.get("forwarded")]) == 1
+    assert [o.frame for o in agent.queue] == [onward]
 
 
 def test_request_stream_repeats_until_cleared():
@@ -373,9 +367,10 @@ def test_second_layer_latch_edges():
     agent.on_second_layer(True, 1, 95)
     assert agent.latched
     assert hooks.triggers == [0]       # edge-triggered, not level
+    agent.start_request(controller_address(), 1)
     agent.on_second_layer(False, 2, 143)
     assert not agent.latched
-    assert hooks.cleared == [2]
+    assert agent.request_target is None
     agent.on_second_layer(True, 3, 191)
     assert hooks.triggers == [0, 3]
 
@@ -534,6 +529,23 @@ def test_first_bit_without_send_work_changes_nothing_with_a_queue(node,
     before = node_state(agent, hooks)
     assert agent.emit(agent.mode, 0, ic, cycle) is None
     assert node_state(agent, hooks) == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(node_states(inflight=False))
+def test_pick_takes_what_next_out_names(node):
+    # the one rule for the next frame: naming it changes nothing, loading
+    # takes that frame, off the queue when it was queued
+    agent, hooks, _ = node
+    before = node_state(agent, hooks)
+    named = agent._next_out()
+    assert node_state(agent, hooks) == before
+    if agent.blocked_by is not None:
+        assert named is None or named.priority != PRIORITY_DATA
+    queued = list(agent.queue)
+    taken = agent._pick()
+    assert taken == named
+    assert agent.queue == [o for o in queued if o is not taken]
 
 
 @settings(max_examples=150, deadline=None)

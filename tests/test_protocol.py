@@ -17,8 +17,6 @@ from optomac.protocol import (
     frame_bits,
     is_actuator_address,
     parse_mask,
-    posn_frame,
-    posn_payload,
 )
 from optomac.timebase import FRAME_BITS, Rng
 from oracles import arbitration_winner, contention_round, parse_bits
@@ -110,18 +108,6 @@ def test_parse_bits_rejects_malformed():
                 parse_mask(bad)
 
 
-@given(st.integers(0, 255))
-def test_posn_payload_roundtrip(payload):
-    assert posn_payload(posn_frame(payload)) == payload
-
-
-def test_posn_frame_validation():
-    with pytest.raises(ValueError):
-        posn_frame(256)
-    with pytest.raises(ValueError):
-        posn_frame(-1)
-
-
 # -- receive vetting ----------------------------------------------------------
 
 
@@ -177,9 +163,11 @@ def test_decode_verify_check_physical_off():
 
 def test_decode_verify_malformed_first():
     mem = make_memory()
+    # a receive buffer is always an 11-bit mask; anything else is a
+    # caller's error, raised before any vetting
     for malformed in (1 << FRAME_BITS, -1, True, bits("10001010001")):
-        assert decode_verify(malformed, mem).verdict is Verdict.MALFORMED
-        assert decode_verify(malformed, mem).frame is None
+        with pytest.raises(ValueError):
+            decode_verify(malformed, mem)
 
 
 # -- backoff -------------------------------------------------------------------

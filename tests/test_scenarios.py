@@ -1,8 +1,10 @@
 """Scripted scenario runs: frozen seed-0 outcomes, conservation, determinism."""
 
 import dataclasses
+import gc
 import hashlib
 import re
+import weakref
 from importlib import resources
 
 import pytest
@@ -228,6 +230,19 @@ def test_seed_artifacts_do_not_depend_on_earlier_runs(name, protocol):
     backward = [artifacts_digest(name, protocol, seed)
                 for seed in reversed(seeds)]
     assert forward == backward[::-1]
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_a_finished_run_is_freed_by_reference_counting(name):
+    # no reference cycle keeps a run's World alive once its result goes
+    gc.disable()
+    try:
+        result = run_scenario(name, seed=0)
+        world = weakref.ref(result.world)
+        del result
+        assert world() is None
+    finally:
+        gc.enable()
 
 
 def test_max_cycles_truncates_to_whole_icycles():
