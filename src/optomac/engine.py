@@ -19,13 +19,13 @@ the World keeps them as one int bit mask in node order, setting the bits
 of the transmitters after offset 0 and of the nodes that saw a bit, and
 keeping a node's bit after its close only while it still has work
 (``Agent.has_subcycle_work``: a chain awaiting a reply or a block).  A node
-clears its receive buffers once it has decoded them, and a sensor gets a
-second-layer update only when its fluorescence reading differs from its
-latch; every call left out would change nothing.  Which nodes see a bit,
-and what they see, is memoised per set of simultaneous emissions with its
-bit mask, and each sensor's fluorescence reading per stimulus state.  No
-node ever sees a partial cycle, so runs are reproducible bit-for-bit given
-the same seed and configuration.
+clears its receive buffers once it has decoded them.  Sensors get their
+fluorescence readings at the end of T4 only if a stimulus changed since the
+last such pass, as only that pass moves a latch; every call left out would
+change nothing.  Which nodes see a bit, and what they see, is memoised per
+set of simultaneous emissions with its bit mask.  No node ever sees a
+partial cycle, so runs are reproducible bit-for-bit given the same seed and
+configuration.
 
 Timekeeping is phase-relative.  A gap in the external laser clock shorter
 than ``g_sync`` is flywheeled: the phase holds and its cycles run as usual,
@@ -142,13 +142,15 @@ class World:
                                   if controller_hears is not None else None)
         # what the controller saw this subcycle, as a bit mask
         self._controller_bits = 0
-        self._evidence_seen: set[tuple[str, int, int]] = set()
+        # the agents whose collision evidence this subcycle was counted
+        self._evidence_seen: set[str] = set()
         # emissions -> (agent, top bit, bottom bit, collision evidence) of
         # each agent that sees a bit, and those agents as a bit mask
         self._lit: dict[tuple, tuple[list[tuple[Agent, bool, bool, bool]],
                                      int]] = {}
-        # sensor name -> fluorescence detected, for the current stimuli
-        self._detected: dict[str, bool] = {}
+        # a stimulus changed since the last T4 sensor pass; before any, each
+        # reading is 0, below theta_fluor, and each latch is off
+        self._stimuli_changed = False
 
     # -- time ----------------------------------------------------------------
 
@@ -181,12 +183,12 @@ class World:
     def add_stimulus(self, name: str, position, intensity: float) -> None:
         self.stimuli[name] = Stimulus(name, np.asarray(position, dtype=float),
                                       intensity)
-        self._detected.clear()
+        self._stimuli_changed = True
 
     def set_stimulus(self, name: str, active: bool) -> None:
         """Switch a stimulus on or off; the only way to change ``active``."""
         self.stimuli[name].active = active
-        self._detected.clear()
+        self._stimuli_changed = True
 
     def _fluorescence_at(self, agent: Agent) -> float:
         total = 0.0
@@ -259,6 +261,7 @@ class World:
 
     def _begin_subcycle(self, sub: Subcycle, ic: int) -> None:
         self._controller_bits = 0
+        self._evidence_seen.clear()
         if sub is Subcycle.T1:
             self.scenario.on_icycle_start(self, ic)
 
@@ -277,11 +280,9 @@ class World:
         lit, lit_mask = self._lit_for(tuple(emissions))
         self._pending |= lit_mask
         for agent, top, bottom, evidence in lit:
-            if evidence:
-                seen = (agent.name, ic, int(sub))
-                if seen not in self._evidence_seen:
-                    self._evidence_seen.add(seen)
-                    self.metrics.collisions += 1
+            if evidence and agent.name not in self._evidence_seen:
+                self._evidence_seen.add(agent.name)
+                self.metrics.collisions += 1
             agent.observe(top, bottom, sub, off, ic, self.cycle)
         if self.trace.wants("power"):
             self.trace.event(self.cycle, "power",
@@ -293,14 +294,14 @@ class World:
         if self._controller_bits != 0:
             self._controller_decode()
         if sub is Subcycle.T4:
-            for agent in self._sensors:
-                detected = self._detected.get(agent.name)
-                if detected is None:
-                    detected = (self._fluorescence_at(agent)
-                                >= self.channel_cfg.theta_fluor)
-                    self._detected[agent.name] = detected
-                if detected != agent.latched:
-                    agent.on_second_layer(detected, ic, self.cycle)
+            # only this pass moves a latch; the flag is cleared first, so a
+            # change a hook makes during the walk is sensed at the next T4
+            if self._stimuli_changed:
+                self._stimuli_changed = False
+                for agent in self._sensors:
+                    agent.on_second_layer(
+                        self._fluorescence_at(agent)
+                        >= self.channel_cfg.theta_fluor, ic, self.cycle)
             self.scenario.on_icycle_end(self, ic)
 
     def _close_agents(self, sub: Subcycle, ic: int) -> None:

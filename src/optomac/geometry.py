@@ -103,7 +103,6 @@ def neighbors(cell: Cell) -> list[Cell]:
 class NodePose:
     position: tuple[float, float, float]
     normal: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    cell: Cell = (0, 0)
 
     def __post_init__(self) -> None:
         n = math.sqrt(sum(c * c for c in self.normal))

@@ -21,14 +21,14 @@ four phases, one subject at a time in address order:
 Acknowledgements and trial feedback ride the controller's reliable ex-vivo
 loop, so phases run at frame granularity: the schedule serializes
 transmissions, no arbitration can occur, and what each node learns is
-exactly what the channel model predicts.  The simulator therefore writes
+exactly what the channel model predicts.  ``run_learning`` therefore writes
 each phase's outcome straight into the memory tables, read off the power
-map; it builds and logs no learning frame.
+map; it builds and logs no learning frame, and writes nothing else.
 
 Recognized recipients (who may command whom) are part of the deployment
-configuration, not learned; learning only checks that every configured
-recipient is physically reachable and flags the ones that are not.  A second
-long gap returns the network to normal operation.
+configuration, not learned; learning flags the ones not physically
+reachable, and the nodes outside the scanned grid.  A second long gap
+returns the network to normal operation.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .channel import ChannelConfig, PowerMap, best_pattern, build_power_map
-from .geometry import HexGrid, NodePose, cell_of, working_mode_of
+from .geometry import Cell, HexGrid, NodePose, cell_of, working_mode_of
 from .protocol import NodeMemory, format_address
 from .timebase import Subcycle
 
@@ -53,27 +53,29 @@ def _ordered(memories: dict[str, NodeMemory]) -> list[str]:
     return sorted(memories, key=lambda n: memories[n].address)
 
 
-def run_position_learning(grid: HexGrid, poses: dict[str, NodePose],
-                          memories: dict[str, NodeMemory],
-                          report: LearningReport) -> None:
-    """Cell-by-cell scan: nodes inside a scanned cell record its index."""
+def run_learning(grid: HexGrid, poses: dict[str, NodePose],
+                 memories: dict[str, NodeMemory], tables,
+                 cfg: ChannelConfig,
+                 power_map: PowerMap | None = None) -> LearningReport:
+    """Run all four phases in order, updating ``memories`` in place; the
+    poses are only read."""
+    pm = power_map if power_map is not None else build_power_map(poses, tables, cfg)
+    report = LearningReport()
+    names = _ordered(memories)
+
+    # position: nodes inside a scanned cell record its scan index
     scan = {cell: idx for idx, cell in enumerate(grid.scan_cells())}
-    for name in _ordered(memories):
-        pose = poses[name]
-        cell = cell_of(pose.position, grid)
+    cells: dict[str, Cell] = {}
+    for name in names:
+        cell = cell_of(poses[name].position, grid)
         if cell in scan:
-            pose.cell = cell
+            cells[name] = cell
             memories[name].position_id = scan[cell]
         else:
             memories[name].position_id = -1
             report.flags.append(f"{name}: outside scanned grid, unpositioned")
 
-
-def run_topology_learning(memories: dict[str, NodeMemory],
-                          cfg: ChannelConfig, pm: PowerMap,
-                          report: LearningReport) -> None:
-    """Probe every pattern; physical = union of acknowledged recipients."""
-    names = _ordered(memories)
+    # topology: physical = union over patterns of the recipients reached
     columns = [(memories[rx].address, pm.index[rx]) for rx in names]
     for name in names:
         mem = memories[name]
@@ -89,58 +91,23 @@ def run_topology_learning(memories: dict[str, NodeMemory],
                     f"{name}: recognized recipient {format_address(addr)}"
                     " is not physically reachable")
 
-
-def run_direction_learning(memories: dict[str, NodeMemory],
-                           cfg: ChannelConfig, pm: PowerMap,
-                           report: LearningReport) -> None:
-    """Trial every pattern per physical recipient; store the argmax id."""
-    names = _ordered(memories)
+    # direction: each physical recipient is a node some pattern reaches, so
+    # its strongest pattern reaches it
     by_addr = {memories[n].address: n for n in names}
     for name in names:
         mem = memories[name]
         mem.optimal_pattern.clear()
         for addr in sorted(mem.physical):
-            other = by_addr.get(addr)
-            if other is None:
-                report.flags.append(
-                    f"{name}: physical recipient {format_address(addr)}"
-                    " has no node, pattern left 0")
-                mem.optimal_pattern[addr] = 0
-                continue
-            best = best_pattern(pm, name, other)
-            if (pm.power[pm.index[name]][best][pm.index[other]]
-                    < cfg.theta_detect):
-                report.flags.append(
-                    f"{name}: no trial heard by {other}, pattern left 0")
-                mem.optimal_pattern[addr] = 0
-                continue
-            mem.optimal_pattern[addr] = best
+            mem.optimal_pattern[addr] = best_pattern(pm, name, by_addr[addr])
 
-
-def run_mode_learning(poses: dict[str, NodePose],
-                      memories: dict[str, NodeMemory],
-                      report: LearningReport) -> None:
-    """Distribute working modes from cell colours; unpositioned defaults T1."""
-    for name in _ordered(memories):
-        mem = memories[name]
-        if mem.position_id < 0:
-            mem.working_mode = Subcycle.T1
+    # working mode: from the cell colour; an unpositioned node defaults to T1
+    for name in names:
+        cell = cells.get(name)
+        if cell is None:
+            memories[name].working_mode = Subcycle.T1
             report.flags.append(f"{name}: unpositioned, mode defaults to T1")
-            continue
-        mem.working_mode = working_mode_of(poses[name].cell)
-
-
-def run_learning(grid: HexGrid, poses: dict[str, NodePose],
-                 memories: dict[str, NodeMemory], tables,
-                 cfg: ChannelConfig,
-                 power_map: PowerMap | None = None) -> LearningReport:
-    """Run all four phases in order, updating ``memories`` in place."""
-    pm = power_map if power_map is not None else build_power_map(poses, tables, cfg)
-    report = LearningReport()
-    run_position_learning(grid, poses, memories, report)
-    run_topology_learning(memories, cfg, pm, report)
-    run_direction_learning(memories, cfg, pm, report)
-    run_mode_learning(poses, memories, report)
+        else:
+            memories[name].working_mode = working_mode_of(cell)
     return report
 
 

@@ -100,7 +100,6 @@ class _Inflight:
     out: Outgoing
     bits: Bits
     exited_at: int | None = None
-    sent_bit: int | None = None
 
 
 class Hooks:
@@ -243,12 +242,8 @@ class Agent:
             if self.inflight is None:
                 self._load_next(cycle)
         fl = self.inflight
-        if fl is None or offset >= FRAME_BITS:
+        if fl is None or offset >= FRAME_BITS or fl.exited_at is not None:
             return None
-        if fl.exited_at is not None:
-            fl.sent_bit = None
-            return None
-        fl.sent_bit = fl.bits[offset]
         return fl.bits[offset], fl.out.pattern
 
     def observe(self, top: bool, bottom: bool, sub: Subcycle, offset: int,
@@ -257,9 +252,9 @@ class Agent:
         detector bits."""
         if sub == self.mode:
             fl = self.inflight
-            # carrier sense: either detector sees a bit
-            if (fl is not None and fl.sent_bit == 0 and fl.exited_at is None
-                    and (top or bottom)):
+            # carrier sense: either detector sees a bit during an own 0-bit
+            if ((top or bottom) and fl is not None and fl.exited_at is None
+                    and fl.bits[offset] == 0):
                 fl.exited_at = offset
                 self.trace.event(cycle, "tx_exit", node=self.name,
                                  bit=offset, frame=fl.out.frame.describe())

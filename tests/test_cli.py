@@ -200,18 +200,41 @@ def test_removed_keys_exit_two(tmp_path, capsys, section, key):
      "nodes 's1' and 'a1' are too close"),
     (("laser_gaps",), [[40, 3], [0, 10], [5, 8]],
      "laser_gaps: [0, 10] and [5, 8] overlap"),
+    # values of the wrong JSON type; the empty path is the document root
+    ((), [], "document root must be an object"),
+    (("clock",), [], "clock: must be an object"),
+    (("channel",), 1.0, "channel: must be an object"),
+    (("nodes",), {}, "nodes: must be a list"),
+    (("nodes", 0), "s1", "nodes[0]: must be an object"),
+    (("nodes", 0, "recognized"), "1000",
+     "nodes[0] (s1).recognized: must be a list of addresses"),
+    (("nodes", 0, "patterns"), [],
+     "nodes[0] (s1).patterns: must be an object"),
+    (("controller_hears",), "a1",
+     "controller_hears: must be a list of node names"),
+    (("clusters",), {}, "clusters: must be a list"),
+    (("clusters", 0), "lesion", "clusters[0]: must be an object"),
+    (("clusters", 0, "colour"), "red",
+     "clusters[0] (lesion).colour: unknown key"),
+    (("clusters", 0, "name"), "", "clusters[0].name: required non-empty"),
+    (("grid", "rows"), [[0, 0, 3], [0, 0, 3]],
+     "grid: row r values must be strictly increasing"),
 ], ids=["guard_bits-1.5", "position-inf", "position-nan", "step-inf",
         "step-nan", "cell_radius-inf", "mu-nan", "emit_power-nan",
-        "coincident-nodes", "nodes-at-distance-0", "overlapping-gaps"])
+        "coincident-nodes", "nodes-at-distance-0", "overlapping-gaps",
+        "root-list", "clock-list", "channel-number", "nodes-object",
+        "node-string", "recognized-string", "patterns-list",
+        "controller_hears-string", "clusters-object", "cluster-string",
+        "cluster-unknown-key", "cluster-no-name", "rows-repeated"])
 def test_unrunnable_values_exit_two(tmp_path, capsys, path, value, message):
     # json writes and reads NaN and Infinity; none of these may reach a run
-    doc = to_dict(drug_delivery_config())
-    *parents, last = path
-    target = doc
+    root = {"doc": to_dict(drug_delivery_config())}
+    *parents, last = ("doc",) + path
+    target = root
     for key in parents:
         target = target[key]
     target[last] = value
     config_path = tmp_path / "deploy.json"
-    config_path.write_text(json.dumps(doc))
+    config_path.write_text(json.dumps(root["doc"]))
     assert main(["--config", str(config_path), "--seed", "0"]) == 2
     assert message in capsys.readouterr().err

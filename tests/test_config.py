@@ -236,8 +236,9 @@ def test_build_parts_tables():
 
 
 def test_tables_and_packaged_configs_are_built_once_per_process():
-    # nothing writes to a config or a gain table, so runs share them; poses
-    # and memories are written by learning, so each run gets its own
+    # nothing writes to a config or a gain table, so runs share them;
+    # memories are written by learning, so each run gets its own, and its
+    # own poses too
     cfg = default_config("photothermal")
     assert default_config("photothermal") is cfg
     first, second = build_parts(cfg), build_parts(cfg)

@@ -47,6 +47,14 @@ def test_learning_is_idempotent(nine_node_cfg):
     assert snapshot_text(parts.memories) == first
 
 
+def test_learning_writes_only_memories(nine_node_cfg):
+    parts = build_parts(nine_node_cfg)
+    before = {name: dict(vars(pose)) for name, pose in parts.poses.items()}
+    run_learning(nine_node_cfg.grid, parts.poses, parts.memories,
+                 parts.tables, nine_node_cfg.channel)
+    assert {name: vars(pose) for name, pose in parts.poses.items()} == before
+
+
 # -- hand-built micro-deployments ---------------------------------------------
 
 

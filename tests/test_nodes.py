@@ -387,23 +387,19 @@ RX_BITS = st.integers(0, (1 << FRAME_BITS) - 1)
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(list(Subcycle)), st.integers(0, FRAME_BITS),
-       st.one_of(st.none(),
-                 st.tuples(st.sampled_from((0, 1, None)),
-                           st.one_of(st.none(),
-                                     st.integers(0, FRAME_BITS - 1)))),
+       st.booleans(), st.none() | st.integers(0, FRAME_BITS - 1),
        RX_BITS, RX_BITS)
-def test_dark_tick_changes_nothing(sub, offset, inflight, top, bottom):
+def test_dark_tick_changes_nothing(sub, offset, inflight, exited_at, top,
+                                   bottom):
     # the engine asks only nodes whose detectors see a bit to observe; a
     # cycle in which neither detector sees a bit must leave a node as it
     # was, in its own subcycle or any other
     agent, _ = make_agent(variant=Variant.BASIC)
     agent.trace = trace = TraceWriter("power")
-    if inflight is not None:
-        sent_bit, exited_at = inflight
+    if inflight:
         frame = Frame(ACTUATOR, Opcode.COMMAND, SENSOR)
         agent.inflight = _Inflight(Outgoing(frame, 0, PRIORITY_DATA),
-                                   frame_bits(frame), exited_at=exited_at,
-                                   sent_bit=sent_bit)
+                                   frame_bits(frame), exited_at=exited_at)
     agent._rx_top, agent._rx_bottom = top, bottom
 
     def state():
@@ -463,8 +459,7 @@ def node_states(draw, *, inflight=True, rx=True, blocked=True, queue=True):
         frame = Frame(ACTUATOR, Opcode.COMMAND, SENSOR)
         agent.inflight = _Inflight(
             Outgoing(frame, 0, PRIORITY_DATA), frame_bits(frame),
-            exited_at=draw(st.none() | st.integers(0, FRAME_BITS - 1)),
-            sent_bit=draw(st.sampled_from((0, 1, None))))
+            exited_at=draw(st.none() | st.integers(0, FRAME_BITS - 1)))
     if rx:
         agent._rx_top, agent._rx_bottom = draw(RX_BITS), draw(RX_BITS)
     if draw(st.booleans()):

@@ -32,7 +32,7 @@ import numpy as np
 from optomac.antenna import SampledPatternTable
 from optomac.channel import (ChannelConfig, best_pattern, build_power_map,
                              received_power)
-from optomac.geometry import HexGrid, NodePose, working_mode_of
+from optomac.geometry import HexGrid, NodePose
 from optomac.learning import run_learning, snapshot_text
 from optomac.protocol import NodeMemory
 from optomac.timebase import Subcycle
@@ -191,10 +191,6 @@ def main() -> int:
         if got != pattern:
             failures.append(f"{tx} learned pattern {got} toward {rx}, "
                             f"want {pattern}")
-
-    for n in names:
-        if working_mode_of(poses[n].cell) != EXPECTED_MODES[n]:
-            failures.append(f"{n} grid check failed")
 
     if failures:
         for f in failures:

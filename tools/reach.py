@@ -7,7 +7,8 @@ standard library only) on:
 * every scenario under both protocols, seeds 0-2, at the ``power`` trace
   level, writing the artifacts and then verifying them;
 * ``tests/data/hidden_terminal_gaps.json`` the same way, the one input with
-  laser gaps;
+  laser gaps, and ``tests/data/hidden_terminal_layered.json``, the one that
+  lights bottom detectors;
 * ``--dump-patterns``.
 
 Then it prints, per module, each function that ran with the statements it
@@ -31,7 +32,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "optomac"
-GAPS_CONFIG = ROOT / "tests" / "data" / "hidden_terminal_gaps.json"
+CONFIGS = {"gaps": ROOT / "tests" / "data" / "hidden_terminal_gaps.json",
+           "layered": ROOT / "tests" / "data" / "hidden_terminal_layered.json"}
 SCENARIOS = ("photothermal", "drug_delivery", "hidden_terminal",
              "clique_contention")
 PROTOCOLS = ("basic", "handshake")
@@ -118,8 +120,8 @@ def _runs(out: Path) -> list[list[str]]:
     runs = []
     inputs = [(["--scenario", s, "--protocol", p], f"{s}-{p}")
               for s in SCENARIOS for p in PROTOCOLS]
-    inputs += [(["--config", str(GAPS_CONFIG), "--protocol", p],
-                f"gaps-{p}") for p in PROTOCOLS]
+    inputs += [(["--config", str(path), "--protocol", p], f"{label}-{p}")
+               for label, path in CONFIGS.items() for p in PROTOCOLS]
     for args, label in inputs:
         run = args + ["--seeds", SEEDS, "--trace-level", "power"]
         runs.append(run + ["--out", str(out / label)])
