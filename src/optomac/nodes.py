@@ -28,15 +28,15 @@ from .protocol import (
     PRIORITY_DATA,
     BIT_MASK,
     Backoff,
-    Bits,
     Frame,
     NodeMemory,
     Opcode,
     Verdict,
     broadcast_address,
     controller_address,
-    decode_verify,
-    frame_bits,
+    frame_mask,
+    parse_mask,
+    vet,
 )
 from .timebase import FRAME_BITS, Rng, Subcycle
 from .trace import TraceWriter
@@ -86,7 +86,8 @@ class CommandChain:
 
 @dataclass
 class Outgoing:
-    """A frame queued for transmission in the node's own subcycle."""
+    """A frame queued for transmission in the node's own subcycle; ``meta``
+    holds only an ACK's ``"count"`` of the commands its recipient sent."""
 
     frame: Frame
     pattern: int
@@ -97,8 +98,10 @@ class Outgoing:
 
 @dataclass
 class _Inflight:
+    """The frame being sent: ``mask`` is its wire form (``frame_mask``),
+    and ``exited_at`` the offset at which it lost arbitration, if it did."""
     out: Outgoing
-    bits: Bits
+    mask: int
     exited_at: int | None = None
 
 
@@ -244,7 +247,7 @@ class Agent:
         fl = self.inflight
         if fl is None or offset >= FRAME_BITS or fl.exited_at is not None:
             return None
-        return fl.bits[offset], fl.out.pattern
+        return fl.mask >> (FRAME_BITS - 1 - offset) & 1, fl.out.pattern
 
     def observe(self, top: bool, bottom: bool, sub: Subcycle, offset: int,
                 ic: int, cycle: int) -> None:
@@ -254,7 +257,7 @@ class Agent:
             fl = self.inflight
             # carrier sense: either detector sees a bit during an own 0-bit
             if ((top or bottom) and fl is not None and fl.exited_at is None
-                    and fl.bits[offset] == 0):
+                    and not fl.mask & BIT_MASK[offset]):
                 fl.exited_at = offset
                 self.trace.event(cycle, "tx_exit", node=self.name,
                                  bit=offset, frame=fl.out.frame.describe())
@@ -307,20 +310,21 @@ class Agent:
         for chain in self.chains:
             if chain.state is ChainState.BACKOFF and ic >= chain.retry_ic:
                 chain.state = self._first_state()
+        # its own request is a queued RELAY it transmits; see _forward_relay
         if (self.request_target is not None and ic >= self.request_next_ic
-                and not any(o.meta.get("request") for o in self.queue)):
+                and not any(o.frame.opcode is Opcode.RELAY
+                            and o.frame.transmitter == self.address
+                            for o in self.queue)):
             frame = Frame(self.request_target, Opcode.RELAY, self.address)
             pattern = self.mem.pattern_toward(self.request_target)
-            self.queue.append(Outgoing(frame, pattern, PRIORITY_DATA,
-                                       meta={"request": True}))
+            self.queue.append(Outgoing(frame, pattern, PRIORITY_DATA))
             self.request_next_ic = ic + REQUEST_RETRY_ICS
 
     def _load_next(self, cycle: int) -> None:
         out = self._pick()
         if out is None:
             return
-        bits = frame_bits(out.frame)
-        self.inflight = _Inflight(out=out, bits=bits)
+        self.inflight = _Inflight(out=out, mask=frame_mask(out.frame))
         self.trace.event(cycle, "tx_start", node=self.name,
                          frame=out.frame.describe(),
                          pattern=out.pattern)
@@ -381,9 +385,8 @@ class Agent:
             self.metrics.blocks_sent += 1
         elif op == Opcode.ACK:
             self.metrics.acks_sent += 1
-            if out.meta.get("actuate_for") is not None:
-                self.hooks.on_actuation(self, out.meta["actuate_for"],
-                                        out.meta, cycle)
+            # every ACK answers a command: its recipient is the commander
+            self.hooks.on_actuation(self, out.frame.recipient, out.meta, cycle)
 
     # -- receive side ------------------------------------------------------
 
@@ -393,15 +396,15 @@ class Agent:
                            ("bottom", self._rx_bottom)):
             if mask == 0:
                 continue
-            result = decode_verify(mask, self.mem)
-            if result.verdict is Verdict.COLLISION_SUSPECT:
+            frame = parse_mask(mask)
+            verdict = vet(frame, self.mem)
+            if verdict is Verdict.COLLISION_SUSPECT:
                 self.metrics.rx_rejects += 1
                 self.trace.event(cycle, "rx_reject", node=self.name,
-                                 side=side, reason=result.verdict.value,
+                                 side=side, reason=verdict.value,
                                  bits=f"{mask:0{FRAME_BITS}b}")
                 continue
-            frame = result.frame
-            addressed = result.verdict is Verdict.OK
+            addressed = verdict is Verdict.OK
             self.trace.event(cycle, "rx_frame", node=self.name, side=side,
                              frame=frame.describe(), addressed=addressed)
             decoded.append((side, frame, addressed))
@@ -474,12 +477,11 @@ class Agent:
 
     def _on_command(self, frame: Frame) -> None:
         commander = frame.transmitter
-        self.command_counts[commander] = self.command_counts.get(commander, 0) + 1
+        count = self.command_counts[commander] = (
+            self.command_counts.get(commander, 0) + 1)
         ack = Frame(commander, Opcode.ACK, self.address)
-        meta = {"actuate_for": commander,
-                "count": self.command_counts[commander]}
         self.queue.append(Outgoing(ack, self.mem.pattern_toward(commander),
-                                   PRIORITY_ACK, meta=meta))
+                                   PRIORITY_ACK, meta={"count": count}))
 
     def _forward_relay(self, frame: Frame) -> None:
         onward = Frame(controller_address(), Opcode.RELAY, frame.transmitter)

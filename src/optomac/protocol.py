@@ -6,12 +6,14 @@ address MSB separates sensors (0) from actuators (1); all-ones broadcasts,
 all-ones-minus-one is the ex-vivo controller.  Documents and traces write an
 address as a 4-bit binary string (``format_address``/``parse_address``).
 
-The codec is memoised.  ``parse_mask`` keeps each decoded ``Frame`` and
-``frame_bits`` and ``Frame.describe`` keep each frame's bits and text, in
-module-level tables filled lazily as runs meet frames, so each holds at most
-2^``FRAME_BITS`` entries.  Every call validates its input before it consults
-a table, and only valid results are stored, so a cached answer is never given
-for an input the codec rejects.
+A frame's wire form is one integer, its ``FRAME_BITS`` bits MSB first: the
+sender loads it (``frame_mask``), receivers and the controller collect it bit
+by bit (``BIT_MASK``), and ``parse_mask`` decodes it.  ``frame_mask`` checks
+its frame and computes the mask with no table.  ``parse_mask`` and
+``Frame.describe`` keep each decoded ``Frame`` and each frame's text in
+tables keyed by mask, filled lazily as runs meet frames, so each holds at
+most 2^``FRAME_BITS`` entries.  Both validate before they consult a table, so
+a cached answer is never given for an input the codec rejects.
 
 The frame format serves bit-serial arbitration, which each node runs
 (``nodes.Agent``) over the OR channel: a transmitter listens during each of
@@ -28,8 +30,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .timebase import ADDRESS_BITS, FRAME_BITS, Subcycle
-
-Bits = tuple[int, ...]
 
 
 class Opcode(enum.IntEnum):
@@ -75,57 +75,34 @@ class Frame:
     transmitter: int
 
     def describe(self) -> str:
-        return _cached(_TEXT_OF_FRAME, _describe, self)
+        mask = frame_mask(self)
+        text = _TEXT_OF_MASK.get(mask)
+        if text is None:
+            text = _TEXT_OF_MASK[mask] = (
+                f"{format_address(self.recipient)} {self.opcode.value:03b} "
+                f"{format_address(self.transmitter)}")
+        return text
 
 
 # The mask of bit ``k`` of a frame, MSB first: a frame's bits as one integer.
 BIT_MASK = tuple(1 << (FRAME_BITS - 1 - k) for k in range(FRAME_BITS))
 
-# Codec tables, filled lazily; see the module docstring.
+# Codec tables keyed by mask, filled lazily; see the module docstring.
 _ADDRESSES = 1 << ADDRESS_BITS
 _FRAME_OF_MASK: dict[int, Frame] = {}
-_BITS_OF_FRAME: dict[Frame, Bits] = {}
-_TEXT_OF_FRAME: dict[Frame, str] = {}
+_TEXT_OF_MASK: dict[int, str] = {}
 
 
-def _cached(table: dict, compute, frame: Frame):
-    """``compute(frame)``, kept in ``table`` once it succeeds.
-
-    Only a frame the codec can carry uses the table: int addresses that fit
-    ``ADDRESS_BITS`` and an ``Opcode``, so a table holds at most
-    2^``FRAME_BITS`` entries.  A frame with fields of other types is
-    computed afresh, because ``1.0 == 1`` and ``6 == Opcode.ACK`` compare and
-    hash equal, yet neither formats as the other.
-    """
-    r, t = frame.recipient, frame.transmitter
+def frame_mask(frame: Frame) -> int:
+    """A frame's bits as one integer, MSB first: recipient, opcode,
+    transmitter.  Only int addresses that fit ``ADDRESS_BITS`` and an
+    ``Opcode`` encode; ``1.0 == 1`` and ``6 == Opcode.ACK`` compare equal, yet
+    neither is a field of a frame."""
+    r, op, t = frame.recipient, frame.opcode, frame.transmitter
     if not (type(r) is int and type(t) is int and 0 <= r < _ADDRESSES
-            and 0 <= t < _ADDRESSES and type(frame.opcode) is Opcode):
-        return compute(frame)
-    value = table.get(frame)
-    if value is None:
-        value = table[frame] = compute(frame)
-    return value
-
-
-def _describe(frame: Frame) -> str:
-    return (f"{format_address(frame.recipient)} {frame.opcode.value:03b} "
-            f"{format_address(frame.transmitter)}")
-
-
-def frame_bits(frame: Frame) -> Bits:
-    """Serialize MSB first: recipient, opcode, transmitter."""
-    return _cached(_BITS_OF_FRAME, _frame_bits, frame)
-
-
-def _frame_bits(frame: Frame) -> Bits:
-    w = ADDRESS_BITS
-    for name, value, width in (("recipient", frame.recipient, w),
-                               ("opcode", int(frame.opcode), 3),
-                               ("transmitter", frame.transmitter, w)):
-        if not 0 <= value < (1 << width):
-            raise ValueError(f"{name} {value} does not fit in {width} bits")
-    text = f"{frame.recipient:0{w}b}{int(frame.opcode):03b}{frame.transmitter:0{w}b}"
-    return tuple(int(c) for c in text)
+            and 0 <= t < _ADDRESSES and type(op) is Opcode):
+        raise ValueError(f"frame {frame!r} does not fit {FRAME_BITS} bits")
+    return (r << 3 | op) << ADDRESS_BITS | t
 
 
 def parse_mask(mask: int) -> Frame:
@@ -171,28 +148,20 @@ class NodeMemory:
         return self.optimal_pattern.get(addr, 0)
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    frame: Frame
-    verdict: Verdict
-
-
-def decode_verify(mask: int, mem: NodeMemory) -> DecodeResult:
-    """Parse a received stream, given as a bit mask (see ``parse_mask``),
-    and vet it against local knowledge.
+def vet(frame: Frame, mem: NodeMemory) -> Verdict:
+    """Vet a received frame against local knowledge.
 
     A frame claiming a transmitter this node cannot physically hear is the
     signature of an OR-merged collision, hence collision-suspect.  Frames for
-    other recipients still parse (third parties observe BLOCK/ACK traffic) but
-    are flagged not-for-me.
+    other recipients still count (third parties observe BLOCK/ACK traffic)
+    but are flagged not-for-me.
     """
-    frame = parse_mask(mask)
     if frame.transmitter not in mem.physical \
             and frame.transmitter != controller_address():
-        return DecodeResult(frame, Verdict.COLLISION_SUSPECT)
+        return Verdict.COLLISION_SUSPECT
     if frame.recipient not in (mem.address, broadcast_address()):
-        return DecodeResult(frame, Verdict.NOT_FOR_ME)
-    return DecodeResult(frame, Verdict.OK)
+        return Verdict.NOT_FOR_ME
+    return Verdict.OK
 
 
 # Transmit-queue priorities: reservation replies preempt everything, then

@@ -69,7 +69,6 @@ PATTERN_FLOOR = 0.02
 PATTERN_SIGMA_DEG = 4.0
 LINK_MARGIN = 1.45
 AZIMUTH_STEP_DEG = 5.0
-N_PATTERNS = 4
 
 SCENARIO_HORIZON_ICS = {
     "photothermal": 400,
@@ -362,8 +361,8 @@ class PhotothermalDriver(ScenarioDriver):
             other = self._agent_of_address(addr)
             if other is not None and other.name in heard:
                 return addr
-        # no audible neighbour: fall back to any reachable one and hope for
-        # a longer relay chain
+        # no audible neighbour: the lowest reachable one forwards straight to
+        # the controller, which cannot hear it, so the request goes unserved
         return min(agent.mem.physical, default=controller_address())
 
     # world-side hooks ---------------------------------------------------------

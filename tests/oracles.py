@@ -1,10 +1,10 @@
 """Reference models the tests check the live simulator against.
 
 Each restates one rule of the model in its simplest form, apart from the
-code a run executes: the geometry of one link, decoding a frame from its bit
-tuple, arbitration as a maximum and as a bit-serial round over pairwise
-carrier sense, reachability from the power map, and an engine that polls
-every agent for work.
+code a run executes: the geometry of one link, a frame's bits as a tuple
+and decoding a frame from them, arbitration as a maximum and as a
+bit-serial round over pairwise carrier sense, reachability from the power
+map, and an engine that polls every agent for work.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from optomac.channel import ChannelConfig, PowerMap
 from optomac.engine import World
 from optomac.geometry import NodePose
 from optomac.nodes import Agent
-from optomac.protocol import Bits, Frame, parse_mask
+from optomac.protocol import Frame, frame_mask, parse_mask
 from optomac.timebase import FRAME_BITS, Subcycle
 
 
@@ -42,6 +42,15 @@ def geometry_between(a: NodePose, b: NodePose) -> PathGeometry:
     incoming = sum(-uc * nc for uc, nc in zip(u, b.normal))
     side = "top" if incoming >= 0 else "bottom"
     return PathGeometry(dist, u, side)  # type: ignore[arg-type]
+
+
+Bits = tuple[int, ...]
+
+
+def frame_bits(frame: Frame) -> Bits:
+    """A frame's ``FRAME_BITS`` bits as a tuple, MSB first."""
+    return tuple(frame_mask(frame) >> (FRAME_BITS - 1 - k) & 1
+                 for k in range(FRAME_BITS))
 
 
 def parse_bits(bits: Bits) -> Frame:

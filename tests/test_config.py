@@ -288,6 +288,10 @@ SCENARIO_DOCS = {name: to_dict(default_config(name))
 ODD_VALUES = [0, -1, 1.5, 1e-9, 1e9, math.nan, math.inf, -math.inf, True,
               "1", None]
 FUZZ_CYCLES = 480
+# depths and normals a node may be moved to: the packaged deployments put
+# every node at z = 0 facing up, so only these light bottom detectors
+DEPTHS = (0.0, 0.5, -0.5)
+NORMALS = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 1.0))
 
 
 def _leaves(doc):
@@ -333,8 +337,9 @@ def _add_node(doc, idx, offset):
 
 def _edited_document(data):
     """A packaged scenario's document after structural edits (a node
-    dropped or added, a node's ``recognized`` emptied, random laser gaps)
-    and up to two odd leaf values, each drawn from ``data``."""
+    dropped or added, a node's ``recognized`` emptied, each node's depth and
+    normal (up, down or tilted), random laser gaps) and up to two odd leaf
+    values, each drawn from ``data``."""
     name = data.draw(st.sampled_from(SCENARIO_NAMES), label="scenario")
     doc = copy.deepcopy(SCENARIO_DOCS[name])
     n = len(doc["nodes"])
@@ -348,6 +353,11 @@ def _edited_document(data):
     if doc["nodes"] and data.draw(st.booleans(), label="clear recognized"):
         idx = data.draw(st.integers(0, len(doc["nodes"]) - 1), label="of")
         doc["nodes"][idx]["recognized"] = []
+    if data.draw(st.booleans(), label="depths"):
+        for node in doc["nodes"]:
+            node["position"][2] = data.draw(st.sampled_from(DEPTHS), label="z")
+            node["normal"] = list(data.draw(st.sampled_from(NORMALS),
+                                            label="normal"))
     if data.draw(st.booleans(), label="gaps"):
         doc["laser_gaps"] = data.draw(st.lists(
             st.tuples(st.integers(0, FUZZ_CYCLES), st.integers(0, 40))

@@ -20,11 +20,10 @@ from optomac.protocol import (
     NodeMemory,
     Opcode,
     controller_address,
-    frame_bits,
 )
 from optomac.timebase import ClockConfig, Rng, Subcycle
 from optomac.trace import TraceWriter
-from oracles import PollingWorld, contention_round
+from oracles import PollingWorld, contention_round, frame_bits
 
 
 class DoneRecorder(Hooks):

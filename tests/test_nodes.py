@@ -28,10 +28,11 @@ from optomac.protocol import (
     Opcode,
     broadcast_address,
     controller_address,
-    frame_bits,
+    frame_mask,
 )
 from optomac.timebase import FRAME_BITS, ClockConfig, Rng, Subcycle
 from optomac.trace import NullTrace, TraceWriter
+from oracles import frame_bits
 
 SENSOR = 0b0001
 PEER = 0b0010
@@ -155,7 +156,8 @@ def test_own_pulse_does_not_trigger_exit():
 def test_transmit_queue_priorities():
     agent, _ = make_agent()
     data = Outgoing(Frame(ACTUATOR, Opcode.RELAY, SENSOR), 0, PRIORITY_DATA)
-    ack = Outgoing(Frame(PEER, Opcode.ACK, SENSOR), 0, PRIORITY_ACK)
+    ack = Outgoing(Frame(PEER, Opcode.ACK, SENSOR), 0, PRIORITY_ACK,
+                   meta={"count": 1})
     block = Outgoing(Frame(broadcast_address(), Opcode.BLOCK, SENSOR), 0,
                      PRIORITY_BLOCK)
     agent.queue.extend([data, ack, block])
@@ -168,7 +170,8 @@ def test_blocked_node_withholds_data_but_not_replies():
     agent, _ = make_agent()
     agent.blocked_by = ACTUATOR
     data = Outgoing(Frame(ACTUATOR, Opcode.RELAY, SENSOR), 0, PRIORITY_DATA)
-    ack = Outgoing(Frame(PEER, Opcode.ACK, SENSOR), 0, PRIORITY_ACK)
+    ack = Outgoing(Frame(PEER, Opcode.ACK, SENSOR), 0, PRIORITY_ACK,
+                   meta={"count": 1})
     agent.queue.extend([data, ack])
     assert agent._pick() is ack
     assert agent._pick() is None
@@ -186,7 +189,7 @@ def test_blocked_node_with_only_data_to_send_has_no_send_work():
     agent.start_chain(ACTUATOR)
     assert not agent.has_send_work(0)
     agent.queue.append(Outgoing(Frame(PEER, Opcode.ACK, SENSOR), 0,
-                                PRIORITY_ACK))
+                                PRIORITY_ACK, meta={"count": 1}))
     assert agent.has_send_work(0)
     agent.queue.pop()
     agent.blocked_by = None
@@ -342,19 +345,20 @@ def test_request_stream_repeats_until_cleared():
     agent, _ = make_agent()
     agent.start_request(controller_address(), ic=0)
     agent._refresh_chains(0)
-    requests = [o for o in agent.queue if o.meta.get("request")]
-    assert len(requests) == 1
-    assert requests[0].frame == Frame(controller_address(), Opcode.RELAY,
-                                      SENSOR)
+    request = Frame(controller_address(), Opcode.RELAY, SENSOR)
+    assert [o.frame for o in agent.queue] == [request]
     # while one request is queued no second one is generated
     agent._refresh_chains(REQUEST_RETRY_ICS)
-    assert len([o for o in agent.queue if o.meta.get("request")]) == 1
-    # once it went out, the next one appears only after the retry period
-    agent.queue.clear()
+    assert [o.frame for o in agent.queue] == [request]
+    # once it went out, the next one appears only after the retry period; a
+    # forwarded RELAY keeps its origin, so it is not this node's request
+    forwarded = Outgoing(Frame(controller_address(), Opcode.RELAY, PEER), 0,
+                         PRIORITY_DATA)
+    agent.queue[:] = [forwarded]
     agent._refresh_chains(REQUEST_RETRY_ICS - 1)
-    assert agent.queue == []
+    assert agent.queue == [forwarded]
     agent._refresh_chains(REQUEST_RETRY_ICS)
-    assert len(agent.queue) == 1
+    assert [o.frame for o in agent.queue] == [forwarded.frame, request]
     agent.clear_requests()
     agent.queue.clear()
     agent._refresh_chains(3 * REQUEST_RETRY_ICS)
@@ -399,7 +403,7 @@ def test_dark_tick_changes_nothing(sub, offset, inflight, exited_at, top,
     if inflight:
         frame = Frame(ACTUATOR, Opcode.COMMAND, SENSOR)
         agent.inflight = _Inflight(Outgoing(frame, 0, PRIORITY_DATA),
-                                   frame_bits(frame), exited_at=exited_at)
+                                   frame_mask(frame), exited_at=exited_at)
     agent._rx_top, agent._rx_bottom = top, bottom
 
     def state():
@@ -421,8 +425,11 @@ def test_dark_tick_changes_nothing(sub, offset, inflight, exited_at, top,
 # of it.
 
 ADDRESSES = st.sampled_from((PEER, ACTUATOR, controller_address()))
+# an ACK carries the count its actuation hook reads, as ``_on_command`` sets
 QUEUED = st.lists(st.builds(
-    lambda to, op, priority: Outgoing(Frame(to, op, SENSOR), 0, priority),
+    lambda to, op, priority: Outgoing(
+        Frame(to, op, SENSOR), 0, priority,
+        meta={"count": 1} if op is Opcode.ACK else {}),
     ADDRESSES, st.sampled_from(list(Opcode)),
     st.sampled_from((PRIORITY_BLOCK, PRIORITY_ACK, PRIORITY_DATA))),
     min_size=1, max_size=3)
@@ -458,7 +465,7 @@ def node_states(draw, *, inflight=True, rx=True, blocked=True, queue=True):
     if inflight and draw(st.booleans()):
         frame = Frame(ACTUATOR, Opcode.COMMAND, SENSOR)
         agent.inflight = _Inflight(
-            Outgoing(frame, 0, PRIORITY_DATA), frame_bits(frame),
+            Outgoing(frame, 0, PRIORITY_DATA), frame_mask(frame),
             exited_at=draw(st.none() | st.integers(0, FRAME_BITS - 1)))
     if rx:
         agent._rx_top, agent._rx_bottom = draw(RX_BITS), draw(RX_BITS)

@@ -13,22 +13,17 @@ from optomac.protocol import (
     Verdict,
     broadcast_address,
     controller_address,
-    decode_verify,
-    frame_bits,
+    frame_mask,
     is_actuator_address,
     parse_mask,
+    vet,
 )
 from optomac.timebase import FRAME_BITS, Rng
-from oracles import arbitration_winner, contention_round, parse_bits
+from oracles import arbitration_winner, contention_round, frame_bits, parse_bits
 
 
 def bits(text: str) -> tuple:
     return tuple(int(c) for c in text)
-
-
-def mask(frame: Frame) -> int:
-    """A frame's bits as one integer, MSB first, as receivers hold them."""
-    return int("".join(map(str, frame_bits(frame))), 2)
 
 
 def test_address_constants():
@@ -42,10 +37,11 @@ def test_frame_bits_pinned_vectors():
     # NOTIFY from sensor 0001 to actuator 1000, and the broadcast BLOCK the
     # actuator answers with: the two live frames of the handshake opening
     notify = Frame(0b1000, Opcode.NOTIFY, 0b0001)
+    assert frame_mask(notify) == 0b10001010001
     assert frame_bits(notify) == bits("10001010001")
     assert notify.describe() == "1000 101 0001"
     block = Frame(broadcast_address(), Opcode.BLOCK, 0b1000)
-    assert frame_bits(block) == bits("11111111000")
+    assert frame_mask(block) == 0b11111111000
     assert block.describe() == "1111 111 1000"
 
 
@@ -56,23 +52,20 @@ def test_frame_bits_pinned_vectors():
 
 def test_frame_bits_field_validation():
     notify = Frame(0b1000, Opcode.NOTIFY, 0b0001)
-    assert frame_bits(notify) == bits("10001010001")
+    assert frame_mask(notify) == 0b10001010001
     assert notify.describe() == "1000 101 0001"
     twin = Frame(8.0, Opcode.NOTIFY, 1)
     assert twin == notify
+    texts = dict(protocol._TEXT_OF_MASK)
     for _ in range(2):
-        # describe() formats what does not fit, but does not keep it
-        wide = Frame(16, Opcode.ACK, 0)
-        assert wide.describe() == "10000 110 0000"
-        assert wide not in protocol._TEXT_OF_FRAME
-        with pytest.raises(ValueError):
-            frame_bits(wide)
-        with pytest.raises(ValueError):
-            frame_bits(Frame(0, Opcode.ACK, -1))
-        with pytest.raises(ValueError):
-            frame_bits(twin)
-        with pytest.raises(ValueError):
-            twin.describe()
+        # a frame that does not fit neither encodes nor describes itself
+        for bad in (Frame(16, Opcode.ACK, 0), Frame(0, Opcode.ACK, -1),
+                    Frame(0, 6, 0), twin):
+            with pytest.raises(ValueError):
+                frame_mask(bad)
+            with pytest.raises(ValueError):
+                bad.describe()
+    assert protocol._TEXT_OF_MASK == texts
 
 
 def reference_fields(text: str) -> tuple[int, int, int]:
@@ -91,7 +84,8 @@ def test_codec_roundtrip():
             frame = parse_bits(bits(text))
             assert frame == want
             assert parse_mask(value) == want
-            assert frame_bits(frame) == frame_bits(want) == bits(text)
+            assert frame_mask(frame) == frame_mask(want) == value
+            assert frame_bits(frame) == bits(text)
             assert frame.describe() == f"{text[:4]} {text[4:7]} {text[7:]}"
 
 
@@ -109,6 +103,8 @@ def test_parse_bits_rejects_malformed():
 
 
 # -- receive vetting ----------------------------------------------------------
+#
+# A receiver decodes its buffer with ``parse_mask`` and then vets the frame.
 
 
 def make_memory() -> NodeMemory:
@@ -118,38 +114,34 @@ def make_memory() -> NodeMemory:
 
 def test_decode_verify_accepts_known_sender():
     mem = make_memory()
-    result = decode_verify(mask(Frame(0b1000, Opcode.NOTIFY, 0b0001)), mem)
-    assert result.verdict is Verdict.OK
-    assert result.frame == Frame(0b1000, Opcode.NOTIFY, 0b0001)
+    frame = parse_mask(0b10001010001)
+    assert frame == Frame(0b1000, Opcode.NOTIFY, 0b0001)
+    assert vet(frame, mem) is Verdict.OK
 
 
 def test_decode_verify_broadcast_is_ok():
     mem = make_memory()
-    result = decode_verify(
-        mask(Frame(broadcast_address(), Opcode.BLOCK, 0b0010)), mem)
-    assert result.verdict is Verdict.OK
+    assert vet(Frame(broadcast_address(), Opcode.BLOCK, 0b0010), mem) is \
+        Verdict.OK
 
 
 def test_decode_verify_not_for_me():
     mem = make_memory()
-    result = decode_verify(mask(Frame(0b0010, Opcode.ACK, 0b0001)), mem)
-    assert result.verdict is Verdict.NOT_FOR_ME
-    assert result.frame is not None
+    assert vet(Frame(0b0010, Opcode.ACK, 0b0001), mem) is Verdict.NOT_FOR_ME
 
 
 def test_decode_verify_collision_suspect_before_addressing():
     # an implausible transmitter outranks the recipient check: the OR of two
     # colliding frames usually claims a sender nobody can hear
     mem = make_memory()
-    merged = mask(Frame(0b0110, Opcode.ACK, 0b0111))
-    result = decode_verify(merged, mem)
-    assert result.verdict is Verdict.COLLISION_SUSPECT
+    merged = Frame(0b0110, Opcode.ACK, 0b0111)
+    assert vet(merged, mem) is Verdict.COLLISION_SUSPECT
 
 
 def test_decode_verify_controller_is_always_plausible():
     mem = make_memory()
     frame = Frame(0b1000, Opcode.POSN, controller_address())
-    assert decode_verify(mask(frame), mem).verdict is Verdict.OK
+    assert vet(frame, mem) is Verdict.OK
 
 
 def test_decode_verify_check_physical_off():
@@ -157,17 +149,16 @@ def test_decode_verify_check_physical_off():
     # but the controller is implausible
     mem = NodeMemory(address=0b1000, is_actuator=True)
     frame = Frame(0b1000, Opcode.PROBE, 0b0001)
-    assert decode_verify(mask(frame), mem).verdict is \
-        Verdict.COLLISION_SUSPECT
+    assert vet(frame, mem) is Verdict.COLLISION_SUSPECT
 
 
 def test_decode_verify_malformed_first():
     mem = make_memory()
     # a receive buffer is always an 11-bit mask; anything else is a
-    # caller's error, raised before any vetting
+    # caller's error, raised by the decode before any vetting
     for malformed in (1 << FRAME_BITS, -1, True, bits("10001010001")):
         with pytest.raises(ValueError):
-            decode_verify(malformed, mem)
+            vet(parse_mask(malformed), mem)
 
 
 # -- backoff -------------------------------------------------------------------

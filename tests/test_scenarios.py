@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import json
 import re
 import weakref
 from importlib import resources
@@ -168,6 +169,32 @@ def test_photothermal_relay_reaches_blind_controller():
     # s1 is heard directly; s2's request arrives forwarded with the origin
     # address intact in the transmitter field
     assert relays == [(59, "0000"), (83, "0001")]
+
+
+@pytest.mark.parametrize("protocol", ["basic", "handshake"])
+def test_relay_without_an_audible_neighbour_goes_unserved(protocol):
+    # the controller hears neither s2 nor a1, the one neighbour s2 reaches:
+    # s2 relays to a1 anyway, and a1 forwards straight to the controller,
+    # which cannot hear it, so tumor_b is never dosed
+    cfg = photothermal_config()
+    cfg = dataclasses.replace(cfg, controller_hears=tuple(
+        n for n in cfg.controller_hears if n != "a1"))
+    trace = TraceWriter("events")
+    r = run_scenario(cfg=cfg, protocol=protocol, seed=0, trace=trace)
+    relays = set()
+    for line in trace.getvalue().splitlines():
+        event = json.loads(line)
+        if event["kind"] == "tx_done" and event["frame"][5:8] == "001":
+            relays.add((event["node"], event["frame"]))
+    assert relays == {("s1", "1110 001 0000"), ("s2", "1000 001 0001"),
+                      ("a1", "1110 001 0001")}
+    assert [f.describe() for _, f in r.world.controller_frames] == [
+        "1110 001 0000"]
+    m = r.metrics
+    assert (m.requests_issued, m.requests_served) == (2, 1)
+    assert r.status == "timeout"
+    assert m.timeouts == [{"node": "tumor_b", "waited": "dose",
+                           "cycle": 19200}]
 
 
 def test_photothermal_memories_match_reference_snapshot():

@@ -4,8 +4,9 @@
 Runs the ``optomac`` command in this process under ``sys.settrace`` (the
 standard library only) on:
 
-* every scenario under both protocols, seeds 0-2, at the ``power`` trace
-  level, writing the artifacts and then verifying them;
+* every scenario under every protocol (``config.SCENARIO_NAMES`` and
+  ``config.PROTOCOL_NAMES``), seeds 0-2, at the ``power`` trace level,
+  writing the artifacts and then verifying them;
 * ``tests/data/hidden_terminal_gaps.json`` the same way, the one input with
   laser gaps, and ``tests/data/hidden_terminal_layered.json``, the one that
   lights bottom detectors;
@@ -34,9 +35,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "optomac"
 CONFIGS = {"gaps": ROOT / "tests" / "data" / "hidden_terminal_gaps.json",
            "layered": ROOT / "tests" / "data" / "hidden_terminal_layered.json"}
-SCENARIOS = ("photothermal", "drug_delivery", "hidden_terminal",
-             "clique_contention")
-PROTOCOLS = ("basic", "handshake")
 SEEDS = "0..2"
 
 _BODIES = ("body", "orelse", "finalbody", "handlers")
@@ -117,11 +115,12 @@ def functions_of(path: Path) -> Functions:
 
 def _runs(out: Path) -> list[list[str]]:
     """The command lines to trace, each writing then verifying."""
+    from optomac.config import PROTOCOL_NAMES, SCENARIO_NAMES
     runs = []
     inputs = [(["--scenario", s, "--protocol", p], f"{s}-{p}")
-              for s in SCENARIOS for p in PROTOCOLS]
+              for s in SCENARIO_NAMES for p in PROTOCOL_NAMES]
     inputs += [(["--config", str(path), "--protocol", p], f"{label}-{p}")
-               for label, path in CONFIGS.items() for p in PROTOCOLS]
+               for label, path in CONFIGS.items() for p in PROTOCOL_NAMES]
     for args, label in inputs:
         run = args + ["--seeds", SEEDS, "--trace-level", "power"]
         runs.append(run + ["--out", str(out / label)])
