@@ -12,7 +12,12 @@ the power tables per side, and its collision evidence from counting the
 emitters whose own entry reaches the threshold; a node observes its two
 detector bits, and no per-arrival reading is built.  A cycle in which a
 node's detectors see no bit leaves that node unchanged, so it is not asked
-to observe.  A subcycle without a transmitter, and the guard bits
+to observe.  A frame sent alone in its subcycle is carried bit by bit only
+at offset 0, where it is loaded: nothing can make a lone sender exit, and
+each of its 1-bits lights the same detectors, so the controller and every
+lit listener take the rest of its 1-bits as one mask (``Agent.receive``).
+Two or more transmitters go bit by bit, as carrier sense may make one exit
+at any bit.  A subcycle without a transmitter, and the guard bits
 of one with a transmitter, carry no light and are passed over to the
 subcycle's last cycle.  There only the pending nodes close the subcycle:
 the World keeps them as one int bit mask in node order, setting the bits
@@ -22,9 +27,13 @@ keeping a node's bit after its close only while it still has work
 clears its receive buffers once it has decoded them.  Sensors get their
 fluorescence readings at the end of T4 only if a stimulus changed since the
 last such pass, as only that pass moves a latch; every call left out would
-change nothing.  Which nodes see a bit, and what they see, is memoised per
-set of simultaneous emissions with its bit mask.  No node ever sees a
-partial cycle, so runs are reproducible bit-for-bit given the same seed and
+change nothing.  So an instruction cycle in which, once ``on_icycle_start``
+has run at the start of T1, no node is pending or has something to send,
+and that no laser gap or ``run_cycles`` boundary cuts, is run in one step:
+only its T4 end, with the sensor pass and ``on_icycle_end``, is left.
+Which nodes see a bit, and what they see, is memoised per set of
+simultaneous emissions with its bit mask.  No node ever sees a partial
+cycle, so runs are reproducible bit-for-bit given the same seed and
 configuration.
 
 Timekeeping is phase-relative.  A gap in the external laser clock shorter
@@ -232,6 +241,13 @@ class World:
         before the subcycle's last cycle, so a subcycle without a
         transmitter and the guard bits are passed over.  A subcycle cut
         short by ``stop`` skips its end-of-subcycle work.
+
+        An instruction cycle that is inert once ``on_icycle_start`` has run
+        (no agent to close, none with send work, and ``stop`` beyond it) is
+        run to its end in one step: only the T4 end has work then.  A
+        frame sent alone is carried in one step (``_send_alone``); with two
+        or more transmitters, each bit is emitted and observed in turn, as
+        carrier sense may make one exit at any bit.
         """
         sub, off, ic = self._phase()
         start = self.cycle - off
@@ -240,6 +256,13 @@ class World:
         first = self.cycle
         if off == 0:
             self._begin_subcycle(sub, ic)
+            if (sub is Subcycle.T1 and not self._pending
+                    and stop >= start + self.clock.icycle_len
+                    and not self._any_send_work(ic)):
+                self.cycle = start + self.clock.icycle_len - 1
+                self._end_subcycle(Subcycle.T4, ic)
+                self.cycle += 1
+                return
             # a sender with nothing to send loads nothing and stays silent
             ready = [a for a, _ in senders if a.has_send_work(ic)]
             if ready:
@@ -250,14 +273,24 @@ class World:
             if agent.inflight is not None:
                 transmitters.append(agent)
                 self._pending |= bit
-        if transmitters:
-            for cycle in range(first, min(start + FRAME_BITS, stop)):
+        end = min(start + FRAME_BITS, stop)
+        if len(transmitters) == 1:
+            self._send_alone(transmitters[0], sub, start,
+                             max(first, self._dark_until), end)
+        elif transmitters:
+            for cycle in range(first, end):
                 self.cycle = cycle
                 self._emit_cycle(transmitters, sub, cycle - start, ic)
         if stop > last:
             self.cycle = last
             self._end_subcycle(sub, ic)
         self.cycle = min(stop, last + 1)
+
+    def _any_send_work(self, ic: int) -> bool:
+        for agent in self._order:
+            if agent.has_send_work(ic):
+                return True
+        return False
 
     def _begin_subcycle(self, sub: Subcycle, ic: int) -> None:
         self._controller_bits = 0
@@ -287,6 +320,32 @@ class World:
         if self.trace.wants("power"):
             self.trace.event(self.cycle, "power",
                              sources=sorted(n for n, _ in emissions))
+
+    def _send_alone(self, agent: Agent, sub: Subcycle, start: int,
+                    first: int, end: int) -> None:
+        """Carry the frame of the subcycle's only transmitter over cycles
+        ``first`` to ``end - 1``, which no laser gap darkens, in one step.
+
+        With no other emitter nothing can make it exit, and each of its
+        1-bits lights the same detectors with no collision evidence.  So
+        the controller and each lit node take those bits as one mask, and
+        the trace gets one ``power`` line per lit cycle, as bit by bit.
+        """
+        bits, pattern = agent.pulses(first - start, end - start)
+        if not bits:
+            return
+        if (self._controller_hears is None
+                or agent.name in self._controller_hears):
+            self._controller_bits |= bits
+        lit, lit_mask = self._lit_for(((agent.name, pattern),))
+        self._pending |= lit_mask
+        for rx, top, bottom, _ in lit:
+            rx.receive(sub, bits if top else 0, bits if bottom else 0)
+        if self.trace.wants("power"):
+            sources = [agent.name]
+            for off in range(first - start, end - start):
+                if bits & BIT_MASK[off]:
+                    self.trace.event(start + off, "power", sources=sources)
 
     def _end_subcycle(self, sub: Subcycle, ic: int) -> None:
         if self._pending:

@@ -249,6 +249,17 @@ class Agent:
             return None
         return fl.mask >> (FRAME_BITS - 1 - offset) & 1, fl.out.pattern
 
+    def pulses(self, lo: int, hi: int) -> tuple[int, int]:
+        """The 1-bits ``emit`` sends at offsets ``lo`` to ``hi - 1`` of the
+        frame in flight while it senses no foreign bit, as a mask (see
+        ``protocol.BIT_MASK``), and the pattern it sends them on.  A frame
+        that has exited sends none."""
+        fl = self.inflight
+        if fl.exited_at is not None or lo >= hi:
+            return 0, fl.out.pattern
+        window = ((1 << (hi - lo)) - 1) << (FRAME_BITS - hi)
+        return fl.mask & window, fl.out.pattern
+
     def observe(self, top: bool, bottom: bool, sub: Subcycle, offset: int,
                 ic: int, cycle: int) -> None:
         """Process one clock cycle of detector input: the top and bottom
@@ -262,12 +273,19 @@ class Agent:
                 self.trace.event(cycle, "tx_exit", node=self.name,
                                  bit=offset, frame=fl.out.frame.describe())
             return
-        if sub == Subcycle.T4 or offset >= FRAME_BITS:
-            return
-        if top:
-            self._rx_top |= BIT_MASK[offset]
-        if bottom:
-            self._rx_bottom |= BIT_MASK[offset]
+        if offset < FRAME_BITS:
+            bit = BIT_MASK[offset]
+            self.receive(sub, bit if top else 0, bit if bottom else 0)
+
+    def receive(self, sub: Subcycle, top: int, bottom: int) -> None:
+        """Take the bits each detector saw in subcycle ``sub``, as masks
+        (see ``protocol.BIT_MASK``): one cycle's or a whole frame's.  A node
+        receives only in the data subcycles it listens in; in its own it
+        only senses the carrier (``observe``), and the fourth carries no
+        frame."""
+        if sub != self.mode and sub != Subcycle.T4:
+            self._rx_top |= top
+            self._rx_bottom |= bottom
 
     def clear_receive_buffers(self) -> None:
         """Drop whatever the receive buffers hold, a partial frame too."""

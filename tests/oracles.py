@@ -132,12 +132,16 @@ def polled_subcycle_work(agent: Agent) -> bool:
 
 
 class PollingWorld(World):
-    """The World that keeps no set of agents to close.
+    """The World that keeps no set of agents to close and takes no step
+    longer than a subcycle or, while a frame is sent, a bit.
 
-    At offset 0 it asks every sender of the subcycle ``polled_send_work``,
-    and at each subcycle's end it asks every agent, in agent order and each
-    just before its turn, ``polled_subcycle_work``.  The live World must
-    give the same runs with its exact tests and its pending set.
+    It runs every subcycle of every instruction cycle, inert or not, and
+    emits and observes every bit of a frame, sent alone or not.  At offset
+    0 it asks every sender of the subcycle ``polled_send_work``, and at
+    each subcycle's end it asks every agent, in agent order and each just
+    before its turn, ``polled_subcycle_work``.  The live World must give
+    the same runs with its exact tests, its pending set and its one-step
+    inert icycles and lone frames.
     """
 
     def __init__(self, *args, **kwargs):

@@ -15,13 +15,14 @@ from optomac.geometry import NodePose
 from optomac.metrics import Metrics
 from optomac.nodes import Agent, Hooks, Outgoing, Variant
 from optomac.protocol import (
+    BIT_MASK,
     PRIORITY_DATA,
     Frame,
     NodeMemory,
     Opcode,
     controller_address,
 )
-from optomac.timebase import ClockConfig, Rng, Subcycle
+from optomac.timebase import ClockConfig, Rng, Subcycle, subcycle_of
 from optomac.trace import TraceWriter
 from oracles import PollingWorld, contention_round, frame_bits
 
@@ -348,40 +349,66 @@ def test_run_returns_shared_metrics():
 
 def test_only_lit_listeners_observe(monkeypatch):
     # a node far from the clique never sees a bit, so it is never asked to
-    # observe; every node that does see one is asked exactly once per cycle
+    # observe or receive one.  Each lit cycle's bit reaches every node that
+    # listens in its subcycle exactly once, on the side that sees it: bit by
+    # bit through ``observe`` or, from a lone sender, with the rest of the
+    # frame; both go through ``receive``.  A node in its own subcycle is
+    # asked to observe only cycles it sees a bit in, each once at most
     specs = clique_specs() + [("far", 0b0100, False, Subcycle.T3,
                                (40.0, 0.0, 0.0))]
     trace = TraceWriter("power")
     world, _ = make_world(specs, Variant.HANDSHAKE, trace=trace)
-    calls = []
-    observe = Agent.observe
+    sub_len = world.clock.subcycle_len
+    observed, received = [], []
+    observe, receive = Agent.observe, Agent.receive
 
-    def counting(agent, top, bottom, *args):
-        calls.append(agent.name)
-        return observe(agent, top, bottom, *args)
+    def counting_observe(agent, top, bottom, sub, offset, ic, cycle):
+        observed.append((agent.name, cycle))
+        return observe(agent, top, bottom, sub, offset, ic, cycle)
 
-    monkeypatch.setattr(Agent, "observe", counting)
+    def counting_receive(agent, sub, top, bottom):
+        # no gap here: the phase starts at cycle 0
+        start = world.cycle - world.cycle % sub_len
+        for side, mask in (("top", top), ("bottom", bottom)):
+            for off, bit in enumerate(BIT_MASK):
+                if mask & bit and sub != agent.mode:
+                    received.append((agent.name, start + off, side))
+        return receive(agent, sub, top, bottom)
+
+    monkeypatch.setattr(Agent, "observe", counting_observe)
+    monkeypatch.setattr(Agent, "receive", counting_receive)
     for name in ("s1", "s2", "s3"):
         world.agents[name].start_chain(0b1000)
     world.run(4)
 
     theta = world.channel_cfg.theta_detect
-    lit = []
+    listening, sensing = [], set()
     for event in map(json.loads, trace.getvalue().splitlines()):
         if event["kind"] != "power":
             continue
-        for rx in world.agents:
+        cycle = event["cycle"]
+        sub, _ = subcycle_of(cycle, world.clock)
+        for rx, agent in world.agents.items():
             power = {"top": 0.0, "bottom": 0.0}
             for tx in world.agents:
                 if tx in event["sources"] and tx != rx:
                     # every pattern of the flat tables has the same gain
                     arrival = world.power_map.arrival(tx, 0, rx)
                     power[arrival.side] += arrival.power
-            if max(power.values()) >= theta:
-                lit.append(rx)
-    assert "far" not in lit
+            for side, p in power.items():
+                if p < theta:
+                    continue
+                if agent.mode == sub:
+                    sensing.add((rx, cycle))
+                else:
+                    listening.append((rx, cycle, side))
+    assert "far" not in {name for name, _, _ in listening}
+    assert "far" not in {name for name, _ in observed}
     assert world.metrics.exits > 0
-    assert sorted(calls) == sorted(lit)
+    assert listening and sorted(received) == sorted(listening)
+    own = [(name, cycle) for name, cycle in observed
+           if world.agents[name].mode == subcycle_of(cycle, world.clock)[0]]
+    assert own and len(own) == len(set(own)) and set(own) <= sensing
 
 
 def test_blocked_node_with_only_data_queued_is_not_asked(monkeypatch):
@@ -413,8 +440,8 @@ def test_only_nodes_with_work_close_the_subcycle(monkeypatch):
     world, _ = make_world(specs, Variant.HANDSHAKE)
     sub_len = world.clock.subcycle_len
     closed, active = [], set()
-    end_subcycle, emit, observe = (Agent.end_subcycle, Agent.emit,
-                                   Agent.observe)
+    end_subcycle, emit, receive = (Agent.end_subcycle, Agent.emit,
+                                   Agent.receive)
 
     def counting_end(agent, sub, ic, cycle):
         closed.append((agent.name, cycle // sub_len))
@@ -426,14 +453,14 @@ def test_only_nodes_with_work_close_the_subcycle(monkeypatch):
             active.add((agent.name, cycle // sub_len))
         return sent
 
-    def counting_observe(agent, top, bottom, sub, offset, ic, cycle):
+    def counting_receive(agent, sub, top, bottom):
         if sub != agent.mode:             # in its own, a node only senses
-            active.add((agent.name, cycle // sub_len))
-        return observe(agent, top, bottom, sub, offset, ic, cycle)
+            active.add((agent.name, world.cycle // sub_len))
+        return receive(agent, sub, top, bottom)
 
     monkeypatch.setattr(Agent, "end_subcycle", counting_end)
     monkeypatch.setattr(Agent, "emit", counting_emit)
-    monkeypatch.setattr(Agent, "observe", counting_observe)
+    monkeypatch.setattr(Agent, "receive", counting_receive)
     for name in ("s1", "s2", "s3"):
         world.agents[name].start_chain(0b1000)
     world.run(6)
@@ -442,6 +469,38 @@ def test_only_nodes_with_work_close_the_subcycle(monkeypatch):
     assert "far" not in {name for name, _ in closed}
     assert len(closed) == len(set(closed))       # once per subcycle at most
     assert active <= set(closed)
+
+
+def test_inert_icycle_and_lone_frame_take_one_step_each(monkeypatch):
+    # an icycle in which nothing has work ends with its T4 close alone, and
+    # a frame sent alone is emitted at offset 0 only: the engine carries its
+    # other bits in one step
+    world, hooks = make_world(pair_specs())
+    ends, emits = [], []
+    end_subcycle, emit = World._end_subcycle, Agent.emit
+
+    def counting_end(self, sub, ic):
+        ends.append((sub, ic))
+        return end_subcycle(self, sub, ic)
+
+    def counting_emit(agent, sub, offset, ic, cycle):
+        emits.append((agent.name, offset))
+        return emit(agent, sub, offset, ic, cycle)
+
+    monkeypatch.setattr(World, "_end_subcycle", counting_end)
+    monkeypatch.setattr(Agent, "emit", counting_emit)
+    world.run(5)
+    assert ends == [(Subcycle.T4, ic) for ic in range(5)]
+    assert emits == []
+    assert world.cycle == 5 * world.clock.icycle_len
+
+    ends.clear()
+    world.agents["s"].start_chain(0b1000)
+    world.run(2)
+    # s commands in T1 and a acknowledges in T2, each alone
+    assert hooks.done and world.metrics.delivered == 1
+    assert emits == [("s", 0), ("a", 0)]
+    assert ends[0][0] is Subcycle.T1 and ends[-1] == (Subcycle.T4, 6)
 
 
 def random_specs(kind, side, gain):
@@ -466,39 +525,72 @@ def gap_lists(draw):
     return gaps
 
 
-# run some cycles, or start a chain or a relay request on one sensor
+# run some cycles, run to a drawn offset inside an icycle, or start a chain
+# or a relay request on one sensor
 STEPS = st.lists(st.one_of(
     st.tuples(st.just("run"), st.integers(1, 70)),
+    st.tuples(st.just("mid"), st.integers(1, 47)),
     st.tuples(st.sampled_from(("chain", "request")), st.integers(0, 2))),
     min_size=1, max_size=12)
+# at the T1 of an icycle, start a chain or a relay request on one sensor
+STARTS = st.lists(st.tuples(st.integers(0, 12),
+                            st.sampled_from(("chain", "request")),
+                            st.integers(0, 2)), max_size=4)
+
+
+def start_work(world, agent, step):
+    if step == "chain":
+        agent.start_chain(0b1000, cycle=world.cycle)
+    else:
+        agent.start_request(controller_address(), world.current_ic)
+
+
+class StartAtIcycle(ScenarioHooks):
+    """Starts work on a sensor from ``on_icycle_start``, in an icycle that
+    would otherwise be inert."""
+
+    def __init__(self, starts, sensors):
+        self.starts = starts
+        self.sensors = sensors
+
+    def on_icycle_start(self, world, ic):
+        for at, step, arg in self.starts:
+            if at == ic:
+                start_work(world, world.agents[
+                    self.sensors[arg % len(self.sensors)]], step)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(("pair", "clique")), st.floats(1.0, 4.0),
        st.floats(0.5, 20.0), st.sampled_from(list(Variant)), gap_lists(),
-       STEPS)
+       STEPS, STARTS)
 def test_pending_set_matches_polling_oracle(kind, side, gain, variant, gaps,
-                                            steps):
-    # the World closes only the agents in its pending set and asks only the
-    # senders with exact send work at offset 0; the oracle polls every
-    # agent with the broad tests.  Runs, traces and clocks must agree
+                                            steps, starts):
+    # the World closes only the agents in its pending set, asks only the
+    # senders with exact send work at offset 0, runs an inert icycle in one
+    # step and a lone sender's frame in one step; the oracle polls every
+    # agent with the broad tests, every subcycle and every bit.  Hooks
+    # start work at T1, and run chunks end inside icycles and subcycles.
+    # Runs, power-level traces and clocks must agree
     specs = random_specs(kind, side, gain)
     sensors = [name for name, _, is_act, _, _ in specs if not is_act]
     runs = []
     for world_cls in (World, PollingWorld):
         trace = TraceWriter("power")
         world, _ = make_world(specs, variant, trace=trace, gain=gain,
-                              laser_gaps=list(gaps), world_cls=world_cls)
+                              laser_gaps=list(gaps), world_cls=world_cls,
+                              scenario=StartAtIcycle(starts, sensors))
+        icycle_len = world.clock.icycle_len
         for step, arg in steps:
             if step == "run":
                 world.run_cycles(arg)
-                continue
-            agent = world.agents[sensors[arg % len(sensors)]]
-            if step == "chain":
-                agent.start_chain(0b1000, cycle=world.cycle)
+            elif step == "mid":
+                at = (world.cycle - world.phase_origin) % icycle_len
+                world.run_cycles((arg - at) % icycle_len or icycle_len)
             else:
-                agent.start_request(controller_address(), world.current_ic)
-        world.run_cycles(3 * world.clock.icycle_len)
+                start_work(world, world.agents[sensors[arg % len(sensors)]],
+                           step)
+        world.run_cycles(3 * icycle_len)
         runs.append((trace.getvalue(), world.metrics.to_json(), world.cycle,
                      world.phase_origin, world.current_ic,
                      world.controller_frames))

@@ -20,6 +20,7 @@ from optomac.nodes import (
     _Inflight,
 )
 from optomac.protocol import (
+    BIT_MASK,
     PRIORITY_ACK,
     PRIORITY_BLOCK,
     PRIORITY_DATA,
@@ -414,6 +415,49 @@ def test_dark_tick_changes_nothing(sub, offset, inflight, exited_at, top,
     agent.observe(False, False, sub, offset, 0, 17)
     assert state() == before
     assert trace.getvalue() == ""
+
+
+# -- a lone sender's frame in one step -----------------------------------------
+#
+# The engine carries a frame sent alone past offset 0 in one step: it takes
+# the sender's 1-bits as one mask and hands each lit listener its detector
+# bits as masks.  Each must equal what the per-bit calls give.
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 15), st.sampled_from(list(Opcode)),
+       st.integers(0, 3), st.integers(1, FRAME_BITS),
+       st.integers(1, FRAME_BITS), st.none() | st.integers(0, FRAME_BITS - 1))
+def test_pulses_are_the_one_bits_emit_sends(recipient, opcode, pattern, lo,
+                                            hi, exited_at):
+    agent, _ = make_agent()
+    frame = Frame(recipient, opcode, SENSOR)
+    agent.inflight = _Inflight(Outgoing(frame, pattern, PRIORITY_DATA),
+                               frame_mask(frame), exited_at=exited_at)
+    want = 0
+    for off in range(lo, hi):
+        if agent.emit(agent.mode, off, 0, off) == (1, pattern):
+            want |= BIT_MASK[off]
+    assert agent.pulses(lo, hi) == (want, pattern)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(Subcycle)), RX_BITS, RX_BITS, RX_BITS, RX_BITS)
+def test_receiving_masks_equals_observing_their_bits(sub, top, bottom,
+                                                     held_top, held_bottom):
+    agents = []
+    for _ in range(2):
+        agent, _ = make_agent(mode=Subcycle.T2)
+        agent._rx_top, agent._rx_bottom = held_top, held_bottom
+        agents.append(agent)
+    by_bit, by_mask = agents
+    for off, bit in enumerate(BIT_MASK):
+        if (top | bottom) & bit:
+            by_bit.observe(bool(top & bit), bool(bottom & bit), sub, off, 0,
+                           off)
+    by_mask.receive(sub, top, bottom)
+    assert ((by_mask._rx_top, by_mask._rx_bottom)
+            == (by_bit._rx_top, by_bit._rx_bottom))
 
 
 # -- calls the engine skips ---------------------------------------------------

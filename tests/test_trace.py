@@ -1,11 +1,13 @@
 """Trace writer: the bytes of every line, levels and the set of event kinds."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optomac.config import load_path
 from optomac.scenarios import SCENARIO_HORIZON_ICS, run_scenario
 from optomac.trace import _KIND_LEVEL, LEVELS, NullTrace, TraceWriter
 
@@ -76,3 +78,34 @@ def test_every_emitted_kind_has_a_level(scenario, protocol):
     run_scenario(scenario, protocol=protocol, seed=0, trace=writer)
     kinds = {json.loads(line)["kind"] for line in writer.getvalue().splitlines()}
     assert kinds and kinds <= set(_KIND_LEVEL)
+
+
+DATA = Path(__file__).with_name("data")
+# (scenario, --config document) of every packaged scenario and test document
+RUNS = ([(scenario, None) for scenario in sorted(SCENARIO_HORIZON_ICS)]
+        + [(None, doc.name) for doc in sorted(DATA.glob("*.json"))])
+
+
+@pytest.mark.parametrize("protocol", ("basic", "handshake"))
+@pytest.mark.parametrize("scenario,doc", RUNS)
+def test_each_level_is_a_projection_of_the_next(scenario, doc, protocol):
+    # a run writes the same events at every level: the events trace is the
+    # power trace without its power lines, the summary trace is the events
+    # trace without its level-1 kinds, and metrics.json does not change.
+    # The golden digests pin the power level; this ties the others to it
+    cfg = load_path(DATA / doc) if doc is not None else None
+    for seed in range(4):
+        traces, metrics = {}, set()
+        for level in LEVELS:
+            writer = TraceWriter(level)
+            result = run_scenario(scenario, cfg=cfg, protocol=protocol,
+                                  seed=seed, trace=writer)
+            traces[level] = writer.getvalue().splitlines(keepends=True)
+            metrics.add(result.metrics.to_json())
+        for coarse, fine in zip(LEVELS, LEVELS[1:]):
+            rank = LEVELS.index(coarse)
+            assert len(traces[coarse]) < len(traces[fine])
+            assert traces[coarse] == [
+                line for line in traces[fine]
+                if _KIND_LEVEL[json.loads(line)["kind"]] <= rank]
+        assert len(metrics) == 1
