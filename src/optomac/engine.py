@@ -12,14 +12,18 @@ the power tables per side, and its collision evidence from counting the
 emitters whose own entry reaches the threshold; a node observes its two
 detector bits, and no per-arrival reading is built.  A cycle in which a
 node's detectors see no bit leaves that node unchanged, so it is not asked
-to observe.  A frame sent alone in its subcycle is carried bit by bit only
-at offset 0, where it is loaded: nothing can make a lone sender exit, and
-each of its 1-bits lights the same detectors, so the controller and every
-lit listener take the rest of its 1-bits as one mask (``Agent.receive``).
-Two or more transmitters go bit by bit, as carrier sense may make one exit
-at any bit.  A subcycle without a transmitter, and the guard bits
-of one with a transmitter, carry no light and are passed over to the
-subcycle's last cycle.  There only the pending nodes close the subcycle:
+to observe.  Frames are emitted and observed bit by bit only at offset 0,
+where they are loaded.  A frame sent alone in its subcycle is then carried
+in one step: nothing can make a lone sender exit, and each of its 1-bits
+lights the same detectors, so the controller and every lit listener take
+the rest of its 1-bits as one mask (``Agent.receive``).  The frames of two
+or more transmitters are carried in one walk over their offsets, with no
+call to ``Agent.emit`` or ``Agent.observe``: each offset's emissions come
+from the masks of the frames still in the race, a sender lit on its own
+0-bit exits there (``Agent.sense``), and each lit listener takes what it
+saw over the walk as one mask.  A subcycle without a transmitter, and the
+guard bits of one with a transmitter, carry no light and are passed over to
+the subcycle's last cycle.  There only the pending nodes close the subcycle:
 the World keeps them as one int bit mask in node order, setting the bits
 of the transmitters after offset 0 and of the nodes that saw a bit, and
 keeping a node's bit after its close only while it still has work
@@ -244,10 +248,11 @@ class World:
 
         An instruction cycle that is inert once ``on_icycle_start`` has run
         (no agent to close, none with send work, and ``stop`` beyond it) is
-        run to its end in one step: only the T4 end has work then.  A
-        frame sent alone is carried in one step (``_send_alone``); with two
-        or more transmitters, each bit is emitted and observed in turn, as
-        carrier sense may make one exit at any bit.
+        run to its end in one step: only the T4 end has work then.  After
+        offset 0, a frame sent alone is carried in one step
+        (``_send_alone``), and the frames of two or more transmitters in
+        one walk over their offsets (``_contend``), where carrier sense may
+        make one exit at any bit.
         """
         sub, off, ic = self._phase()
         start = self.cycle - off
@@ -278,9 +283,8 @@ class World:
             self._send_alone(transmitters[0], sub, start,
                              max(first, self._dark_until), end)
         elif transmitters:
-            for cycle in range(first, end):
-                self.cycle = cycle
-                self._emit_cycle(transmitters, sub, cycle - start, ic)
+            self._contend(transmitters, sub, start,
+                          max(first, self._dark_until), end)
         if stop > last:
             self.cycle = last
             self._end_subcycle(sub, ic)
@@ -318,8 +322,7 @@ class World:
                 self.metrics.collisions += 1
             agent.observe(top, bottom, sub, off, ic, self.cycle)
         if self.trace.wants("power"):
-            self.trace.event(self.cycle, "power",
-                             sources=sorted(n for n, _ in emissions))
+            self.trace.power(self.cycle, sorted(n for n, _ in emissions))
 
     def _send_alone(self, agent: Agent, sub: Subcycle, start: int,
                     first: int, end: int) -> None:
@@ -342,10 +345,66 @@ class World:
         for rx, top, bottom, _ in lit:
             rx.receive(sub, bits if top else 0, bits if bottom else 0)
         if self.trace.wants("power"):
-            sources = [agent.name]
+            sources = (agent.name,)
             for off in range(first - start, end - start):
                 if bits & BIT_MASK[off]:
-                    self.trace.event(start + off, "power", sources=sources)
+                    self.trace.power(start + off, sources)
+
+    def _contend(self, transmitters: list[Agent], sub: Subcycle, start: int,
+                 first: int, end: int) -> None:
+        """Carry the frames of two or more transmitters over cycles
+        ``first`` to ``end - 1``, which no laser gap darkens, in one walk.
+
+        Each cycle's emissions are the 1-bits of the frames still in the
+        race.  A lit sender senses the carrier (``Agent.sense``), as in
+        ``Agent.observe``, so one mute on its own 0-bit exits there, its
+        ``tx_exit`` line before the cycle's ``power`` line; collision
+        evidence counts once per agent per subcycle; and each lit listener
+        takes what its detectors saw over the whole walk as one mask
+        (``Agent.receive``).
+        """
+        hears = self._controller_hears
+        trace = self.trace
+        power = trace.wants("power")
+        seen = self._evidence_seen
+        # (agent, frame in flight, emission) of each sender still in the race
+        racing = []
+        for agent in transmitters:
+            fl = agent.inflight
+            if fl.exited_at is None:
+                racing.append((agent, fl, (agent.name, fl.out.pattern)))
+        heard = {}
+        for cycle in range(first, end):
+            off = cycle - start
+            bit = BIT_MASK[off]
+            emissions = tuple(e for _, fl, e in racing if fl.mask & bit)
+            if not emissions:
+                continue
+            if hears is None or any(tx in hears for tx, _ in emissions):
+                self._controller_bits |= bit
+            lit, lit_mask = self._lit_for(emissions)
+            self._pending |= lit_mask
+            exited = False
+            for agent, top, bottom, evidence in lit:
+                if evidence and agent.name not in seen:
+                    seen.add(agent.name)
+                    self.metrics.collisions += 1
+                if agent.mode is not sub:
+                    sides = heard.get(agent)
+                    if sides is None:
+                        sides = heard[agent] = [0, 0]
+                    if top:
+                        sides[0] |= bit
+                    if bottom:
+                        sides[1] |= bit
+                elif agent.sense(off, cycle):
+                    exited = True
+            if power:
+                trace.power(cycle, sorted(n for n, _ in emissions))
+            if exited:
+                racing = [r for r in racing if r[1].exited_at is None]
+        for agent, (top, bottom) in heard.items():
+            agent.receive(sub, top, bottom)
 
     def _end_subcycle(self, sub: Subcycle, ic: int) -> None:
         if self._pending:
@@ -439,5 +498,5 @@ class World:
         if frame.recipient != controller_address():
             return
         self.controller_frames.append((self.cycle, frame))
-        self.trace.event(self.cycle, "controller", frame=frame.describe())
+        self.trace.controller_frame(self.cycle, self._controller_bits)
         self.scenario.on_controller_frame(self, frame, self.cycle)

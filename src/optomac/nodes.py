@@ -213,8 +213,7 @@ class Agent:
         chain = CommandChain(target=target, tag=tag,
                              state=self._first_state(), started_cycle=cycle)
         self.chains.append(chain)
-        self.trace.event(cycle, "chain", node=self.name,
-                         state=chain.state.value, target=target, tag=tag)
+        self.trace.chain(cycle, self.name, chain.state.value, target, tag)
         return chain
 
     def start_request(self, target: int, ic: int) -> None:
@@ -265,17 +264,24 @@ class Agent:
         """Process one clock cycle of detector input: the top and bottom
         detector bits."""
         if sub == self.mode:
-            fl = self.inflight
-            # carrier sense: either detector sees a bit during an own 0-bit
-            if ((top or bottom) and fl is not None and fl.exited_at is None
-                    and not fl.mask & BIT_MASK[offset]):
-                fl.exited_at = offset
-                self.trace.event(cycle, "tx_exit", node=self.name,
-                                 bit=offset, frame=fl.out.frame.describe())
+            if top or bottom:
+                self.sense(offset, cycle)
             return
         if offset < FRAME_BITS:
             bit = BIT_MASK[offset]
             self.receive(sub, bit if top else 0, bit if bottom else 0)
+
+    def sense(self, offset: int, cycle: int) -> bool:
+        """Carrier sense in the own subcycle, when either detector sees a
+        bit at ``offset``: a frame in flight that is mute there (an own
+        0-bit) exits the subcycle.  Return whether it exited now."""
+        fl = self.inflight
+        if (fl is None or fl.exited_at is not None
+                or fl.mask & BIT_MASK[offset]):
+            return False
+        fl.exited_at = offset
+        self.trace.tx_exit(cycle, self.name, offset, fl.mask)
+        return True
 
     def receive(self, sub: Subcycle, top: int, bottom: int) -> None:
         """Take the bits each detector saw in subcycle ``sub``, as masks
@@ -300,8 +306,7 @@ class Agent:
             self._tick_windows(ic, cycle)
         if (self.blocked_by is not None
                 and ic - self.blocked_since_ic >= BLOCKED_BACKSTOP_ICS):
-            self.trace.event(cycle, "unblocked", node=self.name,
-                             by=self.blocked_by, reason="timeout")
+            self.trace.unblocked(cycle, self.name, self.blocked_by, "timeout")
             self.blocked_by = None
 
     def on_second_layer(self, detected: bool, ic: int, cycle: int) -> None:
@@ -342,10 +347,8 @@ class Agent:
         out = self._pick()
         if out is None:
             return
-        self.inflight = _Inflight(out=out, mask=frame_mask(out.frame))
-        self.trace.event(cycle, "tx_start", node=self.name,
-                         frame=out.frame.describe(),
-                         pattern=out.pattern)
+        fl = self.inflight = _Inflight(out=out, mask=frame_mask(out.frame))
+        self.trace.tx_start(cycle, self.name, fl.mask, out.pattern)
 
     def _next_out(self) -> Outgoing | None:
         """The frame ``emit`` loads next, left in place: the first queued
@@ -388,8 +391,7 @@ class Agent:
             self.metrics.exits += 1
             self.queue.insert(0, out)
             return
-        self.trace.event(cycle, "tx_done", node=self.name,
-                         frame=out.frame.describe())
+        self.trace.tx_done(cycle, self.name, fl.mask)
         op = out.frame.opcode
         chain = out.chain
         if op == Opcode.NOTIFY and chain is not None:
@@ -409,7 +411,8 @@ class Agent:
     # -- receive side ------------------------------------------------------
 
     def _receive_subcycle(self, ic: int, cycle: int) -> None:
-        decoded: list[tuple[str, Frame, bool]] = []
+        # (side, frame, addressed, mask) of each clean decode
+        decoded: list[tuple[str, Frame, bool, int]] = []
         for side, mask in (("top", self._rx_top),
                            ("bottom", self._rx_bottom)):
             if mask == 0:
@@ -418,14 +421,12 @@ class Agent:
             verdict = vet(frame, self.mem)
             if verdict is Verdict.COLLISION_SUSPECT:
                 self.metrics.rx_rejects += 1
-                self.trace.event(cycle, "rx_reject", node=self.name,
-                                 side=side, reason=verdict.value,
-                                 bits=f"{mask:0{FRAME_BITS}b}")
+                self.trace.rx_reject_bits(cycle, self.name, side,
+                                          verdict.value, mask)
                 continue
             addressed = verdict is Verdict.OK
-            self.trace.event(cycle, "rx_frame", node=self.name, side=side,
-                             frame=frame.describe(), addressed=addressed)
-            decoded.append((side, frame, addressed))
+            self.trace.rx_frame(cycle, self.name, side, mask, addressed)
+            decoded.append((side, frame, addressed, mask))
         self.clear_receive_buffers()
         if self.is_actuator:
             # Two clean NOTIFYs on opposite detectors in one subcycle are a
@@ -433,13 +434,12 @@ class Agent:
             notifies = [d for d in decoded
                         if d[1].opcode == Opcode.NOTIFY and d[2]]
             if len(notifies) >= 2:
-                for side, frame, _ in notifies:
+                for side, _, _, mask in notifies:
                     self.metrics.rx_rejects += 1
-                    self.trace.event(cycle, "rx_reject", node=self.name,
-                                     side=side, reason="notify_contention",
-                                     frame=frame.describe())
+                    self.trace.rx_reject_frame(cycle, self.name, side,
+                                               "notify_contention", mask)
                 decoded = [d for d in decoded if d not in notifies]
-        for _side, frame, addressed in decoded:
+        for _side, frame, addressed, _mask in decoded:
             self._route(frame, addressed, ic, cycle)
 
     def _route(self, frame: Frame, addressed: bool, ic: int,
@@ -461,13 +461,11 @@ class Agent:
             if (chain.state is ChainState.AWAIT_BLOCK
                     and frame.transmitter == chain.target):
                 chain.state = ChainState.SEND_COMMAND
-                self.trace.event(cycle, "block_cleared", node=self.name,
-                                 target=chain.target)
+                self.trace.block_cleared(cycle, self.name, chain.target)
                 return
         self.blocked_by = frame.transmitter
         self.blocked_since_ic = ic
-        self.trace.event(cycle, "blocked", node=self.name,
-                         by=frame.transmitter)
+        self.trace.blocked(cycle, self.name, frame.transmitter)
 
     def _on_ack(self, frame: Frame, addressed: bool, cycle: int) -> None:
         if addressed:
@@ -476,14 +474,12 @@ class Agent:
                         and frame.transmitter == chain.target):
                     self.metrics.delivered += 1
                     self.chains.remove(chain)
-                    self.trace.event(cycle, "chain", node=self.name,
-                                     state="done", target=chain.target,
-                                     tag=chain.tag)
+                    self.trace.chain(cycle, self.name, "done", chain.target,
+                                     chain.tag)
                     self.hooks.on_chain_done(self, chain, cycle)
                     break
         if self.blocked_by is not None and frame.transmitter == self.blocked_by:
-            self.trace.event(cycle, "unblocked", node=self.name,
-                             by=self.blocked_by, reason="ack")
+            self.trace.unblocked(cycle, self.name, self.blocked_by, "ack")
             self.blocked_by = None
 
     def _on_notify(self) -> None:
@@ -521,7 +517,7 @@ class Agent:
             chain.state = ChainState.BACKOFF
             chain.retry_ic = ic + chain.backoff.draw(self.rng)
             self.metrics.retries += 1
-            self.trace.event(cycle, "timeout", node=self.name, waited=waited,
-                             target=chain.target, retry_ic=chain.retry_ic)
+            self.trace.timeout(cycle, self.name, waited, chain.target,
+                               chain.retry_ic)
             self.metrics.timeouts.append(
                 {"node": self.name, "waited": waited, "cycle": cycle})

@@ -10,10 +10,11 @@ A frame's wire form is one integer, its ``FRAME_BITS`` bits MSB first: the
 sender loads it (``frame_mask``), receivers and the controller collect it bit
 by bit (``BIT_MASK``), and ``parse_mask`` decodes it.  ``frame_mask`` checks
 its frame and computes the mask with no table.  ``parse_mask`` and
-``Frame.describe`` keep each decoded ``Frame`` and each frame's text in
-tables keyed by mask, filled lazily as runs meet frames, so each holds at
-most 2^``FRAME_BITS`` entries.  Both validate before they consult a table, so
-a cached answer is never given for an input the codec rejects.
+``frame_text`` (which ``Frame.describe`` uses) keep each decoded ``Frame``
+and each frame's text in tables keyed by mask, filled lazily as runs meet
+frames, so each holds at most 2^``FRAME_BITS`` entries.  Both validate
+before they consult a table, so a cached answer is never given for an input
+the codec rejects.
 
 The frame format serves bit-serial arbitration, which each node runs
 (``nodes.Agent``) over the OR channel: a transmitter listens during each of
@@ -75,13 +76,7 @@ class Frame:
     transmitter: int
 
     def describe(self) -> str:
-        mask = frame_mask(self)
-        text = _TEXT_OF_MASK.get(mask)
-        if text is None:
-            text = _TEXT_OF_MASK[mask] = (
-                f"{format_address(self.recipient)} {self.opcode.value:03b} "
-                f"{format_address(self.transmitter)}")
-        return text
+        return frame_text(frame_mask(self))
 
 
 # The mask of bit ``k`` of a frame, MSB first: a frame's bits as one integer.
@@ -103,6 +98,20 @@ def frame_mask(frame: Frame) -> int:
             and 0 <= t < _ADDRESSES and type(op) is Opcode):
         raise ValueError(f"frame {frame!r} does not fit {FRAME_BITS} bits")
     return (r << 3 | op) << ADDRESS_BITS | t
+
+
+def frame_text(mask: int) -> str:
+    """The text of the frame whose bits ``mask`` holds, as ``parse_mask``
+    reads them: recipient, opcode and transmitter in binary."""
+    if type(mask) is not int or not 0 <= mask < 1 << FRAME_BITS:
+        raise ValueError("malformed frame bits")
+    text = _TEXT_OF_MASK.get(mask)
+    if text is None:
+        frame = parse_mask(mask)
+        text = _TEXT_OF_MASK[mask] = (
+            f"{format_address(frame.recipient)} {frame.opcode.value:03b} "
+            f"{format_address(frame.transmitter)}")
+    return text
 
 
 def parse_mask(mask: int) -> Frame:

@@ -4,7 +4,7 @@ Each restates one rule of the model in its simplest form, apart from the
 code a run executes: the geometry of one link, a frame's bits as a tuple
 and decoding a frame from them, arbitration as a maximum and as a
 bit-serial round over pairwise carrier sense, reachability from the power
-map, and an engine that polls every agent for work.
+map, and an engine that polls every agent for work and steps every bit.
 """
 
 from __future__ import annotations
@@ -136,12 +136,14 @@ class PollingWorld(World):
     longer than a subcycle or, while a frame is sent, a bit.
 
     It runs every subcycle of every instruction cycle, inert or not, and
-    emits and observes every bit of a frame, sent alone or not.  At offset
-    0 it asks every sender of the subcycle ``polled_send_work``, and at
-    each subcycle's end it asks every agent, in agent order and each just
-    before its turn, ``polled_subcycle_work``.  The live World must give
-    the same runs with its exact tests, its pending set and its one-step
-    inert icycles and lone frames.
+    emits and observes every bit of a frame, whether sent alone or against
+    other senders: it is the per-bit reference for carrier sense, exits and
+    collision evidence.  At offset 0 it asks every sender of the subcycle
+    ``polled_send_work``, and at each subcycle's end it asks every agent,
+    in agent order and each just before its turn, ``polled_subcycle_work``.
+    The live World must give the same runs with its exact tests, its
+    pending set, its one-step inert icycles and lone frames, and its
+    one-walk contended frames.
     """
 
     def __init__(self, *args, **kwargs):

@@ -503,6 +503,44 @@ def test_inert_icycle_and_lone_frame_take_one_step_each(monkeypatch):
     assert ends[0][0] is Subcycle.T1 and ends[-1] == (Subcycle.T4, 6)
 
 
+def test_contended_frames_are_emitted_at_offset_0_only(monkeypatch):
+    # three clique senders contend in T1: each is asked for a bit and
+    # observes only at offset 0, where their frames load; the engine carries
+    # the rest of the race in one walk.  The polling oracle emits and
+    # observes every bit, and gives the same trace, exits and evidence
+    emits, observes = [], []
+    emit, observe = Agent.emit, Agent.observe
+
+    def counting_emit(agent, sub, offset, ic, cycle):
+        emits.append(offset)
+        return emit(agent, sub, offset, ic, cycle)
+
+    def counting_observe(agent, top, bottom, sub, offset, ic, cycle):
+        observes.append(offset)
+        return observe(agent, top, bottom, sub, offset, ic, cycle)
+
+    monkeypatch.setattr(Agent, "emit", counting_emit)
+    monkeypatch.setattr(Agent, "observe", counting_observe)
+    runs = []
+    for world_cls in (World, PollingWorld):
+        emits.clear()
+        observes.clear()
+        trace = TraceWriter("power")
+        world, _ = make_world(clique_specs(), Variant.BASIC, trace=trace,
+                              world_cls=world_cls)
+        for name in ("s1", "s2", "s3"):
+            world.agents[name].start_chain(0b1000)
+        world.run(4)
+        runs.append((trace.getvalue(), world.metrics.exits,
+                     world.metrics.collisions))
+        if world_cls is World:
+            assert emits and set(emits) == {0}
+            assert observes and set(observes) == {0}
+    assert max(emits) > 0
+    assert runs[0] == runs[1]
+    assert world.metrics.exits == 3 and world.metrics.collisions > 0
+
+
 def random_specs(kind, side, gain):
     """The pair or the clique with its sides scaled by ``side``."""
     specs = pair_specs() if kind == "pair" else clique_specs()

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optomac import protocol, trace
 from optomac.config import load_path
+from optomac.protocol import frame_text
 from optomac.scenarios import SCENARIO_HORIZON_ICS, run_scenario
+from optomac.timebase import FRAME_BITS
 from optomac.trace import _KIND_LEVEL, LEVELS, NullTrace, TraceWriter
 
 # names with quotes, backslashes, control and non-ASCII characters
@@ -39,6 +42,94 @@ def test_lines_equal_json_dumps_with_sorted_keys(events):
                    for cycle, kind, payload in events)
     assert writer.getvalue() == want
     assert writer.count == len(events)
+
+
+CYCLES = st.integers(0, 10**9)
+INTS = st.integers(-10**20, 10**20)
+MASKS = st.integers(0, (1 << FRAME_BITS) - 1)
+
+# each per-kind writer: the kind it writes, a strategy for its arguments
+# after the cycle, and the payload ``event`` writes for them
+WRITERS = {
+    "tx_start": ("tx_start", st.tuples(NAMES, MASKS, INTS),
+                 lambda node, mask, pattern: {
+                     "node": node, "frame": frame_text(mask),
+                     "pattern": pattern}),
+    "tx_done": ("tx_done", st.tuples(NAMES, MASKS),
+                lambda node, mask: {"node": node, "frame": frame_text(mask)}),
+    "tx_exit": ("tx_exit", st.tuples(NAMES, INTS, MASKS),
+                lambda node, bit, mask: {
+                    "node": node, "bit": bit, "frame": frame_text(mask)}),
+    "rx_frame": ("rx_frame", st.tuples(NAMES, NAMES, MASKS, st.booleans()),
+                 lambda node, side, mask, addressed: {
+                     "node": node, "side": side, "frame": frame_text(mask),
+                     "addressed": addressed}),
+    "rx_reject_bits": ("rx_reject", st.tuples(NAMES, NAMES, NAMES, MASKS),
+                       lambda node, side, reason, mask: {
+                           "node": node, "side": side, "reason": reason,
+                           "bits": f"{mask:0{FRAME_BITS}b}"}),
+    "rx_reject_frame": ("rx_reject", st.tuples(NAMES, NAMES, NAMES, MASKS),
+                        lambda node, side, reason, mask: {
+                            "node": node, "side": side, "reason": reason,
+                            "frame": frame_text(mask)}),
+    "chain": ("chain", st.tuples(NAMES, NAMES, INTS, NAMES),
+              lambda node, state, target, tag: {
+                  "node": node, "state": state, "target": target,
+                  "tag": tag}),
+    "blocked": ("blocked", st.tuples(NAMES, INTS),
+                lambda node, by: {"node": node, "by": by}),
+    "unblocked": ("unblocked", st.tuples(NAMES, INTS, NAMES),
+                  lambda node, by, reason: {
+                      "node": node, "by": by, "reason": reason}),
+    "block_cleared": ("block_cleared", st.tuples(NAMES, INTS),
+                      lambda node, target: {"node": node, "target": target}),
+    "timeout": ("timeout", st.tuples(NAMES, NAMES, INTS, INTS),
+                lambda node, waited, target, retry_ic: {
+                    "node": node, "waited": waited, "target": target,
+                    "retry_ic": retry_ic}),
+    "controller_frame": ("controller", st.tuples(MASKS),
+                         lambda mask: {"frame": frame_text(mask)}),
+    "power": ("power", st.tuples(st.lists(NAMES, max_size=4)),
+              lambda sources: {"sources": sources}),
+}
+
+
+@pytest.mark.parametrize("method", sorted(WRITERS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_each_kind_writer_writes_what_event_writes(method, data):
+    # a per-kind writer's line is ``json.dumps`` of its record with sorted
+    # keys, at every level that wants its kind, and nothing at the others
+    kind, args, payload_of = WRITERS[method]
+    calls = data.draw(st.lists(st.tuples(CYCLES, args), max_size=4))
+    for writer in [TraceWriter(level) for level in LEVELS] + [NullTrace()]:
+        for cycle, values in calls:
+            getattr(writer, method)(cycle, *values)
+        want = []
+        if writer.wants(kind):
+            want = [json.dumps({"cycle": cycle, "kind": kind,
+                                **payload_of(*values)}, sort_keys=True) + "\n"
+                    for cycle, values in calls]
+        assert writer.getvalue() == "".join(want)
+        assert writer.count == len(want)
+
+
+def test_a_level_that_drops_frames_looks_up_no_frame_text(monkeypatch):
+    # at the summary level no per-frame line is written, so a contended
+    # handshake run never turns a frame into its text
+    want = TraceWriter("summary")
+    run_scenario("clique_contention", protocol="handshake", seed=0, trace=want)
+
+    def no_text(*args):
+        raise AssertionError("frame text looked up")
+
+    monkeypatch.setattr(trace, "frame_text", no_text)
+    monkeypatch.setattr(protocol, "frame_text", no_text)
+    writer = TraceWriter("summary")
+    run_scenario("clique_contention", protocol="handshake", seed=0,
+                 trace=writer)
+    assert writer.getvalue() == want.getvalue()
+    assert writer.count == want.count
 
 
 def test_a_value_json_has_no_form_for_raises_type_error():
