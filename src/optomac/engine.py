@@ -3,30 +3,25 @@
 Frames are aligned to subcycles and a node starts one only at offset 0 of
 its own working subcycle, so at offset 0 the engine asks only those nodes
 that have something to send in this instruction cycle
-(``Agent.has_send_work``) for a bit and, for the rest of the frame, only
-the ones that then hold a frame.  Each cycle that carries light runs in two
-phases: the transmitters present their bit, then the channel superposes the
-simultaneous pulses and the nodes whose detectors see a bit observe the
-result.  Each detector's bit comes from summing the emitters' entries in
-the power tables per side, and its collision evidence from counting the
-emitters whose own entry reaches the threshold; a node observes its two
-detector bits, and no per-arrival reading is built.  A cycle in which a
-node's detectors see no bit leaves that node unchanged, so it is not asked
-to observe.  Frames are emitted and observed bit by bit only at offset 0,
-where they are loaded.  A frame sent alone in its subcycle is then carried
-in one step: nothing can make a lone sender exit, and each of its 1-bits
-lights the same detectors, so the controller and every lit listener take
-the rest of its 1-bits as one mask (``Agent.receive``).  The frames of two
-or more transmitters are carried in one walk over their offsets, with no
-call to ``Agent.emit`` or ``Agent.observe``: each offset's emissions come
-from the masks of the frames still in the race, a sender lit on its own
-0-bit exits there (``Agent.sense``), and each lit listener takes what it
-saw over the walk as one mask.  A subcycle without a transmitter, and the
-guard bits of one with a transmitter, carry no light and are passed over to
-the subcycle's last cycle.  There only the pending nodes close the subcycle:
+(``Agent.has_send_work``) to load a frame (``Agent.emit``), and then carries
+the bits of the frames loaded, offset 0 included, with no per-bit call to a
+node.  Each detector's bit comes from summing the emitters' entries in the
+power tables per side, and its collision evidence from counting the
+emitters whose own entry reaches the threshold; no per-arrival reading is
+built, and a node whose detectors see no bit is left unchanged.  A frame
+sent alone in its subcycle is carried in one step: nothing can make a lone
+sender exit, and each of its 1-bits lights the same detectors, so the
+controller and every lit listener take its 1-bits as one mask
+(``Agent.receive``).  The frames of two or more transmitters are carried
+in one walk over their offsets: each offset's emissions come from the
+masks of the frames still in the race, a sender lit on its own 0-bit exits
+there (``Agent.sense``), and each lit listener takes what it saw over the
+walk as one mask.  A subcycle without a transmitter, and the guard bits of
+one with a transmitter, carry no light and are passed over to the
+subcycle's last cycle.  There only the pending nodes close the subcycle:
 the World keeps them as one int bit mask in node order, setting the bits
-of the transmitters after offset 0 and of the nodes that saw a bit, and
-keeping a node's bit after its close only while it still has work
+of the transmitters and of the nodes that saw a bit, and keeping a node's
+bit after its close only while it still has work
 (``Agent.has_subcycle_work``: a chain awaiting a reply or a block).  A node
 clears its receive buffers once it has decoded them.  Sensors get their
 fluorescence readings at the end of T4 only if a stimulus changed since the
@@ -239,26 +234,23 @@ class World:
     def _run_subcycle(self, stop: int) -> None:
         """Run from the current cycle to the end of its subcycle or ``stop``.
 
-        Only the nodes whose working mode is this subcycle and that have
-        something to send emit at offset 0, and afterwards only those that
-        then hold a frame, over the frame's bits.  Nothing else can happen
-        before the subcycle's last cycle, so a subcycle without a
+        At offset 0, only the nodes whose working mode is this subcycle and
+        that have something to send load a frame.  Then a frame sent alone
+        is carried in one step (``_send_alone``), and the frames of two or
+        more transmitters in one walk over their offsets (``_contend``),
+        where carrier sense may make one exit at any bit.  Nothing else can
+        happen before the subcycle's last cycle, so a subcycle without a
         transmitter and the guard bits are passed over.  A subcycle cut
         short by ``stop`` skips its end-of-subcycle work.
 
         An instruction cycle that is inert once ``on_icycle_start`` has run
         (no agent to close, none with send work, and ``stop`` beyond it) is
-        run to its end in one step: only the T4 end has work then.  After
-        offset 0, a frame sent alone is carried in one step
-        (``_send_alone``), and the frames of two or more transmitters in
-        one walk over their offsets (``_contend``), where carrier sense may
-        make one exit at any bit.
+        run to its end in one step: only the T4 end has work then.
         """
         sub, off, ic = self._phase()
         start = self.cycle - off
         last = start + self.clock.subcycle_len - 1
         senders = self._senders[sub]
-        first = self.cycle
         if off == 0:
             self._begin_subcycle(sub, ic)
             if (sub is Subcycle.T1 and not self._pending
@@ -268,23 +260,22 @@ class World:
                 self._end_subcycle(Subcycle.T4, ic)
                 self.cycle += 1
                 return
-            # a sender with nothing to send loads nothing and stays silent
-            ready = [a for a, _ in senders if a.has_send_work(ic)]
-            if ready:
-                self._emit_cycle(ready, sub, 0, ic)
-            first += 1
+            # ``emit`` at offset 0 loads the frame; the walk carries its bits.
+            # A sender with nothing to send loads nothing and stays silent
+            for agent, _ in senders:
+                if agent.has_send_work(ic):
+                    agent.emit(sub, 0, ic, self.cycle)
         transmitters = []
         for agent, bit in senders:
             if agent.inflight is not None:
                 transmitters.append(agent)
                 self._pending |= bit
+        first = max(self.cycle, self._dark_until)
         end = min(start + FRAME_BITS, stop)
         if len(transmitters) == 1:
-            self._send_alone(transmitters[0], sub, start,
-                             max(first, self._dark_until), end)
+            self._send_alone(transmitters[0], sub, start, first, end)
         elif transmitters:
-            self._contend(transmitters, sub, start,
-                          max(first, self._dark_until), end)
+            self._contend(transmitters, sub, start, first, end)
         if stop > last:
             self.cycle = last
             self._end_subcycle(sub, ic)
@@ -301,28 +292,6 @@ class World:
         self._evidence_seen.clear()
         if sub is Subcycle.T1:
             self.scenario.on_icycle_start(self, ic)
-
-    def _emit_cycle(self, transmitters: list[Agent], sub: Subcycle, off: int,
-                    ic: int) -> None:
-        emissions = []
-        for agent in transmitters:
-            sent = agent.emit(sub, off, ic, self.cycle)
-            if sent is not None and sent[0] == 1:
-                emissions.append((agent.name, sent[1]))
-        if not emissions or self.cycle < self._dark_until:
-            return
-        if any(self._controller_hears is None or tx in self._controller_hears
-               for tx, _ in emissions):
-            self._controller_bits |= BIT_MASK[off]
-        lit, lit_mask = self._lit_for(tuple(emissions))
-        self._pending |= lit_mask
-        for agent, top, bottom, evidence in lit:
-            if evidence and agent.name not in self._evidence_seen:
-                self._evidence_seen.add(agent.name)
-                self.metrics.collisions += 1
-            agent.observe(top, bottom, sub, off, ic, self.cycle)
-        if self.trace.wants("power"):
-            self.trace.power(self.cycle, sorted(n for n, _ in emissions))
 
     def _send_alone(self, agent: Agent, sub: Subcycle, start: int,
                     first: int, end: int) -> None:
@@ -356,12 +325,11 @@ class World:
         ``first`` to ``end - 1``, which no laser gap darkens, in one walk.
 
         Each cycle's emissions are the 1-bits of the frames still in the
-        race.  A lit sender senses the carrier (``Agent.sense``), as in
-        ``Agent.observe``, so one mute on its own 0-bit exits there, its
-        ``tx_exit`` line before the cycle's ``power`` line; collision
-        evidence counts once per agent per subcycle; and each lit listener
-        takes what its detectors saw over the whole walk as one mask
-        (``Agent.receive``).
+        race.  A lit sender senses the carrier (``Agent.sense``), so one
+        mute on its own 0-bit exits there, its ``tx_exit`` line before the
+        cycle's ``power`` line; collision evidence counts once per agent
+        per subcycle; and each lit listener takes what its detectors saw
+        over the whole walk as one mask (``Agent.receive``).
         """
         hears = self._controller_hears
         trace = self.trace

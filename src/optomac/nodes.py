@@ -149,6 +149,9 @@ class Agent:
         # saw no bit
         self._rx_top = 0
         self._rx_bottom = 0
+        # frame mask -> (frame, verdict), filled on first sight; exact since
+        # the memory does not change once the agent exists
+        self._heard: dict[int, tuple[Frame, Verdict]] = {}
         self.chains: list[CommandChain] = []
         self.blocked_by: int | None = None
         self.blocked_since_ic = 0
@@ -234,8 +237,12 @@ class Agent:
              cycle: int) -> tuple[int, int] | None:
         """Return ``(bit, pattern)`` for this clock cycle, or None if silent.
 
-        A 0-bit return still matters: it marks the node as an active
-        transmitter that is currently mute and therefore carrier-sensing.
+        At offset 0 of the own subcycle it refreshes the chains and the
+        relay request and loads the next frame, writing ``tx_start``; this
+        is the one call the engine makes, and the bits that follow are
+        carried by the engine (``pulses``, ``sense``).  A 0-bit return still
+        matters: it marks the node as an active transmitter that is
+        currently mute and therefore carrier-sensing.
         """
         if sub != self.mode:
             return None
@@ -262,7 +269,9 @@ class Agent:
     def observe(self, top: bool, bottom: bool, sub: Subcycle, offset: int,
                 ic: int, cycle: int) -> None:
         """Process one clock cycle of detector input: the top and bottom
-        detector bits."""
+        detector bits.  This is the per-bit entry point of the reference
+        engine in the tests; the live engine calls ``sense`` and
+        ``receive`` directly, and the benchmark wraps this method by name."""
         if sub == self.mode:
             if top or bottom:
                 self.sense(offset, cycle)
@@ -287,7 +296,7 @@ class Agent:
         """Take the bits each detector saw in subcycle ``sub``, as masks
         (see ``protocol.BIT_MASK``): one cycle's or a whole frame's.  A node
         receives only in the data subcycles it listens in; in its own it
-        only senses the carrier (``observe``), and the fourth carries no
+        only senses the carrier (``sense``), and the fourth carries no
         frame."""
         if sub != self.mode and sub != Subcycle.T4:
             self._rx_top |= top
@@ -411,14 +420,18 @@ class Agent:
     # -- receive side ------------------------------------------------------
 
     def _receive_subcycle(self, ic: int, cycle: int) -> None:
+        top, bottom = self._rx_top, self._rx_bottom
+        self._rx_top = self._rx_bottom = 0
         # (side, frame, addressed, mask) of each clean decode
         decoded: list[tuple[str, Frame, bool, int]] = []
-        for side, mask in (("top", self._rx_top),
-                           ("bottom", self._rx_bottom)):
+        for side, mask in (("top", top), ("bottom", bottom)):
             if mask == 0:
                 continue
-            frame = parse_mask(mask)
-            verdict = vet(frame, self.mem)
+            entry = self._heard.get(mask)
+            if entry is None:
+                frame = parse_mask(mask)
+                entry = self._heard[mask] = (frame, vet(frame, self.mem))
+            frame, verdict = entry
             if verdict is Verdict.COLLISION_SUSPECT:
                 self.metrics.rx_rejects += 1
                 self.trace.rx_reject_bits(cycle, self.name, side,
@@ -427,18 +440,16 @@ class Agent:
             addressed = verdict is Verdict.OK
             self.trace.rx_frame(cycle, self.name, side, mask, addressed)
             decoded.append((side, frame, addressed, mask))
-        self.clear_receive_buffers()
-        if self.is_actuator:
-            # Two clean NOTIFYs on opposite detectors in one subcycle are a
-            # collision the recipient can see directly; it serves neither.
-            notifies = [d for d in decoded
-                        if d[1].opcode == Opcode.NOTIFY and d[2]]
-            if len(notifies) >= 2:
-                for side, _, _, mask in notifies:
-                    self.metrics.rx_rejects += 1
-                    self.trace.rx_reject_frame(cycle, self.name, side,
-                                               "notify_contention", mask)
-                decoded = [d for d in decoded if d not in notifies]
+        # Two clean NOTIFYs on opposite detectors in one subcycle are a
+        # collision the recipient can see directly; it serves neither.
+        if (len(decoded) == 2 and self.is_actuator
+                and all(d[1].opcode == Opcode.NOTIFY and d[2]
+                        for d in decoded)):
+            for side, _, _, mask in decoded:
+                self.metrics.rx_rejects += 1
+                self.trace.rx_reject_frame(cycle, self.name, side,
+                                           "notify_contention", mask)
+            return
         for _side, frame, addressed, _mask in decoded:
             self._route(frame, addressed, ic, cycle)
 

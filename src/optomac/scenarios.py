@@ -54,7 +54,7 @@ from .config import (
     valid_seed,
 )
 from .engine import LaserGap, ScenarioHooks, World
-from .geometry import HexGrid, cell_of
+from .geometry import Cell, HexGrid, cell_of
 from .learning import LearningReport, run_learning, snapshot_text
 from .metrics import Metrics
 from .nodes import Agent, CommandChain, Hooks, Variant
@@ -340,8 +340,11 @@ class PhotothermalDriver(ScenarioDriver):
         self.trigger_cycles: dict[str, int] = {}
         self.dose = {spec.name: 0.0 for spec in self.fluorescent}
         self._scan_cells = self.cfg.grid.scan_cells()
-        self._fluorescent_cells = [(spec, cell_of(spec.position, self.cfg.grid))
-                                   for spec in self.fluorescent]
+        # cell -> the clusters in it, in cluster order
+        self._clusters_in: dict[Cell, list[ClusterSpec]] = {}
+        for spec in self.fluorescent:
+            self._clusters_in.setdefault(
+                cell_of(spec.position, self.cfg.grid), []).append(spec)
 
     # node-side hooks --------------------------------------------------------
 
@@ -391,9 +394,9 @@ class PhotothermalDriver(ScenarioDriver):
 
     def on_icycle_end(self, world: World, ic: int) -> None:
         for position in sorted(self.tasks):
-            cell = self._scan_cells[position]
-            targets = [spec for spec, c_cell in self._fluorescent_cells
-                       if c_cell == cell and world.stimuli[spec.name].active]
+            targets = [spec for spec in self._clusters_in.get(
+                           self._scan_cells[position], ())
+                       if world.stimuli[spec.name].active]
             if not targets:
                 del self.tasks[position]
                 self.trace.event(world.cycle, "dose", position=position,

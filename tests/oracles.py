@@ -17,7 +17,7 @@ from optomac.channel import ChannelConfig, PowerMap
 from optomac.engine import World
 from optomac.geometry import NodePose
 from optomac.nodes import Agent
-from optomac.protocol import Frame, frame_mask, parse_mask
+from optomac.protocol import BIT_MASK, Frame, frame_mask, parse_mask
 from optomac.timebase import FRAME_BITS, Subcycle
 
 
@@ -137,13 +137,15 @@ class PollingWorld(World):
 
     It runs every subcycle of every instruction cycle, inert or not, and
     emits and observes every bit of a frame, whether sent alone or against
-    other senders: it is the per-bit reference for carrier sense, exits and
-    collision evidence.  At offset 0 it asks every sender of the subcycle
+    other senders (``_emit_cycle``, ``Agent.emit`` and ``Agent.observe``):
+    it is the per-bit reference for carrier sense, exits and collision
+    evidence.  At offset 0 it asks every sender of the subcycle
     ``polled_send_work``, and at each subcycle's end it asks every agent,
     in agent order and each just before its turn, ``polled_subcycle_work``.
     The live World must give the same runs with its exact tests, its
     pending set, its one-step inert icycles and lone frames, and its
-    one-walk contended frames.
+    one-walk contended frames, which it carries from offset 0 once the
+    frames are loaded.
     """
 
     def __init__(self, *args, **kwargs):
@@ -171,6 +173,30 @@ class PollingWorld(World):
             self.cycle = last
             self._end_subcycle(sub, ic)
         self.cycle = min(stop, last + 1)
+
+    def _emit_cycle(self, transmitters: list[Agent], sub: Subcycle, off: int,
+                    ic: int) -> None:
+        """Step one cycle bit by bit: each transmitter emits its bit, and
+        each agent whose detectors see one observes it."""
+        emissions = []
+        for agent in transmitters:
+            sent = agent.emit(sub, off, ic, self.cycle)
+            if sent is not None and sent[0] == 1:
+                emissions.append((agent.name, sent[1]))
+        if not emissions or self.cycle < self._dark_until:
+            return
+        if any(self._controller_hears is None or tx in self._controller_hears
+               for tx, _ in emissions):
+            self._controller_bits |= BIT_MASK[off]
+        lit, lit_mask = self._lit_for(tuple(emissions))
+        self._pending |= lit_mask
+        for agent, top, bottom, evidence in lit:
+            if evidence and agent.name not in self._evidence_seen:
+                self._evidence_seen.add(agent.name)
+                self.metrics.collisions += 1
+            agent.observe(top, bottom, sub, off, ic, self.cycle)
+        if self.trace.wants("power"):
+            self.trace.power(self.cycle, sorted(n for n, _ in emissions))
 
     def _close_agents(self, sub: Subcycle, ic: int) -> None:
         for agent in self.agents.values():

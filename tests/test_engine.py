@@ -349,22 +349,22 @@ def test_run_returns_shared_metrics():
 
 def test_only_lit_listeners_observe(monkeypatch):
     # a node far from the clique never sees a bit, so it is never asked to
-    # observe or receive one.  Each lit cycle's bit reaches every node that
-    # listens in its subcycle exactly once, on the side that sees it: bit by
-    # bit through ``observe`` or, from a lone sender, with the rest of the
-    # frame; both go through ``receive``.  A node in its own subcycle is
-    # asked to observe only cycles it sees a bit in, each once at most
+    # sense or receive one.  Each lit cycle's bit reaches every node that
+    # listens in its subcycle exactly once, on the side that sees it, through
+    # ``receive``: from a lone sender with its whole frame, from contending
+    # ones with the whole walk.  A node in its own subcycle is asked to
+    # sense only cycles it sees a bit in, each once at most
     specs = clique_specs() + [("far", 0b0100, False, Subcycle.T3,
                                (40.0, 0.0, 0.0))]
     trace = TraceWriter("power")
     world, _ = make_world(specs, Variant.HANDSHAKE, trace=trace)
     sub_len = world.clock.subcycle_len
-    observed, received = [], []
-    observe, receive = Agent.observe, Agent.receive
+    sensed, received = [], []
+    sense, receive = Agent.sense, Agent.receive
 
-    def counting_observe(agent, top, bottom, sub, offset, ic, cycle):
-        observed.append((agent.name, cycle))
-        return observe(agent, top, bottom, sub, offset, ic, cycle)
+    def counting_sense(agent, offset, cycle):
+        sensed.append((agent.name, cycle))
+        return sense(agent, offset, cycle)
 
     def counting_receive(agent, sub, top, bottom):
         # no gap here: the phase starts at cycle 0
@@ -375,7 +375,7 @@ def test_only_lit_listeners_observe(monkeypatch):
                     received.append((agent.name, start + off, side))
         return receive(agent, sub, top, bottom)
 
-    monkeypatch.setattr(Agent, "observe", counting_observe)
+    monkeypatch.setattr(Agent, "sense", counting_sense)
     monkeypatch.setattr(Agent, "receive", counting_receive)
     for name in ("s1", "s2", "s3"):
         world.agents[name].start_chain(0b1000)
@@ -403,10 +403,10 @@ def test_only_lit_listeners_observe(monkeypatch):
                 else:
                     listening.append((rx, cycle, side))
     assert "far" not in {name for name, _, _ in listening}
-    assert "far" not in {name for name, _ in observed}
+    assert "far" not in {name for name, _ in sensed}
     assert world.metrics.exits > 0
     assert listening and sorted(received) == sorted(listening)
-    own = [(name, cycle) for name, cycle in observed
+    own = [(name, cycle) for name, cycle in sensed
            if world.agents[name].mode == subcycle_of(cycle, world.clock)[0]]
     assert own and len(own) == len(set(own)) and set(own) <= sensing
 
@@ -504,10 +504,11 @@ def test_inert_icycle_and_lone_frame_take_one_step_each(monkeypatch):
 
 
 def test_contended_frames_are_emitted_at_offset_0_only(monkeypatch):
-    # three clique senders contend in T1: each is asked for a bit and
-    # observes only at offset 0, where their frames load; the engine carries
-    # the rest of the race in one walk.  The polling oracle emits and
-    # observes every bit, and gives the same trace, exits and evidence
+    # three clique senders contend in T1: the live engine asks each for a
+    # bit only at offset 0, where its frame loads, carries every bit of the
+    # race in one walk and asks no node to observe.  The polling oracle
+    # emits and observes every bit, and gives the same trace, exits and
+    # evidence
     emits, observes = [], []
     emit, observe = Agent.emit, Agent.observe
 
@@ -535,8 +536,12 @@ def test_contended_frames_are_emitted_at_offset_0_only(monkeypatch):
                      world.metrics.collisions))
         if world_cls is World:
             assert emits and set(emits) == {0}
-            assert observes and set(observes) == {0}
+            assert observes == []
     assert max(emits) > 0
+    lit = {e["cycle"] % world.clock.subcycle_len
+           for e in map(json.loads, runs[1][0].splitlines())
+           if e["kind"] == "power"}
+    assert len(lit) > 1 and set(observes) == lit
     assert runs[0] == runs[1]
     assert world.metrics.exits == 3 and world.metrics.collisions > 0
 

@@ -601,3 +601,38 @@ def test_second_layer_matching_the_latch_changes_nothing(node, cycle):
     before = node_state(agent, hooks)
     agent.on_second_layer(agent.latched, ic, cycle)
     assert node_state(agent, hooks) == before
+
+
+# frames between the addresses around the node under test, and raw masks
+FRAME_MASKS = st.builds(
+    lambda to, op, by: frame_mask(Frame(to, op, by)),
+    st.sampled_from((SENSOR, PEER, ACTUATOR, broadcast_address())),
+    st.sampled_from(list(Opcode)),
+    st.sampled_from((SENSOR, PEER, ACTUATOR, 0b0100, controller_address())))
+HEARD = st.just(0) | FRAME_MASKS | RX_BITS
+
+
+@settings(max_examples=300, deadline=None)
+@given(node_states(inflight=False, rx=False), HEARD, HEARD, st.data())
+def test_masks_heard_before_do_not_change_a_decode(node, top, bottom, data):
+    # a node decodes each mask once and keeps the frame and its verdict;
+    # one that first heard an unrelated sequence of masks, the ones it is
+    # about to hear among them at times, ends a receiving subcycle in the
+    # same state as a fresh copy of it
+    agent, hooks, ic = node
+    sub = data.draw(st.sampled_from(
+        [s for s in (Subcycle.T1, Subcycle.T2, Subcycle.T3)
+         if s != agent.mode]))
+    cycle = data.draw(st.integers(0, 3000))
+    fresh, fresh_hooks = copy.deepcopy((agent, hooks))
+    earlier = copy.deepcopy(agent)
+    for heard in data.draw(st.lists(st.tuples(
+            HEARD | st.sampled_from((top, bottom)),
+            HEARD | st.sampled_from((top, bottom))), max_size=4)):
+        earlier.receive(sub, *heard)
+        earlier.end_subcycle(sub, ic, cycle)
+    agent._heard = dict(earlier._heard)
+    for each in (agent, fresh):
+        each.receive(sub, top, bottom)
+        each.end_subcycle(sub, ic, cycle)
+    assert node_state(agent, hooks) == node_state(fresh, fresh_hooks)
