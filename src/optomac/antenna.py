@@ -3,19 +3,26 @@
 Element amplitude follows the applied control voltage up to saturation, so
 switching elements between 0 and v_sat reshapes the radiated pattern of an
 emitter array; ``synthesize_pattern`` finds the on/off mask that steers it
-toward a target.  A node's selectable patterns reach the channel through one
-table type, ``SampledPatternTable``: sampled azimuth gain profiles, which the
-channel asks for one pattern's gains toward many azimuths at once.
+toward a target.  Synthesis works on numpy arrays and imports numpy on first
+use; no simulation run calls it.
+
+A node's selectable patterns reach the channel through one table type,
+``SampledPatternTable``: sampled azimuth gain profiles held as plain floats.
+The channel finds each link's place among the samples once (``bracket``) and
+reads every pattern's gain there.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 EXHAUSTIVE_LIMIT = 12  # full mask search up to 2^12 weight vectors
 
@@ -44,6 +51,8 @@ class ElementArray:
     """Emitting elements at fixed positions sharing one carrier wavelength."""
 
     def __init__(self, positions, wavelength: float, element: ElementConfig = ElementConfig()):
+        import numpy as np
+
         self.positions = np.asarray(positions, dtype=float)
         if self.positions.ndim != 2 or self.positions.shape[1] != 3:
             raise ValueError("positions must be an (n, 3) array")
@@ -60,6 +69,8 @@ class ElementArray:
 
 def array_factor(arr: ElementArray, weights, direction) -> complex:
     """Coherent sum of element contributions toward a unit direction."""
+    import numpy as np
+
     w = np.asarray(weights, dtype=float)
     u = np.asarray(direction, dtype=float)
     phases = (2.0 * math.pi / arr.wavelength) * (arr.positions @ u)
@@ -68,6 +79,8 @@ def array_factor(arr: ElementArray, weights, direction) -> complex:
 
 def gain(arr: ElementArray, weights, direction) -> float:
     """|AF|^2 normalized by the active weight budget; 1.0 at perfect coherence."""
+    import numpy as np
+
     w = np.asarray(weights, dtype=float)
     denom = np.sum(np.abs(w)) ** 2
     if denom == 0:
@@ -96,6 +109,8 @@ def synthesize_pattern(arr: ElementArray, target) -> SynthesizedPattern:
     Exhaustive over all masks up to EXHAUSTIVE_LIMIT elements (ties resolve to
     the lexicographically smallest mask); deterministic greedy flips beyond.
     """
+    import numpy as np
+
     on_amp = element_amplitude(arr.element.v_sat, arr.element)
     u = np.asarray(target, dtype=float)
     n = len(arr)
@@ -136,39 +151,74 @@ class SampledPatternTable:
     Gain is taken over the lateral azimuth of the direction; elevation is not
     resolved (detector sides handle the vertical dimension separately).  The
     period is closed once, at construction: the first sample is repeated at
-    ``azimuths[0] + 360``, so ``gain`` and ``gains_at`` interpolate over the
-    same arrays and give the same value for the same azimuth.
+    ``azimuths[0] + 360``.  Samples, gains and each segment's slope are
+    plain floats, and a lookup gives what ``np.interp`` gives over the
+    closed samples, bit for bit: the slope of segment ``k`` is ``(y[k+1] -
+    y[k]) / (x[k+1] - x[k])`` and the gain ``slope * (x - x[k]) + y[k]``; a
+    sample itself gives its own gain, and an azimuth below the first sample
+    gives the first gain.
     """
 
     def __init__(self, azimuths_deg, gains):
-        self.azimuths = np.asarray(azimuths_deg, dtype=float)
-        self.gains = np.asarray(gains, dtype=float)
-        if self.gains.ndim != 2 or self.gains.shape[1] != len(self.azimuths):
+        try:
+            self.azimuths = tuple(map(float, azimuths_deg))
+            self.gains = tuple(tuple(map(float, row)) for row in gains)
+        except TypeError:
+            raise ValueError("gains must be (n_patterns, n_azimuths)") from None
+        n = len(self.azimuths)
+        if n == 0 or not self.gains or any(len(row) != n for row in self.gains):
             raise ValueError("gains must be (n_patterns, n_azimuths)")
-        if np.any(np.diff(self.azimuths) <= 0):
-            raise ValueError("azimuths must be strictly increasing")
-        if np.any(self.gains < 0):
+        if not all(map(math.isfinite, chain(self.azimuths, *self.gains))):
+            raise ValueError("azimuths and gains must be finite")
+        xs = self.azimuths + (self.azimuths[0] + 360.0,)
+        if any(a >= b for a, b in zip(xs, xs[1:])):
+            raise ValueError("azimuths must be strictly increasing and "
+                             "span less than 360 degrees")
+        if any(g < 0 for row in self.gains for g in row):
             raise ValueError("gains must be non-negative")
-        self.n_patterns = self.gains.shape[0]
-        self._xs = np.append(self.azimuths, self.azimuths[0] + 360.0)
-        self._ys = np.concatenate([self.gains, self.gains[:, :1]], axis=1)
+        self.n_patterns = len(self.gains)
+        self._xs = xs
+        self._last = n  # index of the closing sample
+        # each pattern's gains over the closed samples, and its slope on
+        # each segment between them
+        self.rows = tuple(row + row[:1] for row in self.gains)
+        self.slopes = tuple(tuple((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])
+                                  for k in range(n)) for ys in self.rows)
+
+    def bracket(self, azimuth: float) -> tuple[int, float | None]:
+        """Where ``azimuth`` falls among the closed samples, found as
+        ``np.interp`` finds it: ``(k, t)`` stands for the gain ``slopes[p][k]
+        * t + rows[p][k]`` of each pattern ``p``, or ``rows[p][k]`` itself
+        when ``t`` is None (on a sample, below the first or at the closing
+        one)."""
+        xs = self._xs
+        k = bisect_right(xs, azimuth) - 1
+        if k < 0:
+            return 0, None
+        if k < self._last:
+            return (k, azimuth - xs[k]) if xs[k] != azimuth else (k, None)
+        # NaN sorts past every sample too; np.interp returns it, and a NaN
+        # ``t`` carries it through the segment formula
+        return (k, None) if azimuth == azimuth else (0, azimuth)
+
+    def gain_at(self, pattern: int, azimuth: float) -> float:
+        """Gain of ``pattern`` toward ``azimuth`` in degrees.
+        ``channel.build_power_map`` applies the same formula to a bracket
+        shared by all patterns."""
+        k, t = self.bracket(azimuth)
+        ys = self.rows[pattern]
+        return ys[k] if t is None else self.slopes[pattern][k] * t + ys[k]
 
     def gain(self, pattern: int, direction) -> float:
-        return float(self.gains_at(pattern, azimuth_deg(direction)))
-
-    def gains_at(self, pattern: int, azimuths) -> np.ndarray:
-        """Gain of ``pattern`` toward each of ``azimuths`` (degrees in
-        [0, 360)) in one interpolation; a scalar azimuth gives a scalar."""
-        return np.interp(azimuths, self._xs, self._ys[pattern])
+        return self.gain_at(pattern, azimuth_deg(direction))
 
     def to_text(self) -> str:
         """Dump as `pattern <id> mask -` blocks with one azimuth/gain row
         every 5 degrees."""
         out = io.StringIO()
-        azs = np.arange(0.0, 360.0, 5.0)
         for p in range(self.n_patterns):
             out.write(f"pattern {p} mask -\n")
-            for az in azs:
+            for az in range(0, 360, 5):
                 rad = math.radians(az)
                 g = self.gain(p, (math.cos(rad), math.sin(rad), 0.0))
                 out.write(f"{az:.1f} {g:.9e}\n")

@@ -7,11 +7,13 @@ what lets frames arriving from distinct sides be separated.  Wavelength
 filters split the medium into three logical channels: first-layer frames,
 second-layer fluorescence, and the simplex second-layer command channel.
 
-Nodes are stationary, so ``build_power_map`` precomputes the channel once
-per deployment as plain float tables indexed in config order, taking each
-link's geometry and exponential attenuation once.  The engine reads each
-detector's bit and collision evidence straight from the table rows, summing
-the emitters' entries per side and counting the individually strong ones.
+Nodes are stationary, so ``build_power_map`` precomputes the channel as
+plain float tables indexed in config order, in pure Python: each pair's
+distance and exponential attenuation are taken once for both directions,
+and each link's place among the transmitter's gain samples once for all of
+its patterns.  The engine reads each detector's bit and collision evidence
+straight from the table rows, summing the emitters' entries per side and
+counting the individually strong ones.
 ``superpose`` builds the full reading of one detector from ``Arrival``
 values; it is the reference the tests and the scorecard check the tables
 against.
@@ -128,49 +130,61 @@ def build_power_map(poses: dict[str, NodePose],
     """Precompute the power tables for all pairs; ``tables`` maps each node
     to its own gain table.
 
-    Per link, the geometry, ``exp(-mu d)`` and ``4 pi d^2`` are taken once;
-    per transmitter and pattern, the gains toward all receivers come from one
-    ``gains_at`` interpolation.  Each entry repeats the IEEE operations of
-    the link geometry (the reference ``geometry_between`` in
-    ``tests/oracles.py``), ``azimuth_deg`` and ``received_power`` in their
-    order, so it equals ``received_power(tx_power, table.gain(p, direction),
-    distance, mu)`` bit for bit.
+    Per unordered pair, the distance, ``exp(-mu d)`` and ``4 pi d^2`` are
+    taken once: the reverse link's offsets are the negated ones, and
+    negation is exact, so both directions have the same ``d``.  Per link,
+    the azimuth is placed among the transmitter's samples once
+    (``SampledPatternTable.bracket``), and every pattern's gain is read
+    there.  Each entry repeats the IEEE operations of the link geometry (the
+    reference ``geometry_between`` in ``tests/oracles.py``), ``azimuth_deg``
+    and ``received_power`` in their order, so it equals
+    ``received_power(tx_power, table.gain(p, direction), distance, mu)`` bit
+    for bit.
     """
     names = tuple(poses)
+    n = len(names)
     pose_list = [poses[name] for name in names]
     tx_power, mu = cfg.tx_power, cfg.mu
-    power: list[list[list[float]]] = []
-    top: list[list[bool]] = []
-    for i, tx in enumerate(names):
-        ax, ay, az = pose_list[i].position
-        sides = [True] * len(names)
-        # (rx index, exp(-mu d), 4 pi d^2) per link
-        links: list[tuple[int, float, float]] = []
-        azimuths: list[float] = []
-        for j, rx_pose in enumerate(pose_list):
-            if j == i:
-                continue
-            bx, by, bz = rx_pose.position
+    top = [[True] * n for _ in names]
+    # (azimuth, exp(-mu d), 4 pi d^2) of each transmitter's links, in
+    # receiver order
+    links: list[list[tuple[float, float, float]]] = [[] for _ in names]
+    for i, a in enumerate(pose_list):
+        ax, ay, az = a.position
+        for j in range(i + 1, n):
+            b = pose_list[j]
+            bx, by, bz = b.position
             dx, dy, dz = bx - ax, by - ay, bz - az
             d = math.sqrt(dx * dx + dy * dy + dz * dz)
             if d == 0:
                 raise ValueError("poses are coincident")
             ux, uy, uz = dx / d, dy / d, dz / d
-            nx, ny, nz = rx_pose.normal
-            sides[j] = -ux * nx + -uy * ny + -uz * nz >= 0
-            azimuths.append(math.degrees(math.atan2(uy, ux)) % 360.0
-                            if ux != 0.0 or uy != 0.0 else 0.0)
-            links.append((j, math.exp(-mu * d), 4.0 * math.pi * d * d))
+            e, den = math.exp(-mu * d), 4.0 * math.pi * d * d
+            nx, ny, nz = b.normal
+            top[i][j] = -ux * nx + -uy * ny + -uz * nz >= 0
+            nx, ny, nz = a.normal
+            top[j][i] = ux * nx + uy * ny + uz * nz >= 0
+            # ``azimuth_deg`` of the link and of its reverse
+            if ux != 0.0 or uy != 0.0:
+                fwd = math.degrees(math.atan2(uy, ux)) % 360.0
+                back = math.degrees(math.atan2(-uy, -ux)) % 360.0
+            else:
+                fwd = back = 0.0
+            links[i].append((fwd, e, den))
+            links[j].append((back, e, den))
+    power: list[list[list[float]]] = []
+    for i, tx in enumerate(names):
         table = tables[tx]
+        # links run in receiver order, so each row takes its 0.0 at ``i``
+        cells = [(*table.bracket(x), e, den) for x, e, den in links[i]]
         rows = []
-        for p in range(table.n_patterns):
-            row = [0.0] * len(names)
-            gains = table.gains_at(p, azimuths).tolist()
-            for (j, e, den), g in zip(links, gains):
-                row[j] = tx_power * g * e / den
+        for ys, slopes in zip(table.rows, table.slopes):
+            # the gain is ``table.gain_at``'s formula at the shared bracket
+            row = [tx_power * (ys[k] if t is None else slopes[k] * t + ys[k])
+                   * e / den for k, t, e, den in cells]
+            row.insert(i, 0.0)
             rows.append(row)
         power.append(rows)
-        top.append(sides)
     return PowerMap({name: i for i, name in enumerate(names)}, power, top)
 
 

@@ -50,8 +50,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import ChannelConfig, PowerMap, build_power_map, received_power
 from .channel import superpose  # noqa: F401  bench/layers.py wraps engine.superpose
 from .geometry import NodePose
@@ -75,7 +73,7 @@ class Stimulus:
     """An isotropic fluorescence source somewhere in the tissue."""
 
     name: str
-    position: np.ndarray
+    position: tuple[float, float, float]
     intensity: float
     active: bool = True
 
@@ -189,7 +187,8 @@ class World:
     # -- stimuli ---------------------------------------------------------------
 
     def add_stimulus(self, name: str, position, intensity: float) -> None:
-        self.stimuli[name] = Stimulus(name, np.asarray(position, dtype=float),
+        x, y, z = position
+        self.stimuli[name] = Stimulus(name, (float(x), float(y), float(z)),
                                       intensity)
         self._stimuli_changed = True
 
@@ -211,7 +210,9 @@ class World:
         A lit source at the node's own position (a cluster inside the cell
         that carries the node) floods its detector: the power is infinite.
         """
-        d = float(np.linalg.norm(self.poses[rx].position - stim.position))
+        (px, py, pz), (sx, sy, sz) = self.poses[rx].position, stim.position
+        dx, dy, dz = px - sx, py - sy, pz - sz
+        d = math.sqrt(dx * dx + dy * dy + dz * dz)
         if d > 0.0:
             return received_power(stim.intensity, 1.0, d, self.channel_cfg.mu)
         return math.inf if stim.intensity > 0.0 else 0.0

@@ -12,6 +12,7 @@ free.  Each node has a surface normal separating its two detectors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,8 +70,14 @@ def cell_of(point: tuple[float, ...], grid: HexGrid) -> Cell:
     """Nearest-center cell of a point's lateral (x, y) projection.
 
     Equidistant points break toward the lexicographically smaller (q, r).
+    Nodes and clusters do not move, so every run asks again for the same
+    points: answers are kept in a bounded memo.
     """
-    x, y = point[0], point[1]
+    return _nearest_cell(grid, point[0], point[1])
+
+
+@functools.lru_cache(maxsize=1024)
+def _nearest_cell(grid: HexGrid, x: float, y: float) -> Cell:
     s = grid.cell_radius
     rf = y / (1.5 * s)
     qf = x / (SQRT3 * s) - rf / 2.0

@@ -39,8 +39,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import ChannelConfig, received_power
 from .config import (
     ClusterSpec,
@@ -82,12 +80,16 @@ SCENARIO_HORIZON_ICS = {
 
 
 def _bump_row(peak_deg: float, height: float) -> tuple[float, ...]:
-    az = np.arange(0.0, 360.0, AZIMUTH_STEP_DEG)
-    dist = np.abs(az - peak_deg)
-    dist = np.minimum(dist, 360.0 - dist)
-    row = np.maximum(PATTERN_FLOOR,
-                     height * np.exp(-dist ** 2 / (2.0 * PATTERN_SIGMA_DEG ** 2)))
-    return tuple(float(v) for v in np.round(row, 6))
+    """A Gaussian bump over the floor, rounded to 6 decimals half to even,
+    one gain every ``AZIMUTH_STEP_DEG`` from 0."""
+    row = []
+    for k in range(int(round(360.0 / AZIMUTH_STEP_DEG))):
+        dist = abs(k * AZIMUTH_STEP_DEG - peak_deg)
+        dist = min(dist, 360.0 - dist)
+        g = max(PATTERN_FLOOR, height * math.exp(
+            -(dist * dist) / (2.0 * PATTERN_SIGMA_DEG ** 2)))
+        row.append(round(g * 1e6) / 1e6)
+    return tuple(row)
 
 
 def _flat_row(height: float) -> tuple[float, ...]:

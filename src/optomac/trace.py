@@ -54,6 +54,11 @@ _KIND_LEVEL = {
     "power": 2,
 }
 
+# level -> the kinds a writer at that level records
+_WANTED = {level: frozenset(kind for kind, at in _KIND_LEVEL.items()
+                            if at <= rank)
+           for rank, level in enumerate(LEVELS)}
+
 # The C encoder that ``json.dumps(record, sort_keys=True)`` builds on every
 # call, built once: no circular-reference check (records hold no cycles),
 # ASCII output, ": " and ", " separators, sorted keys, NaN and infinities
@@ -74,9 +79,7 @@ class TraceWriter:
     def __init__(self, level: str = "events"):
         if level not in LEVELS:
             raise ValueError(f"unknown trace level {level!r}")
-        rank = LEVELS.index(level)
-        self._wanted = frozenset(kind for kind, at in _KIND_LEVEL.items()
-                                 if at <= rank)
+        self._wanted = _WANTED[level]
         self.sink = io.StringIO()
         self.count = 0
 

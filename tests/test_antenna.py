@@ -1,11 +1,12 @@
 """Antenna element model, array factor, synthesis and pattern tables."""
 
 import math
+import struct
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optomac.antenna import (
@@ -153,6 +154,73 @@ def test_sampled_table_validation():
         SampledPatternTable([0.0, 90.0], [[1.0, -0.1]])   # negative gain
     with pytest.raises(ValueError):
         SampledPatternTable([0.0, 90.0], [[1.0]])         # ragged row
+
+
+def test_sampled_table_rejects_what_it_cannot_close():
+    with pytest.raises(ValueError):
+        SampledPatternTable([0.0, 90.0], [[1.0, math.nan]])
+    with pytest.raises(ValueError):
+        SampledPatternTable([0.0, 90.0], [[math.inf, 1.0]])
+    with pytest.raises(ValueError):
+        SampledPatternTable([0.0, math.inf], [[1.0, 1.0]])
+    with pytest.raises(ValueError):
+        SampledPatternTable([10.0, 370.0], [[1.0, 1.0]])  # a full period
+    with pytest.raises(ValueError):
+        SampledPatternTable([], [[]])
+    with pytest.raises(ValueError):
+        SampledPatternTable([0.0], [])
+
+
+# a few gains recur, so that rows hold flat segments and repeated values
+_GAINS = st.one_of(st.sampled_from([0.0, 0.02, 1.0]), st.floats(0.0, 1e6))
+
+
+@st.composite
+def closed_tables(draw):
+    """1-80 samples starting anywhere in [0, 360) and spanning less than
+    one period, with 1-4 patterns."""
+    first = draw(st.floats(0.0, 360.0, exclude_max=True))
+    offsets = draw(st.lists(st.floats(0.0, 360.0, exclude_max=True),
+                            max_size=79))
+    azimuths = sorted({first} | {first + o for o in offsets
+                                 if first + o < first + 360.0})
+    gains = draw(st.lists(st.lists(_GAINS, min_size=len(azimuths),
+                                   max_size=len(azimuths)),
+                          min_size=1, max_size=4))
+    return azimuths, gains
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("d", x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_tables(),
+       st.lists(st.floats(0.0, 360.0, exclude_min=True), max_size=5),
+       st.lists(st.floats(0.0, 360.0, exclude_max=True), max_size=20))
+# a segment's formula at its right end is off by one ulp here, so a
+# bracket found with bisect_left would miss the closing sample's own gain
+@example(([0.0, 3.0], [[0.1, 0.7]]), [], [])
+def test_sampled_table_is_np_interp_bit_for_bit(closed, below, uniform):
+    azimuths, gains = closed
+    table = SampledPatternTable(azimuths, gains)
+    xp = np.append(azimuths, azimuths[0] + 360.0)
+    first = azimuths[0]
+    queries = [*azimuths, first + 360.0, -0.0, 0.0,
+               *(first - b for b in below), *uniform]
+    for p, row in enumerate(gains):
+        fp = np.append(row, row[0])
+        for x in queries:
+            got = table.gain_at(p, x)
+            want = float(np.interp(x, xp, fp))
+            assert _bits(got) == _bits(want), (p, x, got, want)
+            assert type(got) is float
+        # ``gain`` takes a direction's azimuth
+        for x in queries:
+            rad = math.radians(x)
+            direction = (math.cos(rad), math.sin(rad), 0.0)
+            want = float(np.interp(azimuth_deg(direction), xp, fp))
+            assert _bits(table.gain(p, direction)) == _bits(want)
 
 
 def test_table_text_roundtrip():

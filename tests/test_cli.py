@@ -3,9 +3,14 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import optomac
 from optomac.cli import ARTIFACTS, main
 from optomac.config import save, to_dict
 from optomac.scenarios import (
@@ -238,3 +243,53 @@ def test_unrunnable_values_exit_two(tmp_path, capsys, path, value, message):
     config_path.write_text(json.dumps(root["doc"]))
     assert main(["--config", str(config_path), "--seed", "0"]) == 2
     assert message in capsys.readouterr().err
+
+
+# Runs the command line in a fresh interpreter in which any import of numpy
+# raises ImportError; prints each run's exit code as one JSON list.
+_WITHOUT_NUMPY = """\
+import json, sys
+sys.modules["numpy"] = None
+from optomac.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def _fresh_python(*args: str) -> str:
+    src = str(Path(optomac.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    done = subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=300)
+    return done.stdout
+
+
+def test_import_leaves_numpy_out():
+    assert _fresh_python(
+        "-c", "import sys, optomac; print('numpy' in sys.modules)"
+    ).strip() == "False"
+
+
+def test_runs_need_no_numpy(tmp_path, capsys):
+    # the bump rows of hidden_terminal, the stimulus distances of
+    # drug_delivery and a document's own gain tables, under both protocols
+    layered = Path(__file__).parent / "data" / "hidden_terminal_layered.json"
+    inputs = {"hidden_terminal": ["--scenario", "hidden_terminal"],
+              "drug_delivery": ["--scenario", "drug_delivery"],
+              "layered": ["--config", str(layered)]}
+    runs = [(f"{name}-{protocol}", [*argv, "--protocol", protocol,
+                                    "--seed", "1"])
+            for name, argv in inputs.items()
+            for protocol in ("basic", "handshake")]
+    fresh = [argv + ["--out", str(tmp_path / "fresh" / label)]
+             for label, argv in runs]
+    codes = _fresh_python("-c", _WITHOUT_NUMPY, json.dumps(fresh))
+    assert json.loads(codes.splitlines()[-1]) == [0] * len(runs)
+    for label, argv in runs:
+        here = tmp_path / "here" / label
+        assert main(argv + ["--out", str(here)]) == 0
+        for name in ARTIFACTS:
+            assert (tmp_path / "fresh" / label / name).read_bytes() == \
+                (here / name).read_bytes(), (label, name)
+    capsys.readouterr()

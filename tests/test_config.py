@@ -258,9 +258,9 @@ def test_a_replaced_spec_gets_its_own_table():
     doubled = dataclasses.replace(
         spec, gains=tuple(tuple(2.0 * g for g in row) for row in spec.gains))
     assert doubled.table is not table
-    assert doubled.table.gains.tolist() == [[2.0, 4.0, 6.0, 8.0]]
+    assert doubled.table.gains == ((2.0, 4.0, 6.0, 8.0),)
     assert spec.table is table
-    assert table.gains.tolist() == [[1.0, 2.0, 3.0, 4.0]]
+    assert table.gains == ((1.0, 2.0, 3.0, 4.0),)
     # a spec with equal fields but its own identity builds its own table
     assert dataclasses.replace(spec).table is not table
 
