@@ -152,11 +152,11 @@ class SampledPatternTable:
     resolved (detector sides handle the vertical dimension separately).  The
     period is closed once, at construction: the first sample is repeated at
     ``azimuths[0] + 360``.  Samples, gains and each segment's slope are
-    plain floats, and a lookup gives what ``np.interp`` gives over the
-    closed samples, bit for bit: the slope of segment ``k`` is ``(y[k+1] -
-    y[k]) / (x[k+1] - x[k])`` and the gain ``slope * (x - x[k]) + y[k]``; a
-    sample itself gives its own gain, and an azimuth below the first sample
-    gives the first gain.
+    plain floats.  An azimuth below the first sample is taken one period
+    up, into the closing segment, and a lookup then gives what
+    ``np.interp`` gives over the closed samples, bit for bit: the slope of
+    segment ``k`` is ``(y[k+1] - y[k]) / (x[k+1] - x[k])`` and the gain
+    ``slope * (x - x[k]) + y[k]``, and a sample itself gives its own gain.
     """
 
     def __init__(self, azimuths_deg, gains):
@@ -187,11 +187,14 @@ class SampledPatternTable:
 
     def bracket(self, azimuth: float) -> tuple[int, float | None]:
         """Where ``azimuth`` falls among the closed samples, found as
-        ``np.interp`` finds it: ``(k, t)`` stands for the gain ``slopes[p][k]
+        ``np.interp`` finds it once an azimuth below the first sample is
+        taken one period up: ``(k, t)`` stands for the gain ``slopes[p][k]
         * t + rows[p][k]`` of each pattern ``p``, or ``rows[p][k]`` itself
-        when ``t`` is None (on a sample, below the first or at the closing
-        one)."""
+        when ``t`` is None (on a sample, at the closing one, or more than a
+        period below the first)."""
         xs = self._xs
+        if azimuth < xs[0]:
+            azimuth += 360.0
         k = bisect_right(xs, azimuth) - 1
         if k < 0:
             return 0, None

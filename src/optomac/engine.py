@@ -4,20 +4,20 @@ Frames are aligned to subcycles and a node starts one only at offset 0 of
 its own working subcycle, so at offset 0 the engine asks only those nodes
 that have something to send in this instruction cycle
 (``Agent.has_send_work``) to load a frame (``Agent.emit``), and then carries
-the bits of the frames loaded, offset 0 included, with no per-bit call to a
-node.  Each detector's bit comes from summing the emitters' entries in the
-power tables per side, and its collision evidence from counting the
-emitters whose own entry reaches the threshold; no per-arrival reading is
-built, and a node whose detectors see no bit is left unchanged.  A frame
-sent alone in its subcycle is carried in one step: nothing can make a lone
-sender exit, and each of its 1-bits lights the same detectors, so the
-controller and every lit listener take its 1-bits as one mask
-(``Agent.receive``).  The frames of two or more transmitters are carried
-in one walk over their offsets: each offset's emissions come from the
-masks of the frames still in the race, a sender lit on its own 0-bit exits
-there (``Agent.sense``), and each lit listener takes what it saw over the
-walk as one mask.  A subcycle without a transmitter, and the guard bits of
-one with a transmitter, carry no light and are passed over to the
+the bits of the frames loaded, offset 0 included, from their masks with no
+per-bit call to a node.  Each detector's bit comes from summing the
+emitters' entries in the power tables per side, and its collision evidence
+from counting the emitters whose own entry reaches the threshold; no
+per-arrival reading is built, and a node whose detectors see no bit is left
+unchanged.  One walk carries every frame (``World._carry``): while two or
+more frames race, each offset's emissions come from the masks of the frames
+still in the race and a sender lit on its own 0-bit exits there
+(``Agent.sense``); once one frame is left, nothing can make it exit and
+each of its 1-bits lights the same detectors, so the rest of it is one
+step.  A lone sender's frame is the case where one frame races from the
+start.  Each lit listener takes what it saw over the walk as one mask
+(``Agent.receive``).  A subcycle without a transmitter, and the guard bits
+of one with a transmitter, carry no light and are passed over to the
 subcycle's last cycle.  There only the pending nodes close the subcycle:
 the World keeps them as one int bit mask in node order, setting the bits
 of the transmitters and of the nodes that saw a bit, and keeping a node's
@@ -144,8 +144,11 @@ class World:
         # cycles before this one are in a short laser gap and carry no light
         self._dark_until = 0
         self.controller_frames: list[tuple[int, Frame]] = []
-        self._controller_hears = (set(controller_hears)
-                                  if controller_hears is not None else None)
+        # the names whose light reaches the controller: every agent's unless
+        # ``controller_hears`` narrows them
+        self._controller_hears = set(controller_hears
+                                     if controller_hears is not None
+                                     else self.agents)
         # what the controller saw this subcycle, as a bit mask
         self._controller_bits = 0
         # the agents whose collision evidence this subcycle was counted
@@ -236,13 +239,12 @@ class World:
         """Run from the current cycle to the end of its subcycle or ``stop``.
 
         At offset 0, only the nodes whose working mode is this subcycle and
-        that have something to send load a frame.  Then a frame sent alone
-        is carried in one step (``_send_alone``), and the frames of two or
-        more transmitters in one walk over their offsets (``_contend``),
-        where carrier sense may make one exit at any bit.  Nothing else can
-        happen before the subcycle's last cycle, so a subcycle without a
-        transmitter and the guard bits are passed over.  A subcycle cut
-        short by ``stop`` skips its end-of-subcycle work.
+        that have something to send load a frame.  Then ``_carry`` carries
+        the transmitters' frames, where carrier sense may make one exit at
+        any bit while two or more race.  Nothing else can happen before the
+        subcycle's last cycle, so a subcycle without a transmitter and the
+        guard bits are passed over.  A subcycle cut short by ``stop`` skips
+        its end-of-subcycle work.
 
         An instruction cycle that is inert once ``on_icycle_start`` has run
         (no agent to close, none with send work, and ``stop`` beyond it) is
@@ -273,10 +275,8 @@ class World:
                 self._pending |= bit
         first = max(self.cycle, self._dark_until)
         end = min(start + FRAME_BITS, stop)
-        if len(transmitters) == 1:
-            self._send_alone(transmitters[0], sub, start, first, end)
-        elif transmitters:
-            self._contend(transmitters, sub, start, first, end)
+        if transmitters:
+            self._carry(transmitters, sub, start, first, end)
         if stop > last:
             self.cycle = last
             self._end_subcycle(sub, ic)
@@ -294,66 +294,58 @@ class World:
         if sub is Subcycle.T1:
             self.scenario.on_icycle_start(self, ic)
 
-    def _send_alone(self, agent: Agent, sub: Subcycle, start: int,
-                    first: int, end: int) -> None:
-        """Carry the frame of the subcycle's only transmitter over cycles
-        ``first`` to ``end - 1``, which no laser gap darkens, in one step.
+    def _carry(self, transmitters: list[Agent], sub: Subcycle, start: int,
+               first: int, end: int) -> None:
+        """Carry the transmitters' frames over cycles ``first`` to
+        ``end - 1``, which no laser gap darkens.
 
-        With no other emitter nothing can make it exit, and each of its
-        1-bits lights the same detectors with no collision evidence.  So
-        the controller and each lit node take those bits as one mask, and
-        the trace gets one ``power`` line per lit cycle, as bit by bit.
-        """
-        bits, pattern = agent.pulses(first - start, end - start)
-        if not bits:
-            return
-        if (self._controller_hears is None
-                or agent.name in self._controller_hears):
-            self._controller_bits |= bits
-        lit, lit_mask = self._lit_for(((agent.name, pattern),))
-        self._pending |= lit_mask
-        for rx, top, bottom, _ in lit:
-            rx.receive(sub, bits if top else 0, bits if bottom else 0)
-        if self.trace.wants("power"):
-            sources = (agent.name,)
-            for off in range(first - start, end - start):
-                if bits & BIT_MASK[off]:
-                    self.trace.power(start + off, sources)
-
-    def _contend(self, transmitters: list[Agent], sub: Subcycle, start: int,
-                 first: int, end: int) -> None:
-        """Carry the frames of two or more transmitters over cycles
-        ``first`` to ``end - 1``, which no laser gap darkens, in one walk.
-
-        Each cycle's emissions are the 1-bits of the frames still in the
-        race.  A lit sender senses the carrier (``Agent.sense``), so one
-        mute on its own 0-bit exits there, its ``tx_exit`` line before the
-        cycle's ``power`` line; collision evidence counts once per agent
-        per subcycle; and each lit listener takes what its detectors saw
-        over the whole walk as one mask (``Agent.receive``).
+        While two or more frames race it walks offset by offset.  Each
+        cycle's emissions are the 1-bits of the frames still in the race; a
+        lit sender senses the carrier (``Agent.sense``), so one mute on its
+        own 0-bit exits there, its ``tx_exit`` line before the cycle's
+        ``power`` line; and collision evidence counts once per agent per
+        subcycle.  Once one frame is left, the rest of it is one step: with
+        no other emitter nothing can make it exit or give evidence, and each
+        of its 1-bits lights the same detectors.  Each lit listener takes
+        what its detectors saw over the whole carry as one mask
+        (``Agent.receive``).
         """
         hears = self._controller_hears
         trace = self.trace
         power = trace.wants("power")
         seen = self._evidence_seen
-        # (agent, frame in flight, emission) of each sender still in the race
-        racing = []
-        for agent in transmitters:
-            fl = agent.inflight
-            if fl.exited_at is None:
-                racing.append((agent, fl, (agent.name, fl.out.pattern)))
         heard = {}
-        for cycle in range(first, end):
-            off = cycle - start
-            bit = BIT_MASK[off]
-            emissions = tuple(e for _, fl, e in racing if fl.mask & bit)
+        cycle = first
+        exited = True
+        while cycle < end:
+            if exited:
+                # (frame in flight, emission) of each sender still in the
+                # race, and the masks of those the controller hears, ORed
+                racing, audible = [], 0
+                for agent in transmitters:
+                    fl = agent.inflight
+                    if fl.exited_at is None:
+                        racing.append((fl, (agent.name, fl.out.pattern)))
+                        if agent.name in hears:
+                            audible |= fl.mask
+                exited = False
+            alone = len(racing) == 1
+            if alone:
+                # the rest of the lone frame: its 1-bits up to ``end``
+                fl, emission = racing[0]
+                bits = fl.mask & (((1 << (end - cycle)) - 1)
+                                  << (start + FRAME_BITS - end))
+                emissions = (emission,) if bits else ()
+                at, cycle = cycle, end
+            else:
+                bits = BIT_MASK[cycle - start]
+                emissions = tuple(e for fl, e in racing if fl.mask & bits)
+                at, cycle = cycle, cycle + 1
             if not emissions:
                 continue
-            if hears is None or any(tx in hears for tx, _ in emissions):
-                self._controller_bits |= bit
+            self._controller_bits |= audible & bits
             lit, lit_mask = self._lit_for(emissions)
             self._pending |= lit_mask
-            exited = False
             for agent, top, bottom, evidence in lit:
                 if evidence and agent.name not in seen:
                     seen.add(agent.name)
@@ -363,15 +355,16 @@ class World:
                     if sides is None:
                         sides = heard[agent] = [0, 0]
                     if top:
-                        sides[0] |= bit
+                        sides[0] |= bits
                     if bottom:
-                        sides[1] |= bit
-                elif agent.sense(off, cycle):
+                        sides[1] |= bits
+                elif not alone and agent.sense(at - start, at):
                     exited = True
             if power:
-                trace.power(cycle, sorted(n for n, _ in emissions))
-            if exited:
-                racing = [r for r in racing if r[1].exited_at is None]
+                sources = sorted(n for n, _ in emissions)
+                for c in range(at, cycle):
+                    if bits & BIT_MASK[c - start]:
+                        trace.power(c, sources)
         for agent, (top, bottom) in heard.items():
             agent.receive(sub, top, bottom)
 

@@ -238,11 +238,12 @@ class Agent:
         """Return ``(bit, pattern)`` for this clock cycle, or None if silent.
 
         At offset 0 of the own subcycle it refreshes the chains and the
-        relay request and loads the next frame, writing ``tx_start``; this
-        is the one call the engine makes, and the bits that follow are
-        carried by the engine (``pulses``, ``sense``).  A 0-bit return still
-        matters: it marks the node as an active transmitter that is
-        currently mute and therefore carrier-sensing.
+        relay request and loads the next frame, writing ``tx_start``.  This
+        is the one call the engine makes: it reads the frame's bits from
+        ``inflight.mask`` and asks ``sense`` for carrier sense.  The
+        per-bit reference engine in the tests calls it at every offset,
+        where a 0-bit return marks a transmitter that is mute and therefore
+        carrier-sensing.
         """
         if sub != self.mode:
             return None
@@ -254,17 +255,6 @@ class Agent:
         if fl is None or offset >= FRAME_BITS or fl.exited_at is not None:
             return None
         return fl.mask >> (FRAME_BITS - 1 - offset) & 1, fl.out.pattern
-
-    def pulses(self, lo: int, hi: int) -> tuple[int, int]:
-        """The 1-bits ``emit`` sends at offsets ``lo`` to ``hi - 1`` of the
-        frame in flight while it senses no foreign bit, as a mask (see
-        ``protocol.BIT_MASK``), and the pattern it sends them on.  A frame
-        that has exited sends none."""
-        fl = self.inflight
-        if fl.exited_at is not None or lo >= hi:
-            return 0, fl.out.pattern
-        window = ((1 << (hi - lo)) - 1) << (FRAME_BITS - hi)
-        return fl.mask & window, fl.out.pattern
 
     def observe(self, top: bool, bottom: bool, sub: Subcycle, offset: int,
                 ic: int, cycle: int) -> None:

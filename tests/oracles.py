@@ -3,15 +3,16 @@
 Each restates one rule of the model in its simplest form, apart from the
 code a run executes: the geometry of one link, a frame's bits as a tuple
 and decoding a frame from them, arbitration as a maximum and as a
-bit-serial round over pairwise carrier sense, reachability from the power
-map, and an engine that polls every agent for work and steps every bit.
+bit-serial round over carrier sense of summed light, reachability from the
+power map, and an engine that polls every agent for work and steps every
+bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from optomac.channel import ChannelConfig, PowerMap
 from optomac.engine import World
@@ -76,15 +77,19 @@ def arbitration_winner(frames: Iterable[Bits]) -> Bits:
     return max(frames)
 
 
-def contention_round(frames: dict[str, Bits], hears: dict[str, set[str]] | None = None,
+def contention_round(frames: dict[str, Bits],
+                     hears: Callable[[str, frozenset[str]], bool] | None = None,
                      ) -> tuple[dict[str, TransmitOutcome], Bits]:
     """Bit-serial arbitration among synchronized transmitters.
 
-    hears[a] is the set of senders a can carrier-sense (full clique when
-    omitted).  Returns per-sender outcomes plus the OR stream an omniscient
-    receiver would see.  A sender exits when it emits a 0 while an active,
-    audible sender emits a 1; its already-sent prefix is untouched and it
-    stays silent for the rest of the subcycle.
+    ``hears(a, ones)`` tells whether sender ``a`` carrier-senses the active
+    senders ``ones`` pulsing together at one bit (never empty, never
+    holding ``a``); a detector sums their light, so faint senders may be
+    heard together where none is alone.  When omitted, any pulse is heard
+    (a full clique).  Returns per-sender outcomes plus the OR stream an
+    omniscient receiver would see.  A sender exits when it emits a 0 while
+    it hears the active senders emitting a 1; its already-sent prefix is
+    untouched and it stays silent for the rest of the subcycle.
     """
     names = sorted(frames)
     length = {len(b) for b in frames.values()}
@@ -92,15 +97,16 @@ def contention_round(frames: dict[str, Bits], hears: dict[str, set[str]] | None 
         raise ValueError("contending frames must share one length")
     n_bits = length.pop()
     if hears is None:
-        hears = {a: set(names) - {a} for a in names}
+        def hears(a: str, ones: frozenset[str]) -> bool:
+            return True
     active = set(names)
     outcome: dict[str, TransmitOutcome] = {}
     or_stream: list[int] = []
     for k in range(n_bits):
-        ones = {a for a in active if frames[a][k] == 1}
+        ones = frozenset(a for a in active if frames[a][k] == 1)
         or_stream.append(1 if ones else 0)
         exiting = [a for a in active
-                   if frames[a][k] == 0 and any(o in hears[a] for o in ones)]
+                   if frames[a][k] == 0 and ones and hears(a, ones)]
         for a in exiting:
             outcome[a] = TransmitOutcome(False, k)
             active.discard(a)
@@ -143,9 +149,9 @@ class PollingWorld(World):
     ``polled_send_work``, and at each subcycle's end it asks every agent,
     in agent order and each just before its turn, ``polled_subcycle_work``.
     The live World must give the same runs with its exact tests, its
-    pending set, its one-step inert icycles and lone frames, and its
-    one-walk contended frames, which it carries from offset 0 once the
-    frames are loaded.
+    pending set, its one-step inert icycles, and its one walk over the
+    frames, which it starts at offset 0 once the frames are loaded and
+    which carries the rest of the last frame left in the race in one step.
     """
 
     def __init__(self, *args, **kwargs):
@@ -185,8 +191,7 @@ class PollingWorld(World):
                 emissions.append((agent.name, sent[1]))
         if not emissions or self.cycle < self._dark_until:
             return
-        if any(self._controller_hears is None or tx in self._controller_hears
-               for tx, _ in emissions):
+        if any(tx in self._controller_hears for tx, _ in emissions):
             self._controller_bits |= BIT_MASK[off]
         lit, lit_mask = self._lit_for(tuple(emissions))
         self._pending |= lit_mask

@@ -201,6 +201,9 @@ def _bits(x: float) -> bytes:
 # a segment's formula at its right end is off by one ulp here, so a
 # bracket found with bisect_left would miss the closing sample's own gain
 @example(([0.0, 3.0], [[0.1, 0.7]]), [], [])
+# a table whose first sample is above 0: 0 degrees is 360, in the closing
+# segment, and does not take the first gain
+@example(([10.0, 100.0, 190.0, 280.0], [[1.0, 0.0, 0.0, 0.5]]), [], [])
 def test_sampled_table_is_np_interp_bit_for_bit(closed, below, uniform):
     azimuths, gains = closed
     table = SampledPatternTable(azimuths, gains)
@@ -208,18 +211,23 @@ def test_sampled_table_is_np_interp_bit_for_bit(closed, below, uniform):
     first = azimuths[0]
     queries = [*azimuths, first + 360.0, -0.0, 0.0,
                *(first - b for b in below), *uniform]
+
+    def wrapped(x):
+        # one period up from below the first sample
+        return x + 360.0 if x < first else x
+
     for p, row in enumerate(gains):
         fp = np.append(row, row[0])
         for x in queries:
             got = table.gain_at(p, x)
-            want = float(np.interp(x, xp, fp))
+            want = float(np.interp(wrapped(x), xp, fp))
             assert _bits(got) == _bits(want), (p, x, got, want)
             assert type(got) is float
         # ``gain`` takes a direction's azimuth
         for x in queries:
             rad = math.radians(x)
             direction = (math.cos(rad), math.sin(rad), 0.0)
-            want = float(np.interp(azimuth_deg(direction), xp, fp))
+            want = float(np.interp(wrapped(azimuth_deg(direction)), xp, fp))
             assert _bits(table.gain(p, direction)) == _bits(want)
 
 

@@ -5,7 +5,7 @@ import json
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optomac.antenna import SampledPatternTable
@@ -145,6 +145,9 @@ def test_live_arbitration_matches_contention_oracle():
                 min_size=2, max_size=4, unique=True),
        st.floats(0.5, 20.0))
 def test_live_arbitration_matches_oracle_on_random_deployments(points, gain):
+    # every T1 subcycle of the first four icycles: the senders that start a
+    # frame there contend, and each exits where the oracle says, with a
+    # sender hearing the light of the pulsing senders summed per detector
     sensors = [f"s{i + 1}" for i in range(len(points))]
     specs = [(name, i + 1, False, Subcycle.T1, (x / 2, y / 2, 0.0))
              for i, (name, (x, y)) in enumerate(zip(sensors, points))]
@@ -152,34 +155,40 @@ def test_live_arbitration_matches_oracle_on_random_deployments(points, gain):
     trace = TraceWriter("events")
     world, _ = make_world(specs, Variant.BASIC, trace=trace, gain=gain)
     theta = world.channel_cfg.theta_detect
-    hears = {}
-    for rx in sensors:
-        hears[rx] = set()
-        weak = {"top": 0.0, "bottom": 0.0}
-        for tx in sensors:
-            if tx == rx:
-                continue
-            arrival = world.power_map.arrival(tx, 0, rx)
-            if arrival.power >= theta:
-                hears[rx].add(tx)
-            else:
-                weak[arrival.side] += arrival.power
-        # a detector sums its arrivals, so faint senders together can be
-        # heard where none is alone; the pairwise oracle does not model that
-        assume(max(weak.values()) < theta)
-    frames = {}
     for name in sensors:
-        agent = world.agents[name]
-        agent.start_chain(0b1000)
-        frames[name] = frame_bits(Frame(0b1000, Opcode.COMMAND,
-                                        agent.address))
-    oracle, _ = contention_round(frames, hears)
-    world.run_cycles(world.clock.subcycle_len)
+        world.agents[name].start_chain(0b1000)
+    n_icycles = 4
+    world.run(n_icycles)
 
     events = [json.loads(line) for line in trace.getvalue().splitlines()]
-    exits = {e["node"]: e["bit"] for e in events if e["kind"] == "tx_exit"}
-    assert exits == {name: o.exit_bit for name, o in oracle.items()
-                     if not o.completed}
+    icycle_len = world.clock.icycle_len
+    contended = 0
+    for ic in range(n_icycles):
+        lo, hi = ic * icycle_len, ic * icycle_len + world.clock.subcycle_len
+        frames, patterns = {}, {}
+        for e in events:
+            if e["kind"] == "tx_start" and lo <= e["cycle"] < hi:
+                frames[e["node"]] = tuple(
+                    int(c) for c in e["frame"].replace(" ", ""))
+                patterns[e["node"]] = e["pattern"]
+        if not frames:
+            continue
+
+        def hears(rx, ones):
+            # in agent order, as a detector sums its arrivals
+            power = {"top": 0.0, "bottom": 0.0}
+            for tx in sorted(ones):
+                arrival = world.power_map.arrival(tx, patterns[tx], rx)
+                power[arrival.side] += arrival.power
+            return max(power.values()) >= theta
+
+        oracle, _ = contention_round(frames, hears)
+        exits = {e["node"]: e["bit"] for e in events
+                 if e["kind"] == "tx_exit" and lo <= e["cycle"] < hi}
+        assert exits == {name: o.exit_bit for name, o in oracle.items()
+                         if not o.completed}, ic
+        contended += len(frames) > 1
+    assert contended
 
 
 def test_collision_evidence_counted_once_per_subcycle():
@@ -544,6 +553,45 @@ def test_contended_frames_are_emitted_at_offset_0_only(monkeypatch):
     assert len(lit) > 1 and set(observes) == lit
     assert runs[0] == runs[1]
     assert world.metrics.exits == 3 and world.metrics.collisions > 0
+
+
+def test_frame_left_alone_carries_its_rest_in_one_step(monkeypatch):
+    # s1 commands a (1000 100 0001) while s2 relays to the controller
+    # (1110 001 0010): both pulse offset 0, and s1 exits on its 0-bit at
+    # offset 1.  From there s2's frame races alone, so the live engine asks
+    # no node to sense its bits at offsets 2, 6 and 9.  The polling oracle
+    # observes every bit and gives the same trace
+    specs = [spec for spec in clique_specs() if spec[0] != "s3"]
+    sensed = []
+    sense = Agent.sense
+
+    def counting_sense(agent, offset, cycle):
+        sensed.append(offset)
+        return sense(agent, offset, cycle)
+
+    monkeypatch.setattr(Agent, "sense", counting_sense)
+    runs = []
+    for world_cls in (World, PollingWorld):
+        sensed.clear()
+        trace = TraceWriter("power")
+        world, _ = make_world(specs, Variant.BASIC, trace=trace,
+                              world_cls=world_cls)
+        s1, s2 = world.agents["s1"], world.agents["s2"]
+        s1.queue.append(Outgoing(Frame(0b1000, Opcode.COMMAND, s1.address),
+                                 0, PRIORITY_DATA))
+        s2.queue.append(Outgoing(Frame(controller_address(), Opcode.RELAY,
+                                       s2.address), 0, PRIORITY_DATA))
+        world.run_cycles(world.clock.subcycle_len)
+        runs.append((trace.getvalue(), world.metrics.to_json(),
+                     world.controller_frames))
+        if world_cls is World:
+            assert sorted(set(sensed)) == [0, 1]
+    events = [json.loads(line) for line in runs[0][0].splitlines()]
+    assert [(e["node"], e["bit"]) for e in events
+            if e["kind"] == "tx_exit"] == [("s1", 1)]
+    assert [e["cycle"] for e in events if e["kind"] == "power"] == [
+        0, 1, 2, 6, 9]
+    assert runs[0] == runs[1]
 
 
 def random_specs(kind, side, gain):

@@ -417,28 +417,10 @@ def test_dark_tick_changes_nothing(sub, offset, inflight, exited_at, top,
     assert trace.getvalue() == ""
 
 
-# -- a lone sender's frame in one step -----------------------------------------
+# -- a frame's bits as masks --------------------------------------------------
 #
-# The engine carries a frame sent alone past offset 0 in one step: it takes
-# the sender's 1-bits as one mask and hands each lit listener its detector
-# bits as masks.  Each must equal what the per-bit calls give.
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 15), st.sampled_from(list(Opcode)),
-       st.integers(0, 3), st.integers(1, FRAME_BITS),
-       st.integers(1, FRAME_BITS), st.none() | st.integers(0, FRAME_BITS - 1))
-def test_pulses_are_the_one_bits_emit_sends(recipient, opcode, pattern, lo,
-                                            hi, exited_at):
-    agent, _ = make_agent()
-    frame = Frame(recipient, opcode, SENSOR)
-    agent.inflight = _Inflight(Outgoing(frame, pattern, PRIORITY_DATA),
-                               frame_mask(frame), exited_at=exited_at)
-    want = 0
-    for off in range(lo, hi):
-        if agent.emit(agent.mode, off, 0, off) == (1, pattern):
-            want |= BIT_MASK[off]
-    assert agent.pulses(lo, hi) == (want, pattern)
+# The engine hands each lit listener its detector bits as masks, one
+# cycle's or a whole frame's.  Each must equal what the per-bit calls give.
 
 
 @settings(max_examples=150, deadline=None)

@@ -232,8 +232,7 @@ def test_hidden_senders_do_not_exit():
     # neither sender hears the other: both complete and the OR is a merge
     # that matches no transmitted frame (the hidden-terminal signature)
     frames = {"a": bits("10010"), "b": bits("01010")}
-    hears = {"a": set(), "b": set()}
-    outcomes, stream = contention_round(frames, hears)
+    outcomes, stream = contention_round(frames, lambda rx, ones: False)
     assert outcomes["a"].completed and outcomes["b"].completed
     assert stream == bits("11010")
     assert stream not in frames.values()
@@ -242,12 +241,24 @@ def test_hidden_senders_do_not_exit():
 def test_asymmetric_hearing():
     # b hears a but not vice versa: only b can exit
     frames = {"a": bits("0110"), "b": bits("1001")}
-    hears = {"a": set(), "b": {"a"}}
-    outcomes, stream = contention_round(frames, hears)
+    outcomes, stream = contention_round(
+        frames, lambda rx, ones: rx == "b" and "a" in ones)
     assert outcomes["a"].completed
     assert not outcomes["b"].completed
     assert outcomes["b"].exit_bit == 1   # b mute at bit 1, a pulses
     assert stream == bits("1110")        # b's bit 0 went out before it left
+
+
+def test_faint_senders_are_heard_together():
+    # c hears a and b only when both pulse, as their light sums on one
+    # detector: c stays in at bits 0 and 1, where they pulse one at a time,
+    # and exits at bit 2, where they pulse together
+    frames = {"a": bits("101"), "b": bits("011"), "c": bits("000")}
+    outcomes, stream = contention_round(
+        frames, lambda rx, ones: rx == "c" and ones == {"a", "b"})
+    assert outcomes["a"].completed and outcomes["b"].completed
+    assert outcomes["c"].exit_bit == 2
+    assert stream == bits("111")
 
 
 @given(st.lists(st.integers(0, 2**11 - 1), min_size=2, max_size=5,
