@@ -1,39 +1,34 @@
 """World simulation, stepped one subcycle at a time.
 
 Frames are aligned to subcycles and a node starts one only at offset 0 of
-its own working subcycle, so at offset 0 the engine asks only those nodes
-that have something to send in this instruction cycle
-(``Agent.has_send_work``) to load a frame (``Agent.emit``), and then carries
-the bits of the frames loaded, offset 0 included, from their masks with no
-per-bit call to a node.  Each detector's bit comes from summing the
-emitters' entries in the power tables per side, and its collision evidence
-from counting the emitters whose own entry reaches the threshold; no
-per-arrival reading is built, and a node whose detectors see no bit is left
+its own working subcycle.  There the engine asks the nodes that have
+something to send (``Agent.has_send_work``) to load a frame
+(``Agent.emit``), and then carries every bit of the frames loaded from
+their masks, with no per-bit call to a node.  Send work is a wake time,
+not a poll: nodes are asked for it only from the wake time on; when none
+has any, it moves to their first timer due (``Agent.next_due``), and each
+node entry point that can create send work sets it back to 0.
+
+A detector's bit is the sum of the emitters' power-table entries on its
+side, and its collision evidence the count of emitters whose own entry
+reaches the threshold; a node whose detectors see no bit is left
 unchanged.  One walk carries every frame (``World._carry``): while two or
-more frames race, each offset's emissions come from the masks of the frames
-still in the race and a sender lit on its own 0-bit exits there
-(``Agent.sense``); once one frame is left, nothing can make it exit and
-each of its 1-bits lights the same detectors, so the rest of it is one
-step.  A lone sender's frame is the case where one frame races from the
-start.  Each lit listener takes what it saw over the walk as one mask
-(``Agent.receive``).  A subcycle without a transmitter, and the guard bits
-of one with a transmitter, carry no light and are passed over to the
-subcycle's last cycle.  There only the pending nodes close the subcycle:
-the World keeps them as one int bit mask in node order, setting the bits
-of the transmitters and of the nodes that saw a bit, and keeping a node's
-bit after its close only while it still has work
-(``Agent.has_subcycle_work``: a chain awaiting a reply or a block).  A node
-clears its receive buffers once it has decoded them.  Sensors get their
-fluorescence readings at the end of T4 only if a stimulus changed since the
-last such pass, as only that pass moves a latch; every call left out would
-change nothing.  So an instruction cycle in which, once ``on_icycle_start``
-has run at the start of T1, no node is pending or has something to send,
-and that no laser gap or ``run_cycles`` boundary cuts, is run in one step:
-only its T4 end, with the sensor pass and ``on_icycle_end``, is left.
-Which nodes see a bit, and what they see, is memoised per set of
-simultaneous emissions with its bit mask.  No node ever sees a partial
-cycle, so runs are reproducible bit-for-bit given the same seed and
-configuration.
+more race, each offset's emissions come from the frames still in the race
+and a sender lit on its own 0-bit exits there (``Agent.sense``); once one
+frame is left, alone from the start or not, the rest of it is one step.
+Each lit listener takes what it saw as one mask (``Agent.receive``).
+Subcycles without a transmitter and guard bits carry no light and are
+passed over to the subcycle's last cycle, where only the pending nodes
+close it: a bit mask in node order of the transmitters, the nodes that
+saw a bit and those with work left (``Agent.has_subcycle_work``).
+Sensors get fluorescence readings at the end of T4 only after a stimulus
+changed, as only that pass moves a latch.  So an instruction cycle in
+which, once ``on_icycle_start`` has run, no node is pending or has send
+work, and that no laser gap or ``run_cycles`` boundary cuts, is one step:
+its T4 end, with the sensor pass and ``on_icycle_end``.  Which nodes see
+a bit, and what, is memoised per set of simultaneous emissions.  No node
+ever sees a partial cycle, so runs are reproducible bit-for-bit given the
+same seed and configuration.
 
 Timekeeping is phase-relative.  A gap in the external laser clock shorter
 than ``g_sync`` is flywheeled: the phase holds and its cycles run as usual,
@@ -58,12 +53,12 @@ from .nodes import Agent
 from .protocol import BIT_MASK, Frame, controller_address, parse_mask
 from .timebase import (
     FRAME_BITS,
+    SUBCYCLES,
     ClockConfig,
     NonClockEvent,
     Subcycle,
     detect_nonclock,
     overlapping_gaps,
-    subcycle_of,
 )
 from .trace import NullTrace, TraceWriter
 
@@ -112,6 +107,8 @@ class World:
                  controller_hears: set[str] | None = None):
         self.poses = poses
         self.clock = clock
+        self._icycle_len = clock.icycle_len
+        self._subcycle_len = clock.subcycle_len
         self.channel_cfg = channel_cfg
         self.trace = trace if trace is not None else NullTrace()
         self.metrics = metrics if metrics is not None else Metrics()
@@ -126,17 +123,25 @@ class World:
                          for sub in Subcycle}
         # the agents to close at the end of the current subcycle
         self._pending = 0
+        # no agent has send work in an icycle before this wake time
+        self._wake = [0]
+        for agent in agents:
+            agent.wake = self._wake
         self._sensors = [a for a in agents if not a.is_actuator]
         self.power_map: PowerMap = build_power_map(poses, tables, channel_cfg)
         # each agent with its column in the power map
         self._columns = [(a, 1 << i, self.power_map.index[a.name])
                          for i, a in enumerate(self._order)]
         self.stimuli: dict[str, Stimulus] = {}
+        # how many stimuli are active; only add/set_stimulus change that
+        self.lit_stimuli = 0
         self.laser_gaps = sorted(laser_gaps or [], key=lambda g: g.cycle)
         clash = overlapping_gaps((g.cycle, g.length) for g in self.laser_gaps)
         if clash is not None:
             raise ValueError(f"laser gaps {list(clash[0])} and "
                              f"{list(clash[1])} overlap")
+        # the gaps not yet applied, the next one last
+        self._gaps_ahead = [g for g in self.laser_gaps[::-1] if g.cycle >= 0]
 
         self.cycle = 0
         self.phase_origin = 0
@@ -165,17 +170,18 @@ class World:
 
     @property
     def current_ic(self) -> int:
-        return self._ic_base + (self.cycle - self.phase_origin) // self.clock.icycle_len
+        return self._phase()[2]
 
     def _phase(self) -> tuple[Subcycle, int, int]:
-        rel = self.cycle - self.phase_origin
-        sub, off = subcycle_of(rel, self.clock)
-        return sub, off, self._ic_base + rel // self.clock.icycle_len
+        ics, rel = divmod(self.cycle - self.phase_origin, self._icycle_len)
+        k, off = divmod(rel, self._subcycle_len)
+        return SUBCYCLES[k], off, self._ic_base + ics
 
     def _apply_gap(self, gap: LaserGap) -> None:
         event = detect_nonclock(gap.length, self.clock)
         self.trace.event(self.cycle, "laser_gap", length=gap.length,
                          event=event.name.lower())
+        self._wake[0] = 0
         if event is NonClockEvent.NONE:
             self._dark_until = self.cycle + gap.length
             return
@@ -191,13 +197,17 @@ class World:
 
     def add_stimulus(self, name: str, position, intensity: float) -> None:
         x, y, z = position
+        old = self.stimuli.get(name)
+        self.lit_stimuli += old is None or not old.active
         self.stimuli[name] = Stimulus(name, (float(x), float(y), float(z)),
                                       intensity)
         self._stimuli_changed = True
 
     def set_stimulus(self, name: str, active: bool) -> None:
         """Switch a stimulus on or off; the only way to change ``active``."""
-        self.stimuli[name].active = active
+        stim = self.stimuli[name]
+        self.lit_stimuli += bool(active) - bool(stim.active)
+        stim.active = active
         self._stimuli_changed = True
 
     def _fluorescence_at(self, agent: Agent) -> float:
@@ -223,17 +233,17 @@ class World:
     # -- main loop -------------------------------------------------------------
 
     def run(self, n_icycles: int) -> Metrics:
-        self.run_cycles(n_icycles * self.clock.icycle_len)
+        self.run_cycles(n_icycles * self._icycle_len)
         return self.metrics
 
     def run_cycles(self, n_cycles: int) -> None:
         end = self.cycle + n_cycles
-        gaps = [g for g in self.laser_gaps if g.cycle >= self.cycle]
+        gaps = self._gaps_ahead
         while self.cycle < end:
-            if gaps and gaps[0].cycle == self.cycle:
-                self._apply_gap(gaps.pop(0))
+            if gaps and gaps[-1].cycle == self.cycle:
+                self._apply_gap(gaps.pop())
                 continue
-            self._run_subcycle(min(end, gaps[0].cycle) if gaps else end)
+            self._run_subcycle(min(end, gaps[-1].cycle) if gaps else end)
 
     def _run_subcycle(self, stop: int) -> None:
         """Run from the current cycle to the end of its subcycle or ``stop``.
@@ -248,26 +258,29 @@ class World:
 
         An instruction cycle that is inert once ``on_icycle_start`` has run
         (no agent to close, none with send work, and ``stop`` beyond it) is
-        run to its end in one step: only the T4 end has work then.
+        run to its end in one step: only the T4 end has work then.  Before
+        the wake time no agent has send work, so no agent is asked.
         """
         sub, off, ic = self._phase()
         start = self.cycle - off
-        last = start + self.clock.subcycle_len - 1
         senders = self._senders[sub]
         if off == 0:
             self._begin_subcycle(sub, ic)
+            idle = ic < self._wake[0]
             if (sub is Subcycle.T1 and not self._pending
-                    and stop >= start + self.clock.icycle_len
-                    and not self._any_send_work(ic)):
-                self.cycle = start + self.clock.icycle_len - 1
+                    and stop >= start + self._icycle_len
+                    and (idle or not self._any_send_work(ic))):
+                self.cycle = start + self._icycle_len - 1
                 self._end_subcycle(Subcycle.T4, ic)
                 self.cycle += 1
                 return
             # ``emit`` at offset 0 loads the frame; the walk carries its bits.
             # A sender with nothing to send loads nothing and stays silent
-            for agent, _ in senders:
-                if agent.has_send_work(ic):
-                    agent.emit(sub, 0, ic, self.cycle)
+            if not idle:
+                for agent, _ in senders:
+                    if agent.has_send_work(ic):
+                        agent.emit(sub, 0, ic, self.cycle)
+        last = start + self._subcycle_len - 1
         transmitters = []
         for agent, bit in senders:
             if agent.inflight is not None:
@@ -283,9 +296,15 @@ class World:
         self.cycle = min(stop, last + 1)
 
     def _any_send_work(self, ic: int) -> bool:
+        """Whether an agent has send work in ``ic``; if none, set the wake."""
+        wake = math.inf
         for agent in self._order:
             if agent.has_send_work(ic):
                 return True
+            due = agent.next_due()
+            if due < wake:
+                wake = due
+        self._wake[0] = wake
         return False
 
     def _begin_subcycle(self, sub: Subcycle, ic: int) -> None:

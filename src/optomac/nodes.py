@@ -19,6 +19,7 @@ bit pattern survives unmodified.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .metrics import Metrics
@@ -124,9 +125,10 @@ class Agent:
     """Protocol state machine for one in-vivo node.
 
     It owns the tests the engine asks before a call (``has_send_work``,
-    ``has_subcycle_work``), carrier sense (either detector's bit) and its
-    receive buffers, which it clears once decoded; the engine clears them
-    only when a laser gap abandons a subcycle.
+    ``has_subcycle_work``), the due time of its timers (``next_due``),
+    carrier sense (either detector's bit) and its receive buffers, which it
+    clears once decoded; the engine clears them only when a laser gap
+    abandons a subcycle.
     """
 
     def __init__(self, name: str, memory: NodeMemory, rng: Rng,
@@ -161,6 +163,7 @@ class Agent:
         self.latched = False
         self.request_target: int | None = None
         self.request_next_ic = 0
+        self.wake = [0]  # the World's wake time, a cell it shares
 
     # -- identity helpers ------------------------------------------------
 
@@ -173,22 +176,28 @@ class Agent:
         return self.mem.is_actuator
 
     def has_send_work(self, ic: int) -> bool:
-        """Whether ``emit`` at offset 0 of the own subcycle in instruction
-        cycle ``ic`` can load or hold a frame, or refresh a chain or a
-        request: one in flight, one ``_next_out`` names, a chain whose
-        backoff has ended or a relay request that falls due.  When False,
-        that call changes nothing."""
+        """Whether ``emit`` at offset 0 of the own subcycle in icycle ``ic``
+        can load or hold a frame or refresh a chain or request: one in
+        flight, one ``_next_out`` names, or a timer due (``next_due``).  When
+        False, that call changes nothing.  Asked only from the wake time on."""
         if self.inflight is not None:
             return True
-        # ``_next_out`` names nothing without a queue or a chain, the case of
-        # most calls, which the engine makes for every sender every subcycle
-        if (self.queue or self.chains) and self._next_out() is not None:
-            return True
-        for chain in self.chains:
-            if chain.state is ChainState.BACKOFF and ic >= chain.retry_ic:
+        if self.queue or self.chains:
+            if self._next_out() is not None:
                 return True
-        return (self.request_target is not None
-                and ic >= self.request_next_ic)
+        elif self.request_target is None:
+            return False
+        return ic >= self.next_due()
+
+    def next_due(self) -> float:
+        """The first icycle at which a timer gives send work: a ``BACKOFF``
+        chain's retry or a set request's next one; ``math.inf`` if none."""
+        due = (self.request_next_ic if self.request_target is not None
+               else math.inf)
+        for chain in self.chains:
+            if chain.state is ChainState.BACKOFF and chain.retry_ic < due:
+                due = chain.retry_ic
+        return due
 
     @property
     def has_subcycle_work(self) -> bool:
@@ -216,6 +225,7 @@ class Agent:
         chain = CommandChain(target=target, tag=tag,
                              state=self._first_state(), started_cycle=cycle)
         self.chains.append(chain)
+        self.wake[0] = 0
         self.trace.chain(cycle, self.name, chain.state.value, target, tag)
         return chain
 
@@ -227,6 +237,7 @@ class Agent:
         """
         self.request_target = target
         self.request_next_ic = ic
+        self.wake[0] = 0
 
     def clear_requests(self) -> None:
         self.request_target = None
@@ -307,6 +318,7 @@ class Agent:
                 and ic - self.blocked_since_ic >= BLOCKED_BACKSTOP_ICS):
             self.trace.unblocked(cycle, self.name, self.blocked_by, "timeout")
             self.blocked_by = None
+            self.wake[0] = 0
 
     def on_second_layer(self, detected: bool, ic: int, cycle: int) -> None:
         """End of the fourth subcycle: sensor fluorescence latch update."""
@@ -389,6 +401,7 @@ class Agent:
             # lost arbitration: requeue at the head and retry next own slot
             self.metrics.exits += 1
             self.queue.insert(0, out)
+            self.wake[0] = 0
             return
         self.trace.tx_done(cycle, self.name, fl.mask)
         op = out.frame.opcode
@@ -462,6 +475,7 @@ class Agent:
             if (chain.state is ChainState.AWAIT_BLOCK
                     and frame.transmitter == chain.target):
                 chain.state = ChainState.SEND_COMMAND
+                self.wake[0] = 0
                 self.trace.block_cleared(cycle, self.name, chain.target)
                 return
         self.blocked_by = frame.transmitter
@@ -482,6 +496,7 @@ class Agent:
         if self.blocked_by is not None and frame.transmitter == self.blocked_by:
             self.trace.unblocked(cycle, self.name, self.blocked_by, "ack")
             self.blocked_by = None
+            self.wake[0] = 0
 
     def _on_notify(self) -> None:
         if self.variant is not Variant.HANDSHAKE:
@@ -489,6 +504,7 @@ class Agent:
         if not any(o.frame.opcode == Opcode.BLOCK for o in self.queue):
             block = Frame(broadcast_address(), Opcode.BLOCK, self.address)
             self.queue.append(Outgoing(block, 0, PRIORITY_BLOCK))
+            self.wake[0] = 0
 
     def _on_command(self, frame: Frame) -> None:
         commander = frame.transmitter
@@ -497,6 +513,7 @@ class Agent:
         ack = Frame(commander, Opcode.ACK, self.address)
         self.queue.append(Outgoing(ack, self.mem.pattern_toward(commander),
                                    PRIORITY_ACK, meta={"count": count}))
+        self.wake[0] = 0
 
     def _forward_relay(self, frame: Frame) -> None:
         onward = Frame(controller_address(), Opcode.RELAY, frame.transmitter)
@@ -504,6 +521,7 @@ class Agent:
             return
         self.queue.append(Outgoing(onward, self.mem.pattern_toward(
             controller_address()), PRIORITY_DATA))
+        self.wake[0] = 0
 
     # -- timers --------------------------------------------------------------
 
@@ -517,6 +535,7 @@ class Agent:
             waited = chain.state.value
             chain.state = ChainState.BACKOFF
             chain.retry_ic = ic + chain.backoff.draw(self.rng)
+            self.wake[0] = 0
             self.metrics.retries += 1
             self.trace.timeout(cycle, self.name, waited, chain.target,
                                chain.retry_ic)

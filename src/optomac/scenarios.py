@@ -51,8 +51,8 @@ from .config import (
     valid_max_cycles,
     valid_seed,
 )
-from .engine import LaserGap, ScenarioHooks, World
-from .geometry import Cell, HexGrid, cell_of
+from .engine import LaserGap, ScenarioHooks, Stimulus, World
+from .geometry import HexGrid, cell_of
 from .learning import LearningReport, run_learning, snapshot_text
 from .metrics import Metrics
 from .nodes import Agent, CommandChain, Hooks, Variant
@@ -241,7 +241,8 @@ class ScenarioDriver(Hooks, ScenarioHooks):
     World as its scenario, so one object sees both node-level events
     (trigger, actuation, chain completion) and world-level ones (cycle
     boundaries, controller frames).  Whether a cluster still fluoresces is
-    the World's to say: ``world.stimuli[name].active``.
+    the World's to say (``world.stimuli[name].active``, ``lit_stimuli``);
+    agents get work only through their entry points, which wake the World.
     """
 
     def __init__(self, cfg: WorldConfig, metrics: Metrics,
@@ -342,11 +343,8 @@ class PhotothermalDriver(ScenarioDriver):
         self.trigger_cycles: dict[str, int] = {}
         self.dose = {spec.name: 0.0 for spec in self.fluorescent}
         self._scan_cells = self.cfg.grid.scan_cells()
-        # cell -> the clusters in it, in cluster order
-        self._clusters_in: dict[Cell, list[ClusterSpec]] = {}
-        for spec in self.fluorescent:
-            self._clusters_in.setdefault(
-                cell_of(spec.position, self.cfg.grid), []).append(spec)
+        # position -> (cluster, stimulus) in its cell, set at task start
+        self._targets: dict[int, list[tuple[ClusterSpec, Stimulus]]] = {}
 
     # node-side hooks --------------------------------------------------------
 
@@ -392,35 +390,39 @@ class PhotothermalDriver(ScenarioDriver):
                 "cycles": cycle - started})
         if position not in self.tasks:
             self.tasks[position] = self.dose_initial
+            cell = self._scan_cells[position]
+            self._targets[position] = [
+                (spec, world.stimuli[spec.name]) for spec in self.fluorescent
+                if cell_of(spec.position, self.cfg.grid) == cell]
             self.trace.event(cycle, "dose", position=position, state="start")
 
     def on_icycle_end(self, world: World, ic: int) -> None:
+        doses = self.metrics.doses
+        cap = self.dose_initial * self.dose_cap_factor
         for position in sorted(self.tasks):
-            targets = [spec for spec in self._clusters_in.get(
-                           self._scan_cells[position], ())
-                       if world.stimuli[spec.name].active]
-            if not targets:
+            step = self.tasks[position]
+            dosed = False
+            # a dose darkens only its own cluster: test each as it comes
+            for spec, stim in self._targets[position]:
+                if not stim.active:
+                    continue
+                dosed = True
+                total = self.dose[spec.name] = self.dose[spec.name] + step
+                doses.append({"cluster": spec.name, "position": position,
+                              "dose": step, "cycle": world.cycle})
+                if total >= spec.dose_kill:
+                    world.set_stimulus(spec.name, False)
+                    self.trace.event(world.cycle, "dose", cluster=spec.name,
+                                     state="ablated", total=round(total, 9))
+            if not dosed:
                 del self.tasks[position]
                 self.trace.event(world.cycle, "dose", position=position,
                                  state="stop")
-                continue
-            step = self.tasks[position]
-            for spec in targets:
-                self.dose[spec.name] += step
-                self.metrics.doses.append({
-                    "cluster": spec.name, "position": position,
-                    "dose": step, "cycle": world.cycle})
-                if self.dose[spec.name] >= spec.dose_kill:
-                    world.set_stimulus(spec.name, False)
-                    self.trace.event(world.cycle, "dose",
-                                     cluster=spec.name, state="ablated",
-                                     total=round(self.dose[spec.name], 9))
-            self.tasks[position] = min(step * 2.0,
-                                       self.dose_initial * self.dose_cap_factor)
+            elif step != cap:
+                self.tasks[position] = min(step * 2.0, cap)
 
     def finished(self, world: World) -> bool:
-        return not any(world.stimuli[spec.name].active
-                       for spec in self.fluorescent)
+        return world.lit_stimuli == 0
 
     def finalize(self, world: World, status: str) -> None:
         for spec in self.fluorescent:

@@ -30,7 +30,7 @@ class Subcycle(enum.IntEnum):
 
 
 # Subcycle by index, looked up without calling the enum
-_SUBCYCLES = tuple(Subcycle)
+SUBCYCLES = tuple(Subcycle)
 
 
 class NonClockEvent(enum.Enum):
@@ -69,7 +69,7 @@ def subcycle_of(cycle: int, cfg: ClockConfig) -> tuple[Subcycle, int]:
     if cycle < 0:
         raise ValueError("cycle must be non-negative")
     k, offset = divmod(cycle % cfg.icycle_len, cfg.subcycle_len)
-    return _SUBCYCLES[k], offset
+    return SUBCYCLES[k], offset
 
 
 def detect_nonclock(missing_run: int, cfg: ClockConfig) -> NonClockEvent:

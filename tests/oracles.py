@@ -4,8 +4,8 @@ Each restates one rule of the model in its simplest form, apart from the
 code a run executes: the geometry of one link, a frame's bits as a tuple
 and decoding a frame from them, arbitration as a maximum and as a
 bit-serial round over carrier sense of summed light, reachability from the
-power map, and an engine that polls every agent for work and steps every
-bit.
+power map, an engine that polls every agent for work and steps every
+bit, and the live engine checking its wake time.
 """
 
 from __future__ import annotations
@@ -207,3 +207,16 @@ class PollingWorld(World):
         for agent in self.agents.values():
             if polled_subcycle_work(agent):
                 agent.end_subcycle(sub, ic, self.cycle)
+
+
+class WakeCheckingWorld(World):
+    """The live World, checking its wake time at offset 0 of every
+    subcycle, T1 included, once ``on_icycle_start`` has run: while the wake
+    time is ahead of the instruction cycle, no agent has send work."""
+
+    def _begin_subcycle(self, sub: Subcycle, ic: int) -> None:
+        super()._begin_subcycle(sub, ic)
+        if ic < self._wake[0]:
+            busy = [a.name for a in self._order if a.has_send_work(ic)]
+            assert not busy, (f"{busy} have send work in icycle {ic}, "
+                              f"before the wake time {self._wake[0]}")

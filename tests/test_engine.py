@@ -5,7 +5,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optomac.antenna import SampledPatternTable
@@ -24,7 +24,12 @@ from optomac.protocol import (
 )
 from optomac.timebase import ClockConfig, Rng, Subcycle, subcycle_of
 from optomac.trace import TraceWriter
-from oracles import PollingWorld, contention_round, frame_bits
+from oracles import (
+    PollingWorld,
+    WakeCheckingWorld,
+    contention_round,
+    frame_bits,
+)
 
 
 class DoneRecorder(Hooks):
@@ -248,6 +253,17 @@ def test_frame_sync_gap_restarts_phase():
     assert world.current_ic == 1
 
 
+@pytest.mark.parametrize("length", [3, 8, 32])
+def test_a_gap_wakes_the_world(length):
+    # with nothing to send, an inert icycle's poll puts the wake time out
+    # of reach; a laser gap of any kind sets it back to 0
+    world, _ = make_world(pair_specs(), laser_gaps=[LaserGap(96, length)])
+    world.run(2)
+    assert world._wake[0] == math.inf
+    world.run_cycles(1)
+    assert world._wake[0] == 0
+
+
 def test_short_gap_keeps_phase():
     # a gap shorter than g_sync is flywheeled: no restart, no new icycle
     trace = TraceWriter("events")
@@ -346,6 +362,26 @@ def test_weak_stimulus_stays_below_latch_threshold():
     world.run(1)
     assert not world.agents["s"].latched
     assert hooks.triggers == []
+
+
+STIMULUS_CALLS = st.lists(st.tuples(
+    st.sampled_from(("add", "set")), st.sampled_from(("a", "b", "c")),
+    st.booleans()), max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(STIMULUS_CALLS)
+def test_lit_count_matches_a_recount(calls):
+    # adding a stimulus again replaces it, lit, and setting one to the value
+    # it has changes nothing
+    world, _ = make_world(pair_specs())
+    for call, name, active in calls:
+        if call == "add":
+            world.add_stimulus(name, (0.0, 0.0, 1.0), 0.01)
+        elif name in world.stimuli:
+            world.set_stimulus(name, active)
+        assert world.lit_stimuli == sum(s.active
+                                        for s in world.stimuli.values())
 
 
 def test_run_returns_shared_metrics():
@@ -655,18 +691,25 @@ class StartAtIcycle(ScenarioHooks):
 @given(st.sampled_from(("pair", "clique")), st.floats(1.0, 4.0),
        st.floats(0.5, 20.0), st.sampled_from(list(Variant)), gap_lists(),
        STEPS, STARTS)
+# s's command goes unheard and its relay request repeats: polls in inert
+# icycles set the wake time to its BACKOFF retry in icycle 4 and to a relay
+# retry in 16, and each falls due in an icycle nothing else makes busy
+@example("pair", 4.0, 0.5, Variant.BASIC, [],
+         [("chain", 0), ("request", 0)] + [("run", 70)] * 10, [])
 def test_pending_set_matches_polling_oracle(kind, side, gain, variant, gaps,
                                             steps, starts):
-    # the World closes only the agents in its pending set, asks only the
-    # senders with exact send work at offset 0, runs an inert icycle in one
-    # step and a lone sender's frame in one step; the oracle polls every
-    # agent with the broad tests, every subcycle and every bit.  Hooks
-    # start work at T1, and run chunks end inside icycles and subcycles.
-    # Runs, power-level traces and clocks must agree
+    # the World closes only the agents in its pending set, asks for send
+    # work only once its wake time is reached and then only the senders
+    # with exact send work at offset 0, runs an inert icycle in one step
+    # and a lone sender's frame in one step; the oracle polls every agent
+    # with the broad tests, every subcycle and every bit.  Hooks start work
+    # at T1, and run chunks end inside icycles and subcycles.  Runs,
+    # power-level traces and clocks must agree, and the live World checks
+    # that no agent has send work while its wake time is ahead
     specs = random_specs(kind, side, gain)
     sensors = [name for name, _, is_act, _, _ in specs if not is_act]
     runs = []
-    for world_cls in (World, PollingWorld):
+    for world_cls in (WakeCheckingWorld, PollingWorld):
         trace = TraceWriter("power")
         world, _ = make_world(specs, variant, trace=trace, gain=gain,
                               laser_gaps=list(gaps), world_cls=world_cls,

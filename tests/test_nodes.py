@@ -342,6 +342,85 @@ def test_relay_forwarding_keeps_origin():
     assert [o.frame for o in agent.queue] == [onward]
 
 
+def _asleep(agent):
+    """Put the agent's wake time far ahead, as a World does once no agent
+    has send work."""
+    agent.wake[0] = 10**6
+    return agent
+
+
+def _requeue_after_exit(agent):
+    agent.start_chain(ACTUATOR)
+    _asleep(agent)
+    run_own_subcycle(agent, jam_at=1)
+
+
+def _block_cleared(agent):
+    agent.start_chain(ACTUATOR)
+    run_own_subcycle(agent)
+    feed_subcycle(_asleep(agent), Subcycle.T2, top=frame_bits(
+        Frame(broadcast_address(), Opcode.BLOCK, ACTUATOR)))
+
+
+def _unblocked(agent, by_ack):
+    feed_subcycle(agent, Subcycle.T2, top=frame_bits(
+        Frame(broadcast_address(), Opcode.BLOCK, ACTUATOR)))
+    if by_ack:
+        feed_subcycle(_asleep(agent), Subcycle.T2, ic=1, top=frame_bits(
+            Frame(PEER, Opcode.ACK, ACTUATOR)))
+    else:
+        feed_subcycle(_asleep(agent), Subcycle.T2, ic=BLOCKED_BACKSTOP_ICS)
+
+
+def _heard_by_actuator(opcode):
+    def step(agent):
+        feed_subcycle(_asleep(agent), Subcycle.T1,
+                      top=frame_bits(Frame(ACTUATOR, opcode, SENSOR)))
+    return step
+
+
+def _backoff(agent):
+    agent.start_chain(ACTUATOR)
+    run_own_subcycle(agent)
+    _asleep(agent)
+    for sub in (Subcycle.T2, Subcycle.T3):
+        feed_subcycle(agent, sub)
+    assert agent.chains[0].state is ChainState.BACKOFF
+
+
+SENSOR_AGENT = {"variant": Variant.BASIC}
+HANDSHAKE_SENSOR = {"variant": Variant.HANDSHAKE}
+ACTUATOR_AGENT = {"address": ACTUATOR, "is_actuator": True,
+                  "mode": Subcycle.T3, "variant": Variant.HANDSHAKE}
+# entry point -> (the agent, what reaches it)
+WAKERS = {
+    "start_chain": (SENSOR_AGENT,
+                    lambda a: _asleep(a).start_chain(ACTUATOR)),
+    "start_request": (SENSOR_AGENT, lambda a: _asleep(a).start_request(
+        controller_address(), 0)),
+    "requeue_after_exit": (SENSOR_AGENT, _requeue_after_exit),
+    "block_cleared": (HANDSHAKE_SENSOR, _block_cleared),
+    "unblocked_by_ack": (SENSOR_AGENT, lambda a: _unblocked(a, True)),
+    "unblocked_by_backstop": (SENSOR_AGENT, lambda a: _unblocked(a, False)),
+    "notify_queues_block": (ACTUATOR_AGENT,
+                            _heard_by_actuator(Opcode.NOTIFY)),
+    "command_queues_ack": (ACTUATOR_AGENT,
+                           _heard_by_actuator(Opcode.COMMAND)),
+    "relay_forwarded": (ACTUATOR_AGENT, _heard_by_actuator(Opcode.RELAY)),
+    "backoff": (SENSOR_AGENT, _backoff),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WAKERS))
+def test_entry_points_that_can_create_send_work_wake_the_world(entry):
+    # the World asks for send work only from its wake time on, so every
+    # entry point that can give an agent send work sets the wake time to 0
+    kwargs, step = WAKERS[entry]
+    agent, _ = make_agent(**kwargs)
+    step(agent)
+    assert agent.wake[0] == 0
+
+
 def test_request_stream_repeats_until_cleared():
     agent, _ = make_agent()
     agent.start_request(controller_address(), ic=0)
@@ -557,6 +636,20 @@ def test_first_bit_without_send_work_changes_nothing_with_a_queue(node,
     before = node_state(agent, hooks)
     assert agent.emit(agent.mode, 0, ic, cycle) is None
     assert node_state(agent, hooks) == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(node_states(inflight=False))
+def test_next_due_is_exact_without_a_frame_to_send(node):
+    # with no frame in flight and none that ``_next_out`` names, send work
+    # comes only from a timer, so it starts at ``next_due`` and lasts; the
+    # World's wake time rests on this
+    agent, _, ic = node
+    assume(agent._next_out() is None)
+    due = agent.next_due()
+    # every due time is drawn within 2 of ``ic``
+    for t in list(range(ic, ic + 4)) + [ic + 10**6]:
+        assert agent.has_send_work(t) == (t >= due)
 
 
 @settings(max_examples=300, deadline=None)

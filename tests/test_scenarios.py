@@ -17,6 +17,7 @@ from optomac.protocol import Opcode
 from optomac.scenarios import (
     DRIVERS,
     SCENARIO_HORIZON_ICS,
+    PhotothermalDriver,
     clique_contention_config,
     default_config,
     drug_delivery_config,
@@ -158,6 +159,32 @@ def test_photothermal_seed0(protocol):
     assert positions == {"tumor_a": 3, "tumor_b": 14}
     assert latency_triples(m) == [("serve", "s1", 12), ("serve", "s2", 36)]
     assert not m.timeouts
+
+
+def test_photothermal_finished_follows_the_lit_lesions(monkeypatch):
+    # ``finished`` reads the World's count of lit stimuli; the run asks it
+    # after every icycle, and it must agree with the lesions themselves
+    # while they go dark one at a time
+    cfg = photothermal_config()
+    cfg = dataclasses.replace(cfg, clusters=tuple(
+        dataclasses.replace(c, dose_kill=kill)
+        for c, kill in zip(cfg.clusters, (1.0, 6.0))))
+    answers = []
+    finished = PhotothermalDriver.finished
+
+    def checked(driver, world):
+        got = finished(driver, world)
+        lit = [s.name for s in driver.fluorescent
+               if world.stimuli[s.name].active]
+        assert got == (not lit)
+        answers.append(tuple(lit))
+        return got
+
+    monkeypatch.setattr(PhotothermalDriver, "finished", checked)
+    r = run_scenario(cfg=cfg, seed=0)
+    assert r.status == "ok"
+    assert answers[0] == ("tumor_a", "tumor_b") and answers[-1] == ()
+    assert ("tumor_b",) in answers
 
 
 def test_photothermal_relay_reaches_blind_controller():

@@ -8,8 +8,9 @@ standard library only) on:
   ``config.PROTOCOL_NAMES``), seeds 0-2, at the ``power`` trace level,
   writing the artifacts and then verifying them;
 * ``tests/data/hidden_terminal_gaps.json`` the same way, the one input with
-  laser gaps, and ``tests/data/hidden_terminal_layered.json``, the one that
-  lights bottom detectors;
+  laser gaps, ``tests/data/hidden_terminal_layered.json``, the one that
+  lights bottom detectors, and ``tests/data/photothermal_hold.json``, the
+  one that repeats relay requests over a long inert stretch;
 * ``--dump-patterns``.
 
 Then it prints, per module, each function that ran with the statements it
@@ -34,7 +35,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "optomac"
 CONFIGS = {"gaps": ROOT / "tests" / "data" / "hidden_terminal_gaps.json",
-           "layered": ROOT / "tests" / "data" / "hidden_terminal_layered.json"}
+           "layered": ROOT / "tests" / "data" / "hidden_terminal_layered.json",
+           "hold": ROOT / "tests" / "data" / "photothermal_hold.json"}
 SEEDS = "0..2"
 
 _BODIES = ("body", "orelse", "finalbody", "handlers")
