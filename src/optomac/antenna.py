@@ -184,6 +184,7 @@ class SampledPatternTable:
         self.rows = tuple(row + row[:1] for row in self.gains)
         self.slopes = tuple(tuple((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])
                                   for k in range(n)) for ys in self.rows)
+        self._text: str | None = None
 
     def bracket(self, azimuth: float) -> tuple[int, float | None]:
         """Where ``azimuth`` falls among the closed samples, found as
@@ -217,13 +218,16 @@ class SampledPatternTable:
 
     def to_text(self) -> str:
         """Dump as `pattern <id> mask -` blocks with one azimuth/gain row
-        every 5 degrees."""
-        out = io.StringIO()
-        for p in range(self.n_patterns):
-            out.write(f"pattern {p} mask -\n")
-            for az in range(0, 360, 5):
-                rad = math.radians(az)
-                g = self.gain(p, (math.cos(rad), math.sin(rad), 0.0))
-                out.write(f"{az:.1f} {g:.9e}\n")
-            out.write("\n")
-        return out.getvalue()
+        every 5 degrees; built on the first call and kept, since a table
+        does not change."""
+        if self._text is None:
+            out = io.StringIO()
+            for p in range(self.n_patterns):
+                out.write(f"pattern {p} mask -\n")
+                for az in range(0, 360, 5):
+                    rad = math.radians(az)
+                    g = self.gain(p, (math.cos(rad), math.sin(rad), 0.0))
+                    out.write(f"{az:.1f} {g:.9e}\n")
+                out.write("\n")
+            self._text = out.getvalue()
+        return self._text

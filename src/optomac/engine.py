@@ -2,12 +2,16 @@
 
 Frames are aligned to subcycles and a node starts one only at offset 0 of
 its own working subcycle.  There the engine asks the nodes that have
-something to send (``Agent.has_send_work``) to load a frame
+something to send (``ic >= Agent.next_due()``) to load a frame
 (``Agent.emit``), and then carries every bit of the frames loaded from
 their masks, with no per-bit call to a node.  Send work is a wake time,
-not a poll: nodes are asked for it only from the wake time on; when none
-has any, it moves to their first timer due (``Agent.next_due``), and each
-node entry point that can create send work sets it back to 0.
+not a poll: nodes are asked for it only from the wake time on.  The poll
+of an inert instruction cycle, and nothing else, moves it ahead, to the
+nodes' first ``next_due``, and only while no node is pending.  No node
+becomes pending before one sends, so every close, and any send work a close
+creates, comes once the wake time is reached.  So it goes back to 0 only in
+``Agent.start_chain`` and ``start_request``, which scenario hooks call
+outside a close, and at a laser gap.
 
 A detector's bit is the sum of the emitters' power-table entries on its
 side, and its collision evidence the count of emitters whose own entry
@@ -278,7 +282,7 @@ class World:
             # A sender with nothing to send loads nothing and stays silent
             if not idle:
                 for agent, _ in senders:
-                    if agent.has_send_work(ic):
+                    if ic >= agent.next_due():
                         agent.emit(sub, 0, ic, self.cycle)
         last = start + self._subcycle_len - 1
         transmitters = []
@@ -299,9 +303,9 @@ class World:
         """Whether an agent has send work in ``ic``; if none, set the wake."""
         wake = math.inf
         for agent in self._order:
-            if agent.has_send_work(ic):
-                return True
             due = agent.next_due()
+            if ic >= due:
+                return True
             if due < wake:
                 wake = due
         self._wake[0] = wake

@@ -124,11 +124,14 @@ class Hooks:
 class Agent:
     """Protocol state machine for one in-vivo node.
 
-    It owns the tests the engine asks before a call (``has_send_work``,
-    ``has_subcycle_work``), the due time of its timers (``next_due``),
-    carrier sense (either detector's bit) and its receive buffers, which it
-    clears once decoded; the engine clears them only when a laser gap
-    abandons a subcycle.
+    It owns the tests the engine asks before a call (``next_due``, the
+    one send-work rule, and ``has_subcycle_work``), carrier sense (either
+    detector's bit) and its receive buffers, which it clears once decoded;
+    the engine clears them only when a laser gap abandons a subcycle.  Of
+    the World's shared wake time (see ``engine``) it resets only what its
+    two public entry points, ``start_chain`` and ``start_request``, need:
+    every other transition runs in ``end_subcycle``, which the World calls
+    only once the wake time is reached.
     """
 
     def __init__(self, name: str, memory: NodeMemory, rng: Rng,
@@ -175,23 +178,15 @@ class Agent:
     def is_actuator(self) -> bool:
         return self.mem.is_actuator
 
-    def has_send_work(self, ic: int) -> bool:
-        """Whether ``emit`` at offset 0 of the own subcycle in icycle ``ic``
-        can load or hold a frame or refresh a chain or request: one in
-        flight, one ``_next_out`` names, or a timer due (``next_due``).  When
-        False, that call changes nothing.  Asked only from the wake time on."""
-        if self.inflight is not None:
-            return True
-        if self.queue or self.chains:
-            if self._next_out() is not None:
-                return True
-        elif self.request_target is None:
-            return False
-        return ic >= self.next_due()
-
     def next_due(self) -> float:
-        """The first icycle at which a timer gives send work: a ``BACKOFF``
-        chain's retry or a set request's next one; ``math.inf`` if none."""
+        """The first icycle at which ``emit`` at offset 0 of the own subcycle
+        can change anything, the one send-work rule: 0 while a frame is in
+        flight or ``_next_out`` names one, else the earliest ``BACKOFF``
+        retry or set request's next one, else ``math.inf``.  A call before
+        it changes nothing."""
+        if self.inflight is not None or (
+                (self.queue or self.chains) and self._next_out() is not None):
+            return 0
         due = (self.request_next_ic if self.request_target is not None
                else math.inf)
         for chain in self.chains:
@@ -318,7 +313,6 @@ class Agent:
                 and ic - self.blocked_since_ic >= BLOCKED_BACKSTOP_ICS):
             self.trace.unblocked(cycle, self.name, self.blocked_by, "timeout")
             self.blocked_by = None
-            self.wake[0] = 0
 
     def on_second_layer(self, detected: bool, ic: int, cycle: int) -> None:
         """End of the fourth subcycle: sensor fluorescence latch update."""
@@ -401,7 +395,6 @@ class Agent:
             # lost arbitration: requeue at the head and retry next own slot
             self.metrics.exits += 1
             self.queue.insert(0, out)
-            self.wake[0] = 0
             return
         self.trace.tx_done(cycle, self.name, fl.mask)
         op = out.frame.opcode
@@ -475,7 +468,6 @@ class Agent:
             if (chain.state is ChainState.AWAIT_BLOCK
                     and frame.transmitter == chain.target):
                 chain.state = ChainState.SEND_COMMAND
-                self.wake[0] = 0
                 self.trace.block_cleared(cycle, self.name, chain.target)
                 return
         self.blocked_by = frame.transmitter
@@ -496,7 +488,6 @@ class Agent:
         if self.blocked_by is not None and frame.transmitter == self.blocked_by:
             self.trace.unblocked(cycle, self.name, self.blocked_by, "ack")
             self.blocked_by = None
-            self.wake[0] = 0
 
     def _on_notify(self) -> None:
         if self.variant is not Variant.HANDSHAKE:
@@ -504,7 +495,6 @@ class Agent:
         if not any(o.frame.opcode == Opcode.BLOCK for o in self.queue):
             block = Frame(broadcast_address(), Opcode.BLOCK, self.address)
             self.queue.append(Outgoing(block, 0, PRIORITY_BLOCK))
-            self.wake[0] = 0
 
     def _on_command(self, frame: Frame) -> None:
         commander = frame.transmitter
@@ -513,7 +503,6 @@ class Agent:
         ack = Frame(commander, Opcode.ACK, self.address)
         self.queue.append(Outgoing(ack, self.mem.pattern_toward(commander),
                                    PRIORITY_ACK, meta={"count": count}))
-        self.wake[0] = 0
 
     def _forward_relay(self, frame: Frame) -> None:
         onward = Frame(controller_address(), Opcode.RELAY, frame.transmitter)
@@ -521,7 +510,6 @@ class Agent:
             return
         self.queue.append(Outgoing(onward, self.mem.pattern_toward(
             controller_address()), PRIORITY_DATA))
-        self.wake[0] = 0
 
     # -- timers --------------------------------------------------------------
 
@@ -535,7 +523,6 @@ class Agent:
             waited = chain.state.value
             chain.state = ChainState.BACKOFF
             chain.retry_ic = ic + chain.backoff.draw(self.rng)
-            self.wake[0] = 0
             self.metrics.retries += 1
             self.trace.timeout(cycle, self.name, waited, chain.target,
                                chain.retry_ic)

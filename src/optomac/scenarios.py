@@ -242,7 +242,8 @@ class ScenarioDriver(Hooks, ScenarioHooks):
     (trigger, actuation, chain completion) and world-level ones (cycle
     boundaries, controller frames).  Whether a cluster still fluoresces is
     the World's to say (``world.stimuli[name].active``, ``lit_stimuli``);
-    agents get work only through their entry points, which wake the World.
+    a driver gives agents work only through ``start_chain`` and
+    ``start_request``, which wake the World.
     """
 
     def __init__(self, cfg: WorldConfig, metrics: Metrics,

@@ -64,14 +64,6 @@ class ClockConfig:
         return SUBCYCLES_PER_ICYCLE * self.subcycle_len
 
 
-def subcycle_of(cycle: int, cfg: ClockConfig) -> tuple[Subcycle, int]:
-    """Map a cycle index to (subcycle, bit offset).  Pure and periodic."""
-    if cycle < 0:
-        raise ValueError("cycle must be non-negative")
-    k, offset = divmod(cycle % cfg.icycle_len, cfg.subcycle_len)
-    return SUBCYCLES[k], offset
-
-
 def detect_nonclock(missing_run: int, cfg: ClockConfig) -> NonClockEvent:
     """Classify a completed run of missing pulses.
 

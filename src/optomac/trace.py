@@ -81,7 +81,12 @@ class TraceWriter:
             raise ValueError(f"unknown trace level {level!r}")
         self._wanted = _WANTED[level]
         self.sink = io.StringIO()
-        self.count = 0
+
+    @property
+    def count(self) -> int:
+        """The number of lines written: each ends in the one newline it
+        holds, since JSON escapes any newline inside a string."""
+        return self.sink.getvalue().count("\n")
 
     def wants(self, kind: str) -> bool:
         """Whether this writer records ``kind``; an unknown kind raises."""
@@ -98,7 +103,6 @@ class TraceWriter:
         payload["cycle"] = cycle
         payload["kind"] = kind
         self.sink.write("".join(_encode(payload, 0)) + "\n")
-        self.count += 1
 
     # -- one writer per kind written per frame or per chain step -----------
     #
@@ -112,14 +116,12 @@ class TraceWriter:
                 f'{{"cycle": {cycle}, "frame": "{frame_text(mask)}", '
                 f'"kind": "tx_start", "node": {_str(node)}, '
                 f'"pattern": {pattern}}}\n')
-            self.count += 1
 
     def tx_done(self, cycle: int, node: str, mask: int) -> None:
         if "tx_done" in self._wanted:
             self.sink.write(
                 f'{{"cycle": {cycle}, "frame": "{frame_text(mask)}", '
                 f'"kind": "tx_done", "node": {_str(node)}}}\n')
-            self.count += 1
 
     def tx_exit(self, cycle: int, node: str, bit: int, mask: int) -> None:
         if "tx_exit" in self._wanted:
@@ -127,7 +129,6 @@ class TraceWriter:
                 f'{{"bit": {bit}, "cycle": {cycle}, '
                 f'"frame": "{frame_text(mask)}", "kind": "tx_exit", '
                 f'"node": {_str(node)}}}\n')
-            self.count += 1
 
     def rx_frame(self, cycle: int, node: str, side: str, mask: int,
                  addressed: bool) -> None:
@@ -137,7 +138,6 @@ class TraceWriter:
                 f'"cycle": {cycle}, "frame": "{frame_text(mask)}", '
                 f'"kind": "rx_frame", "node": {_str(node)}, '
                 f'"side": {_str(side)}}}\n')
-            self.count += 1
 
     def rx_reject_bits(self, cycle: int, node: str, side: str, reason: str,
                        mask: int) -> None:
@@ -147,7 +147,6 @@ class TraceWriter:
                 f'{{"bits": "{mask:0{FRAME_BITS}b}", "cycle": {cycle}, '
                 f'"kind": "rx_reject", "node": {_str(node)}, '
                 f'"reason": {_str(reason)}, "side": {_str(side)}}}\n')
-            self.count += 1
 
     def rx_reject_frame(self, cycle: int, node: str, side: str, reason: str,
                         mask: int) -> None:
@@ -157,7 +156,6 @@ class TraceWriter:
                 f'{{"cycle": {cycle}, "frame": "{frame_text(mask)}", '
                 f'"kind": "rx_reject", "node": {_str(node)}, '
                 f'"reason": {_str(reason)}, "side": {_str(side)}}}\n')
-            self.count += 1
 
     def chain(self, cycle: int, node: str, state: str, target: int,
               tag: str) -> None:
@@ -166,28 +164,24 @@ class TraceWriter:
                 f'{{"cycle": {cycle}, "kind": "chain", "node": {_str(node)}, '
                 f'"state": {_str(state)}, "tag": {_str(tag)}, '
                 f'"target": {target}}}\n')
-            self.count += 1
 
     def blocked(self, cycle: int, node: str, by: int) -> None:
         if "blocked" in self._wanted:
             self.sink.write(
                 f'{{"by": {by}, "cycle": {cycle}, "kind": "blocked", '
                 f'"node": {_str(node)}}}\n')
-            self.count += 1
 
     def unblocked(self, cycle: int, node: str, by: int, reason: str) -> None:
         if "unblocked" in self._wanted:
             self.sink.write(
                 f'{{"by": {by}, "cycle": {cycle}, "kind": "unblocked", '
                 f'"node": {_str(node)}, "reason": {_str(reason)}}}\n')
-            self.count += 1
 
     def block_cleared(self, cycle: int, node: str, target: int) -> None:
         if "block_cleared" in self._wanted:
             self.sink.write(
                 f'{{"cycle": {cycle}, "kind": "block_cleared", '
                 f'"node": {_str(node)}, "target": {target}}}\n')
-            self.count += 1
 
     def timeout(self, cycle: int, node: str, waited: str, target: int,
                 retry_ic: int) -> None:
@@ -196,7 +190,6 @@ class TraceWriter:
                 f'{{"cycle": {cycle}, "kind": "timeout", '
                 f'"node": {_str(node)}, "retry_ic": {retry_ic}, '
                 f'"target": {target}, "waited": {_str(waited)}}}\n')
-            self.count += 1
 
     def controller_frame(self, cycle: int, mask: int) -> None:
         """A ``controller`` line of a frame the controller decoded."""
@@ -204,7 +197,6 @@ class TraceWriter:
             self.sink.write(
                 f'{{"cycle": {cycle}, "frame": "{frame_text(mask)}", '
                 f'"kind": "controller"}}\n')
-            self.count += 1
 
     def power(self, cycle: int, sources) -> None:
         """A ``power`` line: the names of the cycle's emitters, sorted."""
@@ -212,7 +204,6 @@ class TraceWriter:
             self.sink.write(
                 f'{{"cycle": {cycle}, "kind": "power", '
                 f'"sources": [{", ".join(map(_str, sources))}]}}\n')
-            self.count += 1
 
     def getvalue(self) -> str:
         return self.sink.getvalue()

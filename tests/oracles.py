@@ -4,8 +4,8 @@ Each restates one rule of the model in its simplest form, apart from the
 code a run executes: the geometry of one link, a frame's bits as a tuple
 and decoding a frame from them, arbitration as a maximum and as a
 bit-serial round over carrier sense of summed light, reachability from the
-power map, an engine that polls every agent for work and steps every
-bit, and the live engine checking its wake time.
+power map, the phase of a cycle, an engine that polls every agent for work
+and steps every bit, and the live engine checking its wake time.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from optomac.engine import World
 from optomac.geometry import NodePose
 from optomac.nodes import Agent
 from optomac.protocol import BIT_MASK, Frame, frame_mask, parse_mask
-from optomac.timebase import FRAME_BITS, Subcycle
+from optomac.timebase import FRAME_BITS, SUBCYCLES, ClockConfig, Subcycle
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,15 @@ def geometry_between(a: NodePose, b: NodePose) -> PathGeometry:
     incoming = sum(-uc * nc for uc, nc in zip(u, b.normal))
     side = "top" if incoming >= 0 else "bottom"
     return PathGeometry(dist, u, side)  # type: ignore[arg-type]
+
+
+def subcycle_of(cycle: int, cfg: ClockConfig) -> tuple[Subcycle, int]:
+    """Map a cycle index to (subcycle, bit offset) from cycle 0, as a run
+    without laser gaps keeps its phase.  Pure and periodic."""
+    if cycle < 0:
+        raise ValueError("cycle must be non-negative")
+    k, offset = divmod(cycle % cfg.icycle_len, cfg.subcycle_len)
+    return SUBCYCLES[k], offset
 
 
 Bits = tuple[int, ...]
@@ -212,11 +221,18 @@ class PollingWorld(World):
 class WakeCheckingWorld(World):
     """The live World, checking its wake time at offset 0 of every
     subcycle, T1 included, once ``on_icycle_start`` has run: while the wake
-    time is ahead of the instruction cycle, no agent has send work."""
+    time is ahead of the instruction cycle, no agent has send work.  It
+    also checks that no close pass runs before the wake time, since agents
+    do not reset it for the send work a close creates."""
+
+    def _close_agents(self, sub: Subcycle, ic: int) -> None:
+        assert ic >= self._wake[0], (f"a close in icycle {ic}, before the "
+                                     f"wake time {self._wake[0]}")
+        super()._close_agents(sub, ic)
 
     def _begin_subcycle(self, sub: Subcycle, ic: int) -> None:
         super()._begin_subcycle(sub, ic)
         if ic < self._wake[0]:
-            busy = [a.name for a in self._order if a.has_send_work(ic)]
+            busy = [a.name for a in self._order if ic >= a.next_due()]
             assert not busy, (f"{busy} have send work in icycle {ic}, "
                               f"before the wake time {self._wake[0]}")

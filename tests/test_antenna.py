@@ -147,6 +147,27 @@ def test_sampled_table_interpolates_and_wraps():
         pytest.approx(0.75)
 
 
+def test_pattern_text_is_built_once_per_table(monkeypatch):
+    # a table does not change, so a second dump (one per seed in a CLI
+    # sweep) gives the same text without a gain lookup
+    table = SampledPatternTable([0.0, 90.0, 180.0, 270.0],
+                                [[1.0, 0.5, 0.0, 0.5], [0.2, 0.4, 0.6, 0.8]])
+    first = table.to_text()
+    assert first.count("mask -") == 2 and len(first.splitlines()) == 2 * 74
+    calls = []
+    gain = SampledPatternTable.gain
+
+    def counting_gain(self, *args):
+        calls.append(args)
+        return gain(self, *args)
+
+    monkeypatch.setattr(SampledPatternTable, "gain", counting_gain)
+    assert table.to_text() == first
+    assert calls == []
+    fresh = SampledPatternTable(table.azimuths, table.gains)
+    assert fresh.to_text() == first and len(calls) == 2 * 72
+
+
 def test_sampled_table_validation():
     with pytest.raises(ValueError):
         SampledPatternTable([0.0, 0.0], [[1.0, 1.0]])     # not increasing

@@ -22,13 +22,14 @@ from optomac.protocol import (
     Opcode,
     controller_address,
 )
-from optomac.timebase import ClockConfig, Rng, Subcycle, subcycle_of
+from optomac.timebase import ClockConfig, Rng, Subcycle
 from optomac.trace import TraceWriter
 from oracles import (
     PollingWorld,
     WakeCheckingWorld,
     contention_round,
     frame_bits,
+    subcycle_of,
 )
 
 
@@ -251,6 +252,34 @@ def test_frame_sync_gap_restarts_phase():
     assert gap_events(trace) == ["frame_sync"]
     # instruction cycles stay monotonic across the gap
     assert world.current_ic == 1
+
+
+def test_phase_agrees_with_subcycle_of_without_gaps(monkeypatch):
+    # without a gap the phase runs from cycle 0, so the World's phase from
+    # its cached lengths at each subcycle start is ``subcycle_of``'s, and
+    # its icycle the cycle's quotient; runs end inside icycles and subcycles
+    starts = []
+    begin = World._begin_subcycle
+
+    def checking_begin(world, sub, ic):
+        starts.append(world.cycle)
+        assert world._phase() == (sub, 0, ic)
+        assert (sub, 0) == subcycle_of(world.cycle, world.clock)
+        assert ic == world.cycle // world.clock.icycle_len
+        begin(world, sub, ic)
+
+    monkeypatch.setattr(World, "_begin_subcycle", checking_begin)
+    world, _ = make_world(clique_specs(), Variant.HANDSHAKE)
+    for name in ("s1", "s2", "s3"):
+        world.agents[name].start_chain(0b1000)
+    for n in (5, 43, 7, 200, 1000):
+        world.run_cycles(n)
+    assert world.metrics.delivered == 3
+    # every subcycle start of an icycle with traffic, and each T1 start
+    icycle_len = world.clock.icycle_len
+    assert {c % icycle_len for c in starts} == {0, 12, 24, 36}
+    assert [c for c in starts if c % icycle_len == 0] == list(
+        range(0, world.cycle, icycle_len))
 
 
 @pytest.mark.parametrize("length", [3, 8, 32])

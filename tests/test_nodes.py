@@ -1,6 +1,7 @@
 """Agent state machine driven cycle by cycle with hand-built channel input."""
 
 import copy
+import math
 
 import pytest
 from hypothesis import assume, given, settings
@@ -186,15 +187,15 @@ def test_blocked_node_with_only_data_to_send_has_no_send_work():
     agent.blocked_by = ACTUATOR
     agent.queue.append(
         Outgoing(Frame(ACTUATOR, Opcode.RELAY, SENSOR), 0, PRIORITY_DATA))
-    assert not agent.has_send_work(0)
+    assert agent.next_due() == math.inf
     agent.start_chain(ACTUATOR)
-    assert not agent.has_send_work(0)
+    assert agent.next_due() == math.inf
     agent.queue.append(Outgoing(Frame(PEER, Opcode.ACK, SENSOR), 0,
                                 PRIORITY_ACK, meta={"count": 1}))
-    assert agent.has_send_work(0)
+    assert agent.next_due() == 0
     agent.queue.pop()
     agent.blocked_by = None
-    assert agent.has_send_work(0)
+    assert agent.next_due() == 0
 
 
 def test_foreign_block_sets_blocked_until_ack():
@@ -342,10 +343,13 @@ def test_relay_forwarding_keeps_origin():
     assert [o.frame for o in agent.queue] == [onward]
 
 
+ASLEEP = 10**6
+
+
 def _asleep(agent):
     """Put the agent's wake time far ahead, as a World does once no agent
     has send work."""
-    agent.wake[0] = 10**6
+    agent.wake[0] = ASLEEP
     return agent
 
 
@@ -392,7 +396,9 @@ SENSOR_AGENT = {"variant": Variant.BASIC}
 HANDSHAKE_SENSOR = {"variant": Variant.HANDSHAKE}
 ACTUATOR_AGENT = {"address": ACTUATOR, "is_actuator": True,
                   "mode": Subcycle.T3, "variant": Variant.HANDSHAKE}
-# entry point -> (the agent, what reaches it)
+# entry point -> (the agent, what reaches it); all but the two public ones,
+# which scenario hooks call outside a close pass, run inside ``end_subcycle``
+PUBLIC_WAKERS = ("start_chain", "start_request")
 WAKERS = {
     "start_chain": (SENSOR_AGENT,
                     lambda a: _asleep(a).start_chain(ACTUATOR)),
@@ -413,12 +419,15 @@ WAKERS = {
 
 @pytest.mark.parametrize("entry", sorted(WAKERS))
 def test_entry_points_that_can_create_send_work_wake_the_world(entry):
-    # the World asks for send work only from its wake time on, so every
-    # entry point that can give an agent send work sets the wake time to 0
+    # the World asks for send work only from its wake time on.  The two
+    # public entry points run outside a close pass and set the wake time to
+    # 0 themselves.  Every other transition that can give an agent send
+    # work runs inside ``end_subcycle``, which the World calls only once
+    # the wake time is reached, so the agent leaves it alone there
     kwargs, step = WAKERS[entry]
     agent, _ = make_agent(**kwargs)
     step(agent)
-    assert agent.wake[0] == 0
+    assert agent.wake[0] == (0 if entry in PUBLIC_WAKERS else ASLEEP)
 
 
 def test_request_stream_repeats_until_cleared():
@@ -619,7 +628,7 @@ def test_first_bit_with_nothing_to_send_changes_nothing(node, cycle):
     # request not yet due, are nothing to send; the engine asks a node at
     # offset 0 of its own subcycle only
     agent, hooks, ic = node
-    assume(not agent.has_send_work(ic))
+    assume(ic < agent.next_due())
     before = node_state(agent, hooks)
     assert agent.emit(agent.mode, 0, ic, cycle) is None
     assert node_state(agent, hooks) == before
@@ -632,7 +641,7 @@ def test_first_bit_without_send_work_changes_nothing_with_a_queue(node,
     # queued data and chains waiting to send are nothing to send while the
     # node is blocked
     agent, hooks, ic = node
-    assume(not agent.has_send_work(ic))
+    assume(ic < agent.next_due())
     before = node_state(agent, hooks)
     assert agent.emit(agent.mode, 0, ic, cycle) is None
     assert node_state(agent, hooks) == before
@@ -642,14 +651,34 @@ def test_first_bit_without_send_work_changes_nothing_with_a_queue(node,
 @given(node_states(inflight=False))
 def test_next_due_is_exact_without_a_frame_to_send(node):
     # with no frame in flight and none that ``_next_out`` names, send work
-    # comes only from a timer, so it starts at ``next_due`` and lasts; the
-    # World's wake time rests on this
-    agent, _, ic = node
+    # comes only from a timer: ``next_due`` is the first BACKOFF retry or
+    # relay request, and the first bit of every icycle before it changes
+    # nothing; the World's wake time rests on this
+    agent, hooks, ic = node
     assume(agent._next_out() is None)
     due = agent.next_due()
+    timers = [c.retry_ic for c in agent.chains
+              if c.state is ChainState.BACKOFF]
+    if agent.request_target is not None:
+        timers.append(agent.request_next_ic)
+    assert due == min(timers, default=math.inf)
+    before = node_state(agent, hooks)
     # every due time is drawn within 2 of ``ic``
-    for t in list(range(ic, ic + 4)) + [ic + 10**6]:
-        assert agent.has_send_work(t) == (t >= due)
+    for t in range(ic, min(due, ic + 4)):
+        assert agent.emit(agent.mode, 0, t, 4 * t) is None
+    assert node_state(agent, hooks) == before
+
+
+def test_next_due_is_0_with_a_frame_to_send():
+    agent, _ = make_agent(variant=Variant.BASIC)
+    agent.start_chain(ACTUATOR)
+    assert agent.next_due() == 0
+    run_own_subcycle(agent, jam_at=1)
+    assert agent.inflight is None and agent.queue
+    assert agent.next_due() == 0
+    agent.emit(agent.mode, 0, 1, 48)
+    assert agent.inflight is not None and not agent.queue
+    assert agent.next_due() == 0
 
 
 @settings(max_examples=300, deadline=None)

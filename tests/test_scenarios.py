@@ -7,11 +7,12 @@ import json
 import re
 import weakref
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from optomac import cli
-from optomac.config import SCENARIO_NAMES, format_address
+from optomac import cli, scenarios
+from optomac.config import SCENARIO_NAMES, format_address, load_path
 from optomac.metrics import Metrics
 from optomac.protocol import Opcode
 from optomac.scenarios import (
@@ -26,6 +27,7 @@ from optomac.scenarios import (
     run_scenario,
 )
 from optomac.trace import TraceWriter
+from oracles import WakeCheckingWorld
 
 
 def latency_triples(metrics: Metrics) -> list:
@@ -329,3 +331,33 @@ def test_run_scenario_argument_validation():
 def test_horizon_table_is_the_fallback():
     r = run_scenario("clique_contention", protocol="basic", seed=0)
     assert r.icycles <= SCENARIO_HORIZON_ICS["clique_contention"]
+
+
+
+DATA = Path(__file__).with_name("data")
+
+
+@pytest.mark.parametrize("protocol", ("basic", "handshake"))
+@pytest.mark.parametrize("source", [*SCENARIO_NAMES, *sorted(
+    doc.name for doc in DATA.glob("*.json"))])
+def test_the_wake_time_holds_on_every_scenario_and_document(
+        monkeypatch, source, protocol):
+    # real traffic reaches every transition that gives an agent send work:
+    # relays and their forwarding, the T4 trigger, laser gaps and bottom
+    # detectors.  No run may find send work before the wake time, and
+    # checking it changes no byte of the artifacts
+    cfg = load_path(DATA / source) if source.endswith(".json") else None
+
+    def artifacts():
+        runs = []
+        for seed in range(4):
+            trace = TraceWriter("power")
+            result = run_scenario(None if cfg else source, cfg=cfg,
+                                  protocol=protocol, seed=seed, trace=trace)
+            assert type(result.world) is scenarios.World
+            runs.append(cli._artifact_map(result, trace))
+        return runs
+
+    plain = artifacts()
+    monkeypatch.setattr(scenarios, "World", WakeCheckingWorld)
+    assert artifacts() == plain

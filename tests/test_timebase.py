@@ -10,8 +10,8 @@ from optomac.timebase import (
     Rng,
     Subcycle,
     detect_nonclock,
-    subcycle_of,
 )
+from oracles import subcycle_of
 
 
 def test_default_lengths():
