@@ -174,6 +174,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"optomac: {exc}", file=sys.stderr)
             return 2
         print(_summary_line(result, protocol, seed))
+        failures += args.verify is None and result.status != "ok"
+        if args.out is None and args.verify is None:
+            continue
         artifacts = _artifact_map(result, trace)
         if args.out is not None:
             directory = args.out / f"seed-{seed}" if sweep else args.out
@@ -187,8 +190,6 @@ def main(argv: list[str] | None = None) -> int:
                 failures += 1
             else:
                 print(f"verify: artifacts match {golden}")
-        if result.status != "ok" and args.verify is None:
-            failures += 1
     return 1 if failures else 0
 
 

@@ -9,9 +9,10 @@ not a poll: nodes are asked for it only from the wake time on.  The poll
 of an inert instruction cycle, and nothing else, moves it ahead, to the
 nodes' first ``next_due``, and only while no node is pending.  No node
 becomes pending before one sends, so every close, and any send work a close
-creates, comes once the wake time is reached.  So it goes back to 0 only in
-``Agent.start_chain`` and ``start_request``, which scenario hooks call
-outside a close, and at a laser gap.
+creates, comes once the wake time is reached.  So only ``Agent.start_chain``
+and ``start_request``, which scenario hooks call outside a close, set it
+back to 0.  A laser gap gives no node send work and keeps icycle indices
+monotonic, so it leaves the wake time alone.
 
 A detector's bit is the sum of the emitters' power-table entries on its
 side, and its collision evidence the count of emitters whose own entry
@@ -77,14 +78,6 @@ class Stimulus:
     active: bool = True
 
 
-@dataclass
-class LaserGap:
-    """A scripted pause of the external clock starting at ``cycle``."""
-
-    cycle: int
-    length: int
-
-
 class ScenarioHooks:
     """World-level callbacks; scenarios override what they need."""
 
@@ -107,7 +100,7 @@ class World:
                  trace: TraceWriter | None = None,
                  metrics: Metrics | None = None,
                  scenario: ScenarioHooks | None = None,
-                 laser_gaps: list[LaserGap] | None = None,
+                 laser_gaps: tuple[tuple[int, int], ...] = (),
                  controller_hears: set[str] | None = None):
         self.poses = poses
         self.clock = clock
@@ -139,13 +132,13 @@ class World:
         self.stimuli: dict[str, Stimulus] = {}
         # how many stimuli are active; only add/set_stimulus change that
         self.lit_stimuli = 0
-        self.laser_gaps = sorted(laser_gaps or [], key=lambda g: g.cycle)
-        clash = overlapping_gaps((g.cycle, g.length) for g in self.laser_gaps)
+        gaps = sorted(laser_gaps, key=lambda g: g[0])  # ties keep their order
+        clash = overlapping_gaps(gaps)
         if clash is not None:
             raise ValueError(f"laser gaps {list(clash[0])} and "
                              f"{list(clash[1])} overlap")
         # the gaps not yet applied, the next one last
-        self._gaps_ahead = [g for g in self.laser_gaps[::-1] if g.cycle >= 0]
+        self._gaps_ahead = [g for g in gaps[::-1] if g[0] >= 0]
 
         self.cycle = 0
         self.phase_origin = 0
@@ -155,9 +148,9 @@ class World:
         self.controller_frames: list[tuple[int, Frame]] = []
         # the names whose light reaches the controller: every agent's unless
         # ``controller_hears`` narrows them
-        self._controller_hears = set(controller_hears
-                                     if controller_hears is not None
-                                     else self.agents)
+        self.controller_hears = set(controller_hears
+                                    if controller_hears is not None
+                                    else self.agents)
         # what the controller saw this subcycle, as a bit mask
         self._controller_bits = 0
         # the agents whose collision evidence this subcycle was counted
@@ -181,20 +174,19 @@ class World:
         k, off = divmod(rel, self._subcycle_len)
         return SUBCYCLES[k], off, self._ic_base + ics
 
-    def _apply_gap(self, gap: LaserGap) -> None:
-        event = detect_nonclock(gap.length, self.clock)
-        self.trace.event(self.cycle, "laser_gap", length=gap.length,
+    def _apply_gap(self, length: int) -> None:
+        event = detect_nonclock(length, self.clock)
+        self.trace.event(self.cycle, "laser_gap", length=length,
                          event=event.name.lower())
-        self._wake[0] = 0
         if event is NonClockEvent.NONE:
-            self._dark_until = self.cycle + gap.length
+            self._dark_until = self.cycle + length
             return
         # the abandoned subcycle is never closed, so nothing decodes what
         # its listeners heard
         for agent in self.agents.values():
             agent.clear_receive_buffers()
         self._ic_base = self.current_ic + 1
-        self.cycle += gap.length
+        self.cycle += length
         self.phase_origin = self.cycle
 
     # -- stimuli ---------------------------------------------------------------
@@ -244,10 +236,10 @@ class World:
         end = self.cycle + n_cycles
         gaps = self._gaps_ahead
         while self.cycle < end:
-            if gaps and gaps[-1].cycle == self.cycle:
-                self._apply_gap(gaps.pop())
+            if gaps and gaps[-1][0] == self.cycle:
+                self._apply_gap(gaps.pop()[1])
                 continue
-            self._run_subcycle(min(end, gaps[-1].cycle) if gaps else end)
+            self._run_subcycle(min(end, gaps[-1][0]) if gaps else end)
 
     def _run_subcycle(self, stop: int) -> None:
         """Run from the current cycle to the end of its subcycle or ``stop``.
@@ -333,7 +325,7 @@ class World:
         what its detectors saw over the whole carry as one mask
         (``Agent.receive``).
         """
-        hears = self._controller_hears
+        hears = self.controller_hears
         trace = self.trace
         power = trace.wants("power")
         seen = self._evidence_seen

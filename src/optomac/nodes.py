@@ -87,14 +87,14 @@ class CommandChain:
 
 @dataclass
 class Outgoing:
-    """A frame queued for transmission in the node's own subcycle; ``meta``
-    holds only an ACK's ``"count"`` of the commands its recipient sent."""
+    """A frame queued for transmission in the node's own subcycle; an ACK's
+    ``count`` is the number of commands its recipient sent."""
 
     frame: Frame
     pattern: int
     priority: int
     chain: CommandChain | None = None
-    meta: dict = field(default_factory=dict)
+    count: int = 0
 
 
 @dataclass
@@ -112,7 +112,7 @@ class Hooks:
     def on_trigger(self, agent: "Agent", ic: int) -> None:
         pass
 
-    def on_actuation(self, agent: "Agent", commander: int, meta: dict,
+    def on_actuation(self, agent: "Agent", commander: int, count: int,
                      cycle: int) -> None:
         pass
 
@@ -127,11 +127,11 @@ class Agent:
     It owns the tests the engine asks before a call (``next_due``, the
     one send-work rule, and ``has_subcycle_work``), carrier sense (either
     detector's bit) and its receive buffers, which it clears once decoded;
-    the engine clears them only when a laser gap abandons a subcycle.  Of
-    the World's shared wake time (see ``engine``) it resets only what its
-    two public entry points, ``start_chain`` and ``start_request``, need:
-    every other transition runs in ``end_subcycle``, which the World calls
-    only once the wake time is reached.
+    the engine clears them only when a laser gap abandons a subcycle.  The
+    World's poll moves the shared wake time (see ``engine``) ahead; only
+    the two public entry points, ``start_chain`` and ``start_request``, set
+    it back to 0.  Every other transition runs in ``end_subcycle``, which
+    the World calls only once the wake time is reached.
     """
 
     def __init__(self, name: str, memory: NodeMemory, rng: Rng,
@@ -411,7 +411,7 @@ class Agent:
         elif op == Opcode.ACK:
             self.metrics.acks_sent += 1
             # every ACK answers a command: its recipient is the commander
-            self.hooks.on_actuation(self, out.frame.recipient, out.meta, cycle)
+            self.hooks.on_actuation(self, out.frame.recipient, out.count, cycle)
 
     # -- receive side ------------------------------------------------------
 
@@ -502,7 +502,7 @@ class Agent:
             self.command_counts.get(commander, 0) + 1)
         ack = Frame(commander, Opcode.ACK, self.address)
         self.queue.append(Outgoing(ack, self.mem.pattern_toward(commander),
-                                   PRIORITY_ACK, meta={"count": count}))
+                                   PRIORITY_ACK, count=count))
 
     def _forward_relay(self, frame: Frame) -> None:
         onward = Frame(controller_address(), Opcode.RELAY, frame.transmitter)

@@ -51,7 +51,7 @@ from .config import (
     valid_max_cycles,
     valid_seed,
 )
-from .engine import LaserGap, ScenarioHooks, Stimulus, World
+from .engine import ScenarioHooks, Stimulus, World
 from .geometry import HexGrid, cell_of
 from .learning import LearningReport, run_learning, snapshot_text
 from .metrics import Metrics
@@ -275,10 +275,6 @@ class ScenarioDriver(Hooks, ScenarioHooks):
 
     # helpers ----------------------------------------------------------------
 
-    def _agent_of_address(self, addr: int) -> Agent | None:
-        assert self.world is not None
-        return self.world.by_address.get(addr)
-
     def _command_target(self, agent: Agent) -> int | None:
         """The actuator a triggered sensor commands: its recognized peer
         (lowest address when it recognizes several)."""
@@ -354,16 +350,15 @@ class PhotothermalDriver(ScenarioDriver):
         self.metrics.requests_issued += 1
         self.served.discard(agent.address)
         self.trigger_cycles[agent.name] = self.world.cycle
-        agent.start_request(self._relay_target(agent), ic)
+        agent.start_request(self._relay_target(self.world, agent), ic)
 
-    def _relay_target(self, agent: Agent) -> int:
-        hears = self.cfg.controller_hears
-        if hears is None or agent.name in hears:
+    def _relay_target(self, world: World, agent: Agent) -> int:
+        hears = world.controller_hears
+        if agent.name in hears:
             return controller_address()
-        heard = set(hears)
         for addr in sorted(agent.mem.physical):
-            other = self._agent_of_address(addr)
-            if other is not None and other.name in heard:
+            other = world.by_address.get(addr)
+            if other is not None and other.name in hears:
                 return addr
         # no audible neighbour: the lowest reachable one forwards straight to
         # the controller, which cannot hear it, so the request goes unserved
@@ -375,7 +370,7 @@ class PhotothermalDriver(ScenarioDriver):
         if frame.opcode != Opcode.RELAY:
             return
         origin = frame.transmitter
-        agent = self._agent_of_address(origin)
+        agent = world.by_address.get(origin)
         if agent is None or agent.mem.position_id < 0:
             self.trace.event(cycle, "controller",
                              note="request from unknown position",
@@ -471,10 +466,11 @@ class DrugDeliveryDriver(ScenarioDriver):
             for name in self.sensor_clusters.get(agent.name, []):
                 self.world.set_stimulus(name, False)
 
-    def on_actuation(self, agent: Agent, commander: int, meta: dict,
+    def on_actuation(self, agent: Agent, commander: int, count: int,
                      cycle: int) -> None:
-        stage = min(meta.get("count", 1), 2)
-        commander_agent = self._agent_of_address(commander)
+        assert self.world is not None
+        stage = min(count, 2)
+        commander_agent = self.world.by_address.get(commander)
         commander_name = (commander_agent.name if commander_agent is not None
                           else format_address(commander))
         self.metrics.actuations.append({
@@ -541,11 +537,10 @@ def build_world(cfg: WorldConfig, variant: Variant, seed: int,
               hooks=hooks)
         for spec in cfg.nodes
     ]
-    gaps = [LaserGap(cycle, length) for cycle, length in cfg.laser_gaps]
     world = World(parts.poses, parts.tables, agents, cfg.clock, cfg.channel,
                   trace=trace, metrics=metrics,
-                  scenario=driver,
-                  laser_gaps=gaps, controller_hears=cfg.controller_hears)
+                  scenario=driver, laser_gaps=cfg.laser_gaps,
+                  controller_hears=cfg.controller_hears)
     return world, parts, report
 
 

@@ -200,7 +200,7 @@ class PollingWorld(World):
                 emissions.append((agent.name, sent[1]))
         if not emissions or self.cycle < self._dark_until:
             return
-        if any(tx in self._controller_hears for tx, _ in emissions):
+        if any(tx in self.controller_hears for tx, _ in emissions):
             self._controller_bits |= BIT_MASK[off]
         lit, lit_mask = self._lit_for(tuple(emissions))
         self._pending |= lit_mask

@@ -83,6 +83,20 @@ def test_seed_sweep_writes_per_seed_directories(tmp_path, capsys):
             assert (out / f"seed-{seed}" / name).is_file()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "clique_contention", "--seeds", "0..2"],
+    # every run times out: without --verify each one counts as a failure
+    ["--scenario", "hidden_terminal", "--protocol", "handshake",
+     "--seeds", "0..1", "--max-cycles", "48"],
+])
+def test_a_sweep_prints_the_same_without_out(argv, tmp_path, capsys):
+    code = main(argv)
+    printed = capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "sweep")]) == code
+    assert capsys.readouterr() == printed
+    assert code == (1 if "--max-cycles" in argv else 0)
+
+
 def test_dump_patterns(capsys):
     assert main(["--scenario", "drug_delivery", "--dump-patterns"]) == 0
     out = capsys.readouterr().out

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from optomac.antenna import SampledPatternTable
 from optomac.channel import ChannelConfig
-from optomac.engine import LaserGap, ScenarioHooks, World
+from optomac.engine import ScenarioHooks, World
 from optomac.geometry import NodePose
 from optomac.metrics import Metrics
 from optomac.nodes import Agent, Hooks, Outgoing, Variant
@@ -54,7 +54,7 @@ class FrameRecorder(ScenarioHooks):
 
 
 def make_world(node_specs, variant=Variant.BASIC, trace=None,
-               controller_hears=None, laser_gaps=None, scenario=None,
+               controller_hears=None, laser_gaps=(), scenario=None,
                gain=5.0, world_cls=World):
     """node_specs: (name, address, is_actuator, mode, position) tuples."""
     poses, agents = {}, []
@@ -211,6 +211,7 @@ def test_collision_evidence_counted_once_per_subcycle():
 
 def test_controller_hears_everything_by_default():
     world, _ = make_world(pair_specs(), Variant.BASIC)
+    assert world.controller_hears == {"s", "a"}
     recorder = FrameRecorder()
     world.scenario = recorder
     relay = Frame(controller_address(), Opcode.RELAY, 0b0001)
@@ -244,7 +245,7 @@ def gap_events(trace):
 def test_frame_sync_gap_restarts_phase():
     trace = TraceWriter("events")
     world, _ = make_world(pair_specs(), trace=trace,
-                          laser_gaps=[LaserGap(5, 8)])
+                          laser_gaps=[(5, 8)])
     world.run_cycles(20)
     # the 8-cycle pause is part of the 20 cycles run
     assert world.cycle == 20
@@ -283,21 +284,27 @@ def test_phase_agrees_with_subcycle_of_without_gaps(monkeypatch):
 
 
 @pytest.mark.parametrize("length", [3, 8, 32])
-def test_a_gap_wakes_the_world(length):
+def test_a_gap_leaves_the_wake(length):
     # with nothing to send, an inert icycle's poll puts the wake time out
-    # of reach; a laser gap of any kind sets it back to 0
-    world, _ = make_world(pair_specs(), laser_gaps=[LaserGap(96, length)])
+    # of reach; a laser gap of any kind gives no node send work and leaves
+    # it there, and a chain started after the gap still wakes the World
+    world, hooks = make_world(pair_specs(), laser_gaps=[(96, length)])
     world.run(2)
     assert world._wake[0] == math.inf
     world.run_cycles(1)
-    assert world._wake[0] == 0
+    assert not world._gaps_ahead
+    assert world._wake[0] == math.inf
+    world.agents["s"].start_chain(0b1000)
+    world.run(3)
+    assert world.metrics.delivered == 1
+    assert [name for name, _ in hooks.done] == ["s"]
 
 
 def test_short_gap_keeps_phase():
     # a gap shorter than g_sync is flywheeled: no restart, no new icycle
     trace = TraceWriter("events")
     world, _ = make_world(pair_specs(), trace=trace,
-                          laser_gaps=[LaserGap(5, 3)])
+                          laser_gaps=[(5, 3)])
     world.run_cycles(20)
     assert world.cycle == 20
     assert world.phase_origin == 0
@@ -311,7 +318,7 @@ def test_short_gap_darkens_its_cycles():
     # opcode 000, s times out and delivers on its retry
     trace = TraceWriter("events")
     world, hooks = make_world(pair_specs(), Variant.BASIC, trace=trace,
-                              laser_gaps=[LaserGap(4, 3)])
+                              laser_gaps=[(4, 3)])
     world.agents["s"].start_chain(0b1000)
     world.run(2)
     events = [json.loads(line) for line in trace.getvalue().splitlines()]
@@ -328,7 +335,7 @@ def test_mode_toggle_gap_flips_learning():
     # learning runs before the World starts; the World labels the gap
     trace = TraceWriter("events")
     world, _ = make_world(pair_specs(), trace=trace,
-                          laser_gaps=[LaserGap(0, 32)])
+                          laser_gaps=[(0, 32)])
     world.run_cycles(10)
     assert gap_events(trace) == ["mode_toggle"]
     assert world.phase_origin == 32
@@ -342,7 +349,7 @@ def test_frame_sync_gap_drops_partial_frames():
     specs = [("x", 0b0010, False, Subcycle.T2, (0.0, 0.0, 0.0)),
              ("y", 0b0001, False, Subcycle.T1, (2.0, 0.0, 0.0)),
              ("l", 0b0100, False, Subcycle.T3, (1.0, math.sqrt(3.0), 0.0))]
-    world, _ = make_world(specs, trace=trace, laser_gaps=[LaserGap(17, 8)])
+    world, _ = make_world(specs, trace=trace, laser_gaps=[(17, 8)])
     relay = Frame(controller_address(), Opcode.RELAY, 0b0010)
     world.agents["x"].queue.append(Outgoing(relay, 0, PRIORITY_DATA))
     world.run_cycles(17)
@@ -359,12 +366,26 @@ def test_frame_sync_gap_drops_partial_frames():
 def test_overlapping_gaps_rejected():
     with pytest.raises(ValueError):
         make_world(pair_specs(),
-                   laser_gaps=[LaserGap(0, 10), LaserGap(5, 10)])
+                   laser_gaps=[(0, 10), (5, 10)])
+
+
+def test_gaps_starting_together_keep_the_order_given():
+    # length-0 gaps are valid, so two gaps can start in one cycle; sorted on
+    # the start alone they apply in the order given, and, as in config, a
+    # gap still running when the next one starts overlaps it
+    trace = TraceWriter("events")
+    world, _ = make_world(pair_specs(), trace=trace,
+                          laser_gaps=[(5, 0), (5, 3)])
+    world.run_cycles(20)
+    assert [e["length"] for e in map(json.loads, trace.getvalue().splitlines())
+            if e["kind"] == "laser_gap"] == [0, 3]
+    with pytest.raises(ValueError, match=r"\[5, 3\] and \[5, 0\] overlap"):
+        make_world(pair_specs(), laser_gaps=[(5, 3), (5, 0)])
 
 
 def test_gap_defers_traffic_but_not_delivery():
     world, hooks = make_world(pair_specs(), Variant.BASIC,
-                              laser_gaps=[LaserGap(3, 8)])
+                              laser_gaps=[(3, 8)])
     world.agents["s"].start_chain(0b1000)
     world.run(2)
     assert world.metrics.delivered == 1
@@ -676,7 +697,7 @@ def gap_lists(draw):
     for _ in range(draw(st.integers(0, 3))):
         cycle += draw(st.integers(0, 150))
         length = draw(GAP_LENGTHS)
-        gaps.append(LaserGap(cycle, length))
+        gaps.append((cycle, length))
         cycle += length
     return gaps
 
@@ -741,7 +762,7 @@ def test_pending_set_matches_polling_oracle(kind, side, gain, variant, gaps,
     for world_cls in (WakeCheckingWorld, PollingWorld):
         trace = TraceWriter("power")
         world, _ = make_world(specs, variant, trace=trace, gain=gain,
-                              laser_gaps=list(gaps), world_cls=world_cls,
+                              laser_gaps=gaps, world_cls=world_cls,
                               scenario=StartAtIcycle(starts, sensors))
         icycle_len = world.clock.icycle_len
         for step, arg in steps:
@@ -801,7 +822,7 @@ def traced_world(specs, variant=Variant.HANDSHAKE, **kwargs):
 def test_gap_inside_silent_subcycle():
     # cycle 29 is inside T3, where no node of the pair has a working mode
     world, trace = traced_world(pair_specs(),
-                                laser_gaps=[LaserGap(29, 8)])
+                                laser_gaps=[(29, 8)])
     world.agents["s"].start_chain(0b1000)
     world.run(4)
     assert world.metrics.delivered == 1
@@ -813,7 +834,7 @@ def test_gap_inside_busy_subcycle_skips_its_end():
     # s is mid-NOTIFY at cycle 5; the gap cuts T1 short, so no end_subcycle
     # runs for it and the frame stays in flight into the next T1
     world, trace = traced_world(pair_specs(),
-                                laser_gaps=[LaserGap(5, 8)])
+                                laser_gaps=[(5, 8)])
     world.agents["s"].start_chain(0b1000)
     world.run(4)
     events = [json.loads(line) for line in trace.getvalue().splitlines()]
@@ -827,7 +848,7 @@ def test_uneven_run_chunks_match_one_call():
     digests = []
     for chunks in ((5, 7, 13) * 8, (sum((5, 7, 13) * 8),)):
         world, trace = traced_world(clique_specs(), Variant.BASIC,
-                                    laser_gaps=[LaserGap(62, 9)])
+                                    laser_gaps=[(62, 9)])
         for name in ("s1", "s2", "s3"):
             world.agents[name].start_chain(0b1000)
         for n in chunks:

@@ -51,8 +51,8 @@ class RecordingHooks(Hooks):
     def on_trigger(self, agent, ic):
         self.triggers.append(ic)
 
-    def on_actuation(self, agent, commander, meta, cycle):
-        self.actuations.append((commander, meta["count"], cycle))
+    def on_actuation(self, agent, commander, count, cycle):
+        self.actuations.append((commander, count, cycle))
 
     def on_chain_done(self, agent, chain, cycle):
         self.done.append((chain.tag, cycle))
@@ -159,7 +159,7 @@ def test_transmit_queue_priorities():
     agent, _ = make_agent()
     data = Outgoing(Frame(ACTUATOR, Opcode.RELAY, SENSOR), 0, PRIORITY_DATA)
     ack = Outgoing(Frame(PEER, Opcode.ACK, SENSOR), 0, PRIORITY_ACK,
-                   meta={"count": 1})
+                   count=1)
     block = Outgoing(Frame(broadcast_address(), Opcode.BLOCK, SENSOR), 0,
                      PRIORITY_BLOCK)
     agent.queue.extend([data, ack, block])
@@ -173,7 +173,7 @@ def test_blocked_node_withholds_data_but_not_replies():
     agent.blocked_by = ACTUATOR
     data = Outgoing(Frame(ACTUATOR, Opcode.RELAY, SENSOR), 0, PRIORITY_DATA)
     ack = Outgoing(Frame(PEER, Opcode.ACK, SENSOR), 0, PRIORITY_ACK,
-                   meta={"count": 1})
+                   count=1)
     agent.queue.extend([data, ack])
     assert agent._pick() is ack
     assert agent._pick() is None
@@ -191,7 +191,7 @@ def test_blocked_node_with_only_data_to_send_has_no_send_work():
     agent.start_chain(ACTUATOR)
     assert agent.next_due() == math.inf
     agent.queue.append(Outgoing(Frame(PEER, Opcode.ACK, SENSOR), 0,
-                                PRIORITY_ACK, meta={"count": 1}))
+                                PRIORITY_ACK, count=1))
     assert agent.next_due() == 0
     agent.queue.pop()
     agent.blocked_by = None
@@ -293,7 +293,7 @@ def test_command_acks_count_and_actuate():
     feed_subcycle(agent, Subcycle.T1, top=command)
     assert agent.command_counts == {SENSOR: 1}
     acks = [o for o in agent.queue if o.frame.opcode is Opcode.ACK]
-    assert len(acks) == 1 and acks[0].meta["count"] == 1
+    assert len(acks) == 1 and acks[0].count == 1
     # the actuation hook fires when the ACK is actually on the channel
     run_own_subcycle(agent, base_cycle=24)
     assert agent.metrics.acks_sent == 1
@@ -543,7 +543,7 @@ ADDRESSES = st.sampled_from((PEER, ACTUATOR, controller_address()))
 QUEUED = st.lists(st.builds(
     lambda to, op, priority: Outgoing(
         Frame(to, op, SENSOR), 0, priority,
-        meta={"count": 1} if op is Opcode.ACK else {}),
+        count=1 if op is Opcode.ACK else 0),
     ADDRESSES, st.sampled_from(list(Opcode)),
     st.sampled_from((PRIORITY_BLOCK, PRIORITY_ACK, PRIORITY_DATA))),
     min_size=1, max_size=3)

@@ -7,10 +7,9 @@ standard library only) on:
 * every scenario under every protocol (``config.SCENARIO_NAMES`` and
   ``config.PROTOCOL_NAMES``), seeds 0-2, at the ``power`` trace level,
   writing the artifacts and then verifying them;
-* ``tests/data/hidden_terminal_gaps.json`` the same way, the one input with
-  laser gaps, ``tests/data/hidden_terminal_layered.json``, the one that
-  lights bottom detectors, and ``tests/data/photothermal_hold.json``, the
-  one that repeats relay requests over a long inert stretch;
+* every document in ``tests/data`` the same way, as CI's artifact step
+  runs them: among them the inputs with laser gaps, with bottom detectors
+  lit and with relay requests repeated over a long inert stretch;
 * ``--dump-patterns``.
 
 Then it prints, per module, each function that ran with the statements it
@@ -34,9 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "optomac"
-CONFIGS = {"gaps": ROOT / "tests" / "data" / "hidden_terminal_gaps.json",
-           "layered": ROOT / "tests" / "data" / "hidden_terminal_layered.json",
-           "hold": ROOT / "tests" / "data" / "photothermal_hold.json"}
+CONFIGS = {path.stem: path
+           for path in sorted((ROOT / "tests" / "data").glob("*.json"))}
 SEEDS = "0..2"
 
 _BODIES = ("body", "orelse", "finalbody", "handlers")
