@@ -26,13 +26,8 @@ import sys
 from pathlib import Path
 
 from . import config as config_mod
-from .config import ConfigError, WorldConfig, build_parts
-from .scenarios import (
-    SCENARIO_HORIZON_ICS,
-    ScenarioResult,
-    default_config,
-    run_scenario,
-)
+from .config import ConfigError, WorldConfig
+from .scenarios import ScenarioResult, default_config, run_scenario
 from .trace import LEVELS, TraceWriter
 
 ARTIFACTS = ("trace.jsonl", "metrics.json", "memory.txt", "patterns.txt")
@@ -46,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="deployment JSON (defaults to the scenario's "
                              "packaged fixture)")
     parser.add_argument("--scenario", default=None,
-                        choices=sorted(SCENARIO_HORIZON_ICS),
+                        choices=sorted(config_mod.SCENARIO_NAMES),
                         help="scenario to run (defaults to the config's)")
     parser.add_argument("--protocol", default=None,
                         choices=config_mod.PROTOCOL_NAMES,
@@ -70,14 +65,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_seeds(text: str) -> list[int]:
+def _parse_seeds(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise ValueError("seed range must look like A..B")
     a, b = int(lo), int(hi)
     if b < a:
         raise ValueError("seed range must be ascending")
-    return list(range(a, b + 1))
+    return range(a, b + 1)
 
 
 def _load_config(args) -> WorldConfig:
@@ -88,13 +83,12 @@ def _load_config(args) -> WorldConfig:
     return default_config(args.scenario)
 
 
-def _patterns_text(cfg: WorldConfig, tables) -> str:
+def _patterns_text(cfg: WorldConfig) -> str:
     out = io.StringIO()
     for spec in cfg.nodes:
-        table = tables[spec.name]
         out.write(f"node {spec.name} address "
                   f"{config_mod.format_address(spec.address)}\n")
-        out.write(table.to_text())
+        out.write(spec.table.to_text())
     return out.getvalue()
 
 
@@ -103,7 +97,7 @@ def _artifact_map(result: ScenarioResult, trace: TraceWriter) -> dict[str, str]:
         "trace.jsonl": trace.getvalue(),
         "metrics.json": result.metrics.to_json() + "\n",
         "memory.txt": result.memory_snapshot(),
-        "patterns.txt": _patterns_text(result.cfg, result.parts.tables),
+        "patterns.txt": _patterns_text(result.cfg),
     }
 
 
@@ -158,10 +152,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.dump_patterns:
-        sys.stdout.write(_patterns_text(cfg, build_parts(cfg).tables))
+        sys.stdout.write(_patterns_text(cfg))
         return 0
 
-    sweep = len(seeds) > 1
+    sweep = seeds[0] != seeds[-1]  # len() fails past sys.maxsize seeds
     protocol = args.protocol if args.protocol is not None else cfg.protocol
     failures = 0
     for seed in seeds:

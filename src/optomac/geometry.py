@@ -53,12 +53,24 @@ class HexGrid:
         """Cells in row-major scan order (r ascending, then q ascending)."""
         return [(q, r) for r, q0, q1 in self.rows for q in range(q0, q1 + 1)]
 
-    def contains(self, cell: Cell) -> bool:
+    def scan_index(self, cell: Cell) -> int:
+        """Index of the cell in ``scan_cells()``, or -1 if no row holds it."""
         q, r = cell
+        start = 0
         for row_r, q0, q1 in self.rows:
             if row_r == r:
-                return q0 <= q <= q1
-        return False
+                return start + q - q0 if q0 <= q <= q1 else -1
+            start += q1 - q0 + 1
+        return -1
+
+    def contains(self, cell: Cell) -> bool:
+        return self.scan_index(cell) >= 0
+
+    def position_of(self, point: tuple[float, ...]) -> int:
+        """Position id of a point: the scan index of its ``cell_of``, or -1
+        if the grid does not scan that cell or the cell is not finite."""
+        cell = _nearest_cell(self, point[0], point[1])
+        return -1 if cell is None else self.scan_index(cell)
 
     def center(self, cell: Cell) -> tuple[float, float]:
         q, r = cell
@@ -66,8 +78,9 @@ class HexGrid:
         return s * SQRT3 * (q + r / 2.0), s * 1.5 * r
 
 
-def cell_of(point: tuple[float, ...], grid: HexGrid) -> Cell:
-    """Nearest-center cell of a point's lateral (x, y) projection.
+def cell_of(point: tuple[float, ...], grid: HexGrid) -> Cell | None:
+    """Nearest-center cell of a point's lateral (x, y) projection, or None
+    when its cell coordinates overflow (a point far out on a fine grid).
 
     Equidistant points break toward the lexicographically smaller (q, r).
     Nodes and clusters do not move, so every run asks again for the same
@@ -77,10 +90,12 @@ def cell_of(point: tuple[float, ...], grid: HexGrid) -> Cell:
 
 
 @functools.lru_cache(maxsize=1024)
-def _nearest_cell(grid: HexGrid, x: float, y: float) -> Cell:
+def _nearest_cell(grid: HexGrid, x: float, y: float) -> Cell | None:
     s = grid.cell_radius
     rf = y / (1.5 * s)
     qf = x / (SQRT3 * s) - rf / 2.0
+    if not (math.isfinite(qf) and math.isfinite(rf)):
+        return None
     q0, r0 = round(qf), round(rf)
     best: Cell | None = None
     best_d = math.inf
@@ -91,7 +106,6 @@ def _nearest_cell(grid: HexGrid, x: float, y: float) -> Cell:
             d = math.hypot(x - cx, y - cy)
             if d < best_d - 1e-12 or (abs(d - best_d) <= 1e-12 and (best is None or cand < best)):
                 best, best_d = cand, d
-    assert best is not None
     return best
 
 
@@ -112,7 +126,7 @@ class NodePose:
     normal: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self) -> None:
-        n = math.sqrt(sum(c * c for c in self.normal))
+        n = math.hypot(*self.normal)
         if n == 0:
             raise ValueError("normal must be nonzero")
         self.normal = tuple(c / n for c in self.normal)  # type: ignore[assignment]

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .channel import ChannelConfig, PowerMap, best_pattern, build_power_map
-from .geometry import Cell, HexGrid, NodePose, cell_of, working_mode_of
+from .geometry import HexGrid, NodePose, cell_of, working_mode_of
 from .protocol import NodeMemory, format_address
 from .timebase import Subcycle
 
@@ -64,15 +64,9 @@ def run_learning(grid: HexGrid, poses: dict[str, NodePose],
     names = _ordered(memories)
 
     # position: nodes inside a scanned cell record its scan index
-    scan = {cell: idx for idx, cell in enumerate(grid.scan_cells())}
-    cells: dict[str, Cell] = {}
     for name in names:
-        cell = cell_of(poses[name].position, grid)
-        if cell in scan:
-            cells[name] = cell
-            memories[name].position_id = scan[cell]
-        else:
-            memories[name].position_id = -1
+        memories[name].position_id = grid.position_of(poses[name].position)
+        if memories[name].position_id < 0:
             report.flags.append(f"{name}: outside scanned grid, unpositioned")
 
     # topology: physical = union over patterns of the recipients reached
@@ -102,12 +96,12 @@ def run_learning(grid: HexGrid, poses: dict[str, NodePose],
 
     # working mode: from the cell colour; an unpositioned node defaults to T1
     for name in names:
-        cell = cells.get(name)
-        if cell is None:
+        if memories[name].position_id < 0:
             memories[name].working_mode = Subcycle.T1
             report.flags.append(f"{name}: unpositioned, mode defaults to T1")
         else:
-            memories[name].working_mode = working_mode_of(cell)
+            memories[name].working_mode = working_mode_of(
+                cell_of(poses[name].position, grid))
     return report
 
 

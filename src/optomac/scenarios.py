@@ -52,7 +52,7 @@ from .config import (
     valid_seed,
 )
 from .engine import ScenarioHooks, Stimulus, World
-from .geometry import HexGrid, cell_of
+from .geometry import HexGrid
 from .learning import LearningReport, run_learning, snapshot_text
 from .metrics import Metrics
 from .nodes import Agent, CommandChain, Hooks, Variant
@@ -67,14 +67,6 @@ PATTERN_FLOOR = 0.02
 PATTERN_SIGMA_DEG = 4.0
 LINK_MARGIN = 1.45
 AZIMUTH_STEP_DEG = 5.0
-
-SCENARIO_HORIZON_ICS = {
-    "photothermal": 400,
-    "drug_delivery": 200,
-    "hidden_terminal": 100,
-    "clique_contention": 100,
-}
-
 
 # -- synthetic fixture builders ---------------------------------------------
 
@@ -246,6 +238,8 @@ class ScenarioDriver(Hooks, ScenarioHooks):
     ``start_request``, which wake the World.
     """
 
+    horizon_ics: int  # run length when the config sets no max_cycles
+
     def __init__(self, cfg: WorldConfig, metrics: Metrics,
                  trace: TraceWriter):
         self.cfg = cfg
@@ -289,6 +283,8 @@ class BurstCommandDriver(ScenarioDriver):
     then the run continues until every chain resolved or the horizon hits.
     """
 
+    horizon_ics = 100
+
     def __init__(self, cfg, metrics, trace):
         super().__init__(cfg, metrics, trace)
         self.commanders: list[str] = []
@@ -330,6 +326,7 @@ class PhotothermalDriver(ScenarioDriver):
     and retires once the cell holds no lit cluster.
     """
 
+    horizon_ics = 400
     dose_initial = 0.25
     dose_cap_factor = 8.0
 
@@ -339,7 +336,6 @@ class PhotothermalDriver(ScenarioDriver):
         self.served: set[int] = set()      # origin addresses with a live task
         self.trigger_cycles: dict[str, int] = {}
         self.dose = {spec.name: 0.0 for spec in self.fluorescent}
-        self._scan_cells = self.cfg.grid.scan_cells()
         # position -> (cluster, stimulus) in its cell, set at task start
         self._targets: dict[int, list[tuple[ClusterSpec, Stimulus]]] = {}
 
@@ -386,10 +382,9 @@ class PhotothermalDriver(ScenarioDriver):
                 "cycles": cycle - started})
         if position not in self.tasks:
             self.tasks[position] = self.dose_initial
-            cell = self._scan_cells[position]
             self._targets[position] = [
                 (spec, world.stimuli[spec.name]) for spec in self.fluorescent
-                if cell_of(spec.position, self.cfg.grid) == cell]
+                if self.cfg.grid.position_of(spec.position) == position]
             self.trace.event(cycle, "dose", position=position, state="start")
 
     def on_icycle_end(self, world: World, ic: int) -> None:
@@ -436,6 +431,8 @@ class DrugDeliveryDriver(ScenarioDriver):
     command electroporates, the second releases).  Stage-two completion
     quenches the cluster that started the episode.
     """
+
+    horizon_ics = 200
 
     def __init__(self, cfg, metrics, trace):
         super().__init__(cfg, metrics, trace)
@@ -587,7 +584,7 @@ def run_scenario(name: str | None = None, cfg: WorldConfig | None = None,
     if cycles_budget is not None:
         horizon = max(1, cycles_budget // cfg.clock.icycle_len)
     else:
-        horizon = SCENARIO_HORIZON_ICS[name]
+        horizon = driver.horizon_ics
 
     tracer.event(world.cycle, "run_start", scenario=name, seed=run_seed,
                  protocol=variant.value, horizon_ics=horizon)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import optomac
-from optomac.cli import ARTIFACTS, main
+from optomac.cli import ARTIFACTS, _parse_seeds, main
 from optomac.config import save, to_dict
 from optomac.scenarios import (
     drug_delivery_config,
@@ -197,6 +197,20 @@ def test_removed_keys_exit_two(tmp_path, capsys, section, key):
     assert f"{section}.{key}: unknown key" in capsys.readouterr().err
 
 
+def _edited_drug_delivery(tmp_path, path, value):
+    """Write the drug-delivery document with the value at ``path`` (keys
+    and list indices; the empty path replaces the whole document)."""
+    root = {"doc": to_dict(drug_delivery_config())}
+    *parents, last = ("doc",) + path
+    target = root
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    config_path = tmp_path / "deploy.json"
+    config_path.write_text(json.dumps(root["doc"]))
+    return config_path
+
+
 @pytest.mark.parametrize("path,value,message", [
     (("clock", "guard_bits"), 1.5, "clock: guard_bits must be an integer"),
     (("nodes", 0, "position"), [0.0, math.inf, 0.0],
@@ -247,16 +261,32 @@ def test_removed_keys_exit_two(tmp_path, capsys, section, key):
         "cluster-unknown-key", "cluster-no-name", "rows-repeated"])
 def test_unrunnable_values_exit_two(tmp_path, capsys, path, value, message):
     # json writes and reads NaN and Infinity; none of these may reach a run
-    root = {"doc": to_dict(drug_delivery_config())}
-    *parents, last = ("doc",) + path
-    target = root
-    for key in parents:
-        target = target[key]
-    target[last] = value
-    config_path = tmp_path / "deploy.json"
-    config_path.write_text(json.dumps(root["doc"]))
+    config_path = _edited_drug_delivery(tmp_path, path, value)
     assert main(["--config", str(config_path), "--seed", "0"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path,value", [
+    (("grid", "cell_radius"), 1e-320),
+    (("nodes", 0, "normal"), [0.0, 0.0, 1e-200]),
+    (("nodes", 1, "normal"), [1e200, 0.0, 0.0]),
+], ids=["cell_radius-subnormal", "normal-tiny", "normal-huge"])
+def test_extreme_values_that_validate_run(tmp_path, capsys, path, value):
+    # squares and quotients of these values leave float range; the values
+    # validate, so a run ends with a status and the patterns print
+    config_path = _edited_drug_delivery(tmp_path, path, value)
+    out = tmp_path / "run"
+    assert main(["--config", str(config_path), "--seed", "0",
+                 "--out", str(out)]) in (0, 1)
+    assert "status=" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+    assert main(["--config", str(config_path), "--dump-patterns"]) == 0
+    assert capsys.readouterr().out.startswith("node s1 address 0001\n")
+
+
+def test_a_seed_range_stays_a_range():
+    assert _parse_seeds("3..5") == range(3, 6)
+    assert _parse_seeds("0..0") == range(0, 1)
 
 
 # Runs the command line in a fresh interpreter in which any import of numpy

@@ -78,6 +78,50 @@ def test_cell_of_roundtrip_with_offset(q, r, dx, dy):
     assert cell_of((cx + dx, cy + dy, 0.0), grid) == (q, r)
 
 
+@st.composite
+def ragged_grids(draw):
+    """Rows at distinct, possibly negative r, each with its own q span."""
+    rs = sorted(draw(st.sets(st.integers(-12, 12), min_size=1, max_size=6)))
+    rows = []
+    for r in rs:
+        q0 = draw(st.integers(-12, 12))
+        rows.append((r, q0, q0 + draw(st.integers(0, 8))))
+    return HexGrid(draw(st.sampled_from((0.25, 0.8, 1.0, 3.5))), tuple(rows))
+
+
+@given(ragged_grids(), st.integers(-14, 14), st.integers(-14, 14))
+def test_position_of_is_the_scan_index(grid, q, r):
+    scan = grid.scan_cells()
+    for idx, cell in enumerate(scan):
+        assert grid.position_of(grid.center(cell) + (0.0,)) == idx
+        assert grid.scan_index(cell) == idx
+    want = scan.index((q, r)) if (q, r) in scan else -1
+    assert grid.position_of(grid.center((q, r)) + (2.0,)) == want
+    assert grid.contains((q, r)) == (want >= 0)
+
+
+def test_position_of_a_wide_row_needs_no_scan():
+    # 2 * 10**12 + 1 cells: counting, not listing, finds the index
+    grid = HexGrid(1.0, ((-1, 0, 0), (0, -10**12, 10**12)))
+    assert grid.position_of(grid.center((10**12 - 5, 0))) == 2 * 10**12 - 4
+    assert grid.position_of(grid.center((0, -1))) == 0
+    assert grid.position_of(grid.center((1, -1))) == -1
+
+
+def test_position_of_a_cell_past_float_range_is_minus_one():
+    # on a subnormal radius the cell coordinates of any point off the origin
+    # overflow
+    grid = HexGrid(1e-320, ((0, -1, 1),))
+    assert grid.position_of((2.0, 0.0, 0.0)) == -1
+    assert grid.position_of((0.0, -3.0, 0.0)) == -1
+    assert cell_of((2.0, 0.0, 0.0), grid) is None
+    # the cell coordinates of the largest float are finite on a unit grid,
+    # but every candidate centre around them overflows
+    big = HexGrid(1.0, ((0, 0, 1),))
+    assert cell_of((0.0, 1.7976931348623157e308, 0.0), big) is None
+    assert big.position_of((0.0, 1.7976931348623157e308, 0.0)) == -1
+
+
 def test_cell_of_tie_breaks_to_smaller_cell():
     grid = HexGrid(1.0, ((0, 0, 1),))
     # midpoint between the (0,0) and (1,0) centers is equidistant to both
@@ -114,6 +158,18 @@ def test_normal_is_normalized():
     assert pose.normal == (0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         NodePose((0.0, 0.0, 0.0), normal=(0.0, 0.0, 0.0))
+
+
+def test_normal_norm_neither_underflows_nor_overflows():
+    # the squares of these components leave float range; their norm does not
+    tiny = NodePose((0.0, 0.0, 0.0), normal=(0.0, 0.0, 1e-200))
+    assert tiny.normal == (0.0, 0.0, 1.0)
+    huge = NodePose((0.0, 0.0, 0.0), normal=(1e200, 0.0, -1e200))
+    assert huge.normal == pytest.approx((math.sqrt(0.5), 0.0, -math.sqrt(0.5)))
+    rx = NodePose((0.0, 0.0, 0.0), normal=(1e200, 0.0, 0.0))
+    assert rx.normal == (1.0, 0.0, 0.0)
+    assert geometry_between(NodePose((1.0, 0.0, 0.0)), rx).side_at_b == "top"
+    assert geometry_between(NodePose((-1.0, 0.0, 0.0)), rx).side_at_b == "bottom"
 
 
 def test_geometry_between_distance_and_direction():

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from optomac.config import WorldConfig
-from optomac.scenarios import SCENARIO_HORIZON_ICS, run_scenario
+from optomac.config import SCENARIO_NAMES, WorldConfig
+from optomac.scenarios import run_scenario
 from optomac.trace import TraceWriter
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
@@ -41,7 +41,7 @@ def run_digest(scenario: str, protocol: str, seed: int,
 def all_digests() -> dict[str, list[str]]:
     return {f"{scenario}/{protocol}": [run_digest(scenario, protocol, seed)
                                       for seed in SEEDS]
-            for scenario in sorted(SCENARIO_HORIZON_ICS)
+            for scenario in sorted(SCENARIO_NAMES)
             for protocol in PROTOCOLS}
 
 
@@ -51,7 +51,7 @@ def golden():
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-@pytest.mark.parametrize("scenario", sorted(SCENARIO_HORIZON_ICS))
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_NAMES))
 def test_power_trace_and_metrics_match_golden(golden, scenario, protocol):
     want = golden[f"{scenario}/{protocol}"]
     got = [run_digest(scenario, protocol, seed) for seed in SEEDS]
@@ -60,7 +60,7 @@ def test_power_trace_and_metrics_match_golden(golden, scenario, protocol):
 
 
 def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted(f"{s}/{p}" for s in SCENARIO_HORIZON_ICS
+    assert sorted(golden) == sorted(f"{s}/{p}" for s in SCENARIO_NAMES
                                     for p in PROTOCOLS)
     assert all(len(v) == len(SEEDS) for v in golden.values())
 

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from optomac.config import WorldConfig, load_path
-from optomac.scenarios import SCENARIO_HORIZON_ICS, default_config, run_scenario
+from optomac.config import SCENARIO_NAMES, WorldConfig, load_path
+from optomac.scenarios import default_config, run_scenario
 from optomac.timebase import detect_nonclock
 from optomac.trace import TraceWriter
 from test_golden_digests import PROTOCOLS, run_digest
@@ -72,7 +72,7 @@ def test_gapped_power_trace_and_metrics_match_golden(golden, scenario,
 
 
 def test_golden_gaps_cover_every_case(golden):
-    assert sorted(GAPS) == sorted(SCENARIO_HORIZON_ICS)
+    assert sorted(GAPS) == sorted(SCENARIO_NAMES)
     assert sorted(golden) == sorted(f"{s}/{p}" for s in GAPS
                                     for p in PROTOCOLS)
     assert all(len(v) == len(SEEDS) for v in golden.values())

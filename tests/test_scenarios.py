@@ -13,11 +13,11 @@ import pytest
 
 from optomac import cli, scenarios
 from optomac.config import SCENARIO_NAMES, format_address, load_path
+from optomac.geometry import HexGrid
 from optomac.metrics import Metrics
 from optomac.protocol import Opcode
 from optomac.scenarios import (
     DRIVERS,
-    SCENARIO_HORIZON_ICS,
     PhotothermalDriver,
     clique_contention_config,
     default_config,
@@ -52,7 +52,6 @@ def test_scenario_names_agree():
     names = set(SCENARIO_NAMES)
     assert len(names) == len(SCENARIO_NAMES)
     assert set(DRIVERS) == names
-    assert set(SCENARIO_HORIZON_ICS) == names
     for name in SCENARIO_NAMES:
         assert default_config(name).scenario == name
     # the rejection lists every name default_config builds
@@ -353,8 +352,16 @@ def test_run_scenario_argument_validation():
 
 
 def test_horizon_table_is_the_fallback():
-    r = run_scenario("clique_contention", protocol="basic", seed=0)
-    assert r.icycles <= SCENARIO_HORIZON_ICS["clique_contention"]
+    # a config without max_cycles runs for its driver's horizon at most
+    for name, horizon in (("photothermal", 400), ("drug_delivery", 200),
+                          ("hidden_terminal", 100),
+                          ("clique_contention", 100)):
+        assert DRIVERS[name].horizon_ics == horizon
+        writer = TraceWriter("summary")
+        r = run_scenario(name, protocol="basic", seed=0, trace=writer)
+        start = json.loads(writer.getvalue().splitlines()[0])
+        assert (start["kind"], start["horizon_ics"]) == ("run_start", horizon)
+        assert r.icycles <= horizon
 
 
 
@@ -393,3 +400,37 @@ def test_the_wake_time_holds_on_every_scenario_and_document(
     plain = artifacts()
     monkeypatch.setattr(scenarios, "World", WakeCheckingWorld)
     assert artifacts() == plain
+
+
+def test_positions_come_from_arithmetic_not_a_cell_list(monkeypatch):
+    # learning stamps position ids and the photothermal controller finds a
+    # task's clusters without listing the scanned cells
+    def no_list(grid):
+        raise AssertionError("scan_cells called on a run path")
+
+    monkeypatch.setattr(HexGrid, "scan_cells", no_list)
+    wide = load_path(DATA / "drug_delivery_wide.json")
+    assert len(wide.grid.rows) == 1 and wide.grid.rows[0][2] == 100_000
+    r = run_scenario(cfg=wide, seed=0)
+    assert r.status == "ok"
+    assert [r.parts.memories[n].position_id for n in ("s1", "a1")] == [0, 2]
+    r = run_scenario("photothermal", seed=0)
+    assert r.status == "ok" and r.metrics.requests_served == 2
+    assert {d["cluster"] for d in r.metrics.doses} == {"tumor_a", "tumor_b"}
+
+
+@pytest.mark.parametrize("protocol", ("basic", "handshake"))
+def test_a_wider_scan_row_changes_no_byte(protocol):
+    # the wide document is the packaged drug delivery on a 100,001-cell row;
+    # both nodes keep their position ids, so every artifact is the same
+    wide = load_path(DATA / "drug_delivery_wide.json")
+    assert wide == dataclasses.replace(default_config("drug_delivery"),
+                                       grid=wide.grid)
+    for seed in range(4):
+        runs = []
+        for cfg in (None, wide):
+            trace = TraceWriter("power")
+            result = run_scenario("drug_delivery", cfg=cfg,
+                                  protocol=protocol, seed=seed, trace=trace)
+            runs.append(cli._artifact_map(result, trace))
+        assert runs[0] == runs[1]

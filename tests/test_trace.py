@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optomac import protocol, trace
-from optomac.config import load_path
+from optomac.config import SCENARIO_NAMES, load_path
 from optomac.protocol import frame_text
-from optomac.scenarios import SCENARIO_HORIZON_ICS, run_scenario
+from optomac.scenarios import run_scenario
 from optomac.timebase import FRAME_BITS
 from optomac.trace import _KIND_LEVEL, LEVELS, NullTrace, TraceWriter
 
@@ -163,7 +163,7 @@ def test_unknown_kind_is_rejected(writer):
 
 
 @pytest.mark.parametrize("protocol", ("basic", "handshake"))
-@pytest.mark.parametrize("scenario", sorted(SCENARIO_HORIZON_ICS))
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_NAMES))
 def test_every_emitted_kind_has_a_level(scenario, protocol):
     writer = TraceWriter("power")
     run_scenario(scenario, protocol=protocol, seed=0, trace=writer)
@@ -173,7 +173,7 @@ def test_every_emitted_kind_has_a_level(scenario, protocol):
 
 DATA = Path(__file__).with_name("data")
 # (scenario, --config document) of every packaged scenario and test document
-RUNS = ([(scenario, None) for scenario in sorted(SCENARIO_HORIZON_ICS)]
+RUNS = ([(scenario, None) for scenario in sorted(SCENARIO_NAMES)]
         + [(None, doc.name) for doc in sorted(DATA.glob("*.json"))])
 
 
