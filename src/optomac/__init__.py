@@ -13,7 +13,8 @@ The package layers, bottom up:
 * :mod:`optomac.protocol` - frame codec, address space, receive vetting,
   per-node memory tables and backoff.
 * :mod:`optomac.nodes` - sensor/actuator protocol state machines.
-* :mod:`optomac.engine` - world simulation stepped one subcycle at a time.
+* :mod:`optomac.engine` - world simulation stepped one instruction cycle at
+  a time.
 * :mod:`optomac.learning` - four-phase commissioning pass that fills the
   memory tables.
 * :mod:`optomac.scenarios` - scripted therapy scenarios with metrics.

@@ -1,4 +1,10 @@
-"""World simulation, stepped one subcycle at a time.
+"""World simulation, stepped one instruction cycle at a time.
+
+``World.run_cycles`` runs one instruction cycle per step
+(``World._run_icycle``), or the part of one before a laser gap or the end
+of the span it was asked for; the next step resumes mid-icycle.  A step
+finds its phase once, and each subcycle's senders by the subcycle's
+position in the icycle.
 
 Frames are aligned to subcycles and a node starts one only at offset 0 of
 its own working subcycle.  There the engine asks the nodes that have
@@ -67,6 +73,8 @@ from .timebase import (
 )
 from .trace import NullTrace, TraceWriter
 
+_CONTROLLER = controller_address()
+
 
 @dataclass
 class Stimulus:
@@ -108,16 +116,18 @@ class World:
         self._subcycle_len = clock.subcycle_len
         self.channel_cfg = channel_cfg
         self.trace = trace if trace is not None else NullTrace()
+        # whether ``_carry`` writes a line per lit cycle
+        self._trace_power = self.trace.wants("power")
         self.metrics = metrics if metrics is not None else Metrics()
         self.scenario = scenario if scenario is not None else ScenarioHooks()
         self.agents = {a.name: a for a in agents}
         self.by_address = {a.address: a for a in agents}
         # bit i of an agent set (``_pending``, the lit masks) is _order[i]
         self._order = list(self.agents.values())
+        # the senders of each subcycle, by its position in the icycle;
         # working modes are fixed by learning, before the World exists
-        self._senders = {sub: [(a, 1 << i) for i, a in enumerate(self._order)
-                               if a.mode == sub]
-                         for sub in Subcycle}
+        self._senders = [[(a, 1 << i) for i, a in enumerate(self._order)
+                          if a.mode == sub] for sub in SUBCYCLES]
         # the agents to close at the end of the current subcycle
         self._pending = 0
         # no agent has send work in an icycle before this wake time
@@ -167,12 +177,8 @@ class World:
 
     @property
     def current_ic(self) -> int:
-        return self._phase()[2]
-
-    def _phase(self) -> tuple[Subcycle, int, int]:
-        ics, rel = divmod(self.cycle - self.phase_origin, self._icycle_len)
-        k, off = divmod(rel, self._subcycle_len)
-        return SUBCYCLES[k], off, self._ic_base + ics
+        return (self._ic_base
+                + (self.cycle - self.phase_origin) // self._icycle_len)
 
     def _apply_gap(self, length: int) -> None:
         event = detect_nonclock(length, self.clock)
@@ -239,57 +245,71 @@ class World:
             if gaps and gaps[-1][0] == self.cycle:
                 self._apply_gap(gaps.pop()[1])
                 continue
-            self._run_subcycle(min(end, gaps[-1][0]) if gaps else end)
+            self._run_icycle(min(end, gaps[-1][0]) if gaps else end)
 
-    def _run_subcycle(self, stop: int) -> None:
-        """Run from the current cycle to the end of its subcycle or ``stop``.
-
-        At offset 0, only the nodes whose working mode is this subcycle and
-        that have something to send load a frame.  Then ``_carry`` carries
-        the transmitters' frames, where carrier sense may make one exit at
-        any bit while two or more race.  Nothing else can happen before the
-        subcycle's last cycle, so a subcycle without a transmitter and the
-        guard bits are passed over.  A subcycle cut short by ``stop`` skips
-        its end-of-subcycle work.
+    def _run_icycle(self, stop: int) -> None:
+        """Run from the current cycle to the end of its instruction cycle or
+        ``stop``, subcycle by subcycle.
 
         An instruction cycle that is inert once ``on_icycle_start`` has run
         (no agent to close, none with send work, and ``stop`` beyond it) is
         run to its end in one step: only the T4 end has work then.  Before
         the wake time no agent has send work, so no agent is asked.
+
+        Otherwise, at offset 0 of each subcycle only the nodes whose working
+        mode it is and that have something to send load a frame.  Then
+        ``_carry`` carries the transmitters' frames, where carrier sense may
+        make one exit at any bit while two or more race.  Nothing else can
+        happen before the subcycle's last cycle, so a subcycle without a
+        transmitter and the guard bits are passed over.  A subcycle cut
+        short by ``stop`` skips its end-of-subcycle work.
         """
-        sub, off, ic = self._phase()
+        ics, rel = divmod(self.cycle - self.phase_origin, self._icycle_len)
+        ic = self._ic_base + ics
+        sub_len = self._subcycle_len
+        k, off = divmod(rel, sub_len)
         start = self.cycle - off
-        senders = self._senders[sub]
-        if off == 0:
-            self._begin_subcycle(sub, ic)
-            idle = ic < self._wake[0]
-            if (sub is Subcycle.T1 and not self._pending
-                    and stop >= start + self._icycle_len
-                    and (idle or not self._any_send_work(ic))):
-                self.cycle = start + self._icycle_len - 1
+        if rel == 0:
+            self._begin_subcycle(Subcycle.T1, ic)
+            end = start + self._icycle_len
+            if (not self._pending and stop >= end
+                    and (ic < self._wake[0] or not self._any_send_work(ic))):
+                self.cycle = end - 1
                 self._end_subcycle(Subcycle.T4, ic)
-                self.cycle += 1
+                self.cycle = end
                 return
-            # ``emit`` at offset 0 loads the frame; the walk carries its bits.
-            # A sender with nothing to send loads nothing and stays silent
-            if not idle:
-                for agent, _ in senders:
-                    if ic >= agent.next_due():
-                        agent.emit(sub, 0, ic, self.cycle)
-        last = start + self._subcycle_len - 1
-        transmitters = []
-        for agent, bit in senders:
-            if agent.inflight is not None:
-                transmitters.append(agent)
-                self._pending |= bit
-        first = max(self.cycle, self._dark_until)
-        end = min(start + FRAME_BITS, stop)
-        if transmitters:
-            self._carry(transmitters, sub, start, first, end)
-        if stop > last:
+        while True:
+            sub = SUBCYCLES[k]
+            senders = self._senders[k]
+            if off == 0:
+                if k:
+                    self._begin_subcycle(sub, ic)
+                # ``emit`` at offset 0 loads the frame; the walk carries its
+                # bits.  A sender with nothing to send loads nothing
+                if ic >= self._wake[0]:
+                    for agent, _ in senders:
+                        if ic >= agent.next_due():
+                            agent.emit(sub, 0, ic, self.cycle)
+            last = start + sub_len - 1
+            transmitters = []
+            for agent, bit in senders:
+                if agent.inflight is not None:
+                    transmitters.append(agent)
+                    self._pending |= bit
+            if transmitters:
+                self._carry(transmitters, sub, start,
+                            max(self.cycle, self._dark_until),
+                            min(start + FRAME_BITS, stop))
+            if stop <= last:
+                self.cycle = stop
+                return
             self.cycle = last
             self._end_subcycle(sub, ic)
-        self.cycle = min(stop, last + 1)
+            self.cycle = start = last + 1
+            k += 1
+            if k == len(SUBCYCLES) or start == stop:
+                return
+            off = 0
 
     def _any_send_work(self, ic: int) -> bool:
         """Whether an agent has send work in ``ic``; if none, set the wake."""
@@ -327,7 +347,7 @@ class World:
         """
         hears = self.controller_hears
         trace = self.trace
-        power = trace.wants("power")
+        power = self._trace_power
         seen = self._evidence_seen
         heard = {}
         cycle = first
@@ -472,7 +492,7 @@ class World:
         deep nodes whose light does not reach the skin).
         """
         frame = parse_mask(self._controller_bits)
-        if frame.recipient != controller_address():
+        if frame.recipient != _CONTROLLER:
             return
         self.controller_frames.append((self.cycle, frame))
         self.trace.controller_frame(self.cycle, self._controller_bits)

@@ -97,6 +97,8 @@ def _nearest_cell(grid: HexGrid, x: float, y: float) -> Cell | None:
     if not (math.isfinite(qf) and math.isfinite(rf)):
         return None
     q0, r0 = round(qf), round(rf)
+    # distances within this of each other tie, on a grid of any scale
+    tie = 1e-12 * s
     best: Cell | None = None
     best_d = math.inf
     for dq in (-1, 0, 1):
@@ -104,7 +106,8 @@ def _nearest_cell(grid: HexGrid, x: float, y: float) -> Cell | None:
             cand = (q0 + dq, r0 + dr)
             cx, cy = grid.center(cand)
             d = math.hypot(x - cx, y - cy)
-            if d < best_d - 1e-12 or (abs(d - best_d) <= 1e-12 and (best is None or cand < best)):
+            if d < best_d - tie or (abs(d - best_d) <= tie
+                                    and (best is None or cand < best)):
                 best, best_d = cand, d
     return best
 

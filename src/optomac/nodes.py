@@ -14,6 +14,14 @@ Contention within a subcycle is decided bit-by-bit on the shared optical
 channel: a transmitter that is mute for its own 0-bit but senses a foreign
 pulse exits the subcycle and requeues the frame.  The frame with the highest
 bit pattern survives unmodified.
+
+A node builds each distinct frame it sends once and queues that object
+again: its RELAY request per target, the forward of a RELAY per origin, the
+frame of each chain's ``SEND_*`` state (``CommandChain.sends``), its BLOCK,
+and an ACK's ``Frame`` per commander (an ACK's count needs a new
+``Outgoing``).  The memory does not change once the node exists, so such a
+frame's pattern holds too, and a ``Frame`` keeps its checked mask
+(``Frame.mask``).  Nothing in an ``Outgoing`` changes once it is built.
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ from .protocol import (
     Verdict,
     broadcast_address,
     controller_address,
-    frame_mask,
     parse_mask,
     vet,
 )
@@ -70,6 +77,9 @@ class ChainState(enum.Enum):
 _SEND_OPCODES = {ChainState.SEND_NOTIFY: Opcode.NOTIFY,
                  ChainState.SEND_COMMAND: Opcode.COMMAND}
 _AWAIT_STATES = (ChainState.AWAIT_BLOCK, ChainState.AWAIT_ACK)
+_CONTROLLER = controller_address()
+# the reason an ``rx_reject`` of bits that vet as a collision gives
+_COLLISION_SUSPECT = Verdict.COLLISION_SUSPECT.value
 
 
 @dataclass
@@ -83,6 +93,9 @@ class CommandChain:
     retry_ic: int = 0
     started_cycle: int = 0
     backoff: Backoff = field(default_factory=Backoff)
+    # the frame each ``SEND_*`` state sends, built on first use
+    sends: dict[ChainState, Outgoing] = field(
+        default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -99,7 +112,7 @@ class Outgoing:
 
 @dataclass
 class _Inflight:
-    """The frame being sent: ``mask`` is its wire form (``frame_mask``),
+    """The frame being sent: ``mask`` is its wire form (``Frame.mask``),
     and ``exited_at`` the offset at which it lost arbitration, if it did."""
     out: Outgoing
     mask: int
@@ -167,6 +180,13 @@ class Agent:
         self.request_target: int | None = None
         self.request_next_ic = 0
         self.wake = [0]  # the World's wake time, a cell it shares
+        # frames built once and sent again: the own RELAY request per
+        # target, the forward of a RELAY per origin, the ACK frame per
+        # commander and the BLOCK
+        self._requests: dict[int, Outgoing] = {}
+        self._forwards: dict[int, Outgoing] = {}
+        self._acks: dict[int, tuple[Frame, int]] = {}
+        self._block: Outgoing | None = None
 
     # -- identity helpers ------------------------------------------------
 
@@ -339,25 +359,30 @@ class Agent:
             if chain.state is ChainState.BACKOFF and ic >= chain.retry_ic:
                 chain.state = self._first_state()
         # its own request is a queued RELAY it transmits; see _forward_relay
-        if (self.request_target is not None and ic >= self.request_next_ic
-                and not any(o.frame.opcode is Opcode.RELAY
-                            and o.frame.transmitter == self.address
-                            for o in self.queue)):
-            frame = Frame(self.request_target, Opcode.RELAY, self.address)
-            pattern = self.mem.pattern_toward(self.request_target)
-            self.queue.append(Outgoing(frame, pattern, PRIORITY_DATA))
+        target = self.request_target
+        if (target is not None and ic >= self.request_next_ic
+                and not (self.queue and any(
+                    o.frame.opcode is Opcode.RELAY
+                    and o.frame.transmitter == self.address
+                    for o in self.queue))):
+            out = self._requests.get(target)
+            if out is None:
+                out = self._requests[target] = Outgoing(
+                    Frame(target, Opcode.RELAY, self.address),
+                    self.mem.pattern_toward(target), PRIORITY_DATA)
+            self.queue.append(out)
             self.request_next_ic = ic + REQUEST_RETRY_ICS
 
     def _load_next(self, cycle: int) -> None:
         out = self._pick()
         if out is None:
             return
-        fl = self.inflight = _Inflight(out=out, mask=frame_mask(out.frame))
+        fl = self.inflight = _Inflight(out=out, mask=out.frame.mask)
         self.trace.tx_start(cycle, self.name, fl.mask, out.pattern)
 
     def _next_out(self) -> Outgoing | None:
         """The frame ``emit`` loads next, left in place: the first queued
-        frame of the highest priority, else one for the first chain in a
+        frame of the highest priority, else the one of the first chain in a
         ``SEND_*`` state.  A blocked node sends only BLOCK and ACK frames."""
         blocked = self.blocked_by is not None
         best = None
@@ -369,11 +394,16 @@ class Agent:
         if blocked:
             return None
         for chain in self.chains:
-            opcode = _SEND_OPCODES.get(chain.state)
-            if opcode is not None:
-                return Outgoing(Frame(chain.target, opcode, self.address),
-                                self.mem.pattern_toward(chain.target),
-                                PRIORITY_DATA, chain=chain)
+            state = chain.state
+            if state in _SEND_OPCODES:
+                out = chain.sends.get(state)
+                if out is None:
+                    out = chain.sends[state] = Outgoing(
+                        Frame(chain.target, _SEND_OPCODES[state],
+                              self.address),
+                        self.mem.pattern_toward(chain.target),
+                        PRIORITY_DATA, chain=chain)
+                return out
         return None
 
     def _pick(self) -> Outgoing | None:
@@ -431,7 +461,7 @@ class Agent:
             if verdict is Verdict.COLLISION_SUSPECT:
                 self.metrics.rx_rejects += 1
                 self.trace.rx_reject_bits(cycle, self.name, side,
-                                          verdict.value, mask)
+                                          _COLLISION_SUSPECT, mask)
                 continue
             addressed = verdict is Verdict.OK
             self.trace.rx_frame(cycle, self.name, side, mask, addressed)
@@ -493,23 +523,35 @@ class Agent:
         if self.variant is not Variant.HANDSHAKE:
             return
         if not any(o.frame.opcode == Opcode.BLOCK for o in self.queue):
-            block = Frame(broadcast_address(), Opcode.BLOCK, self.address)
-            self.queue.append(Outgoing(block, 0, PRIORITY_BLOCK))
+            if self._block is None:
+                self._block = Outgoing(
+                    Frame(broadcast_address(), Opcode.BLOCK, self.address),
+                    0, PRIORITY_BLOCK)
+            self.queue.append(self._block)
 
     def _on_command(self, frame: Frame) -> None:
         commander = frame.transmitter
         count = self.command_counts[commander] = (
             self.command_counts.get(commander, 0) + 1)
-        ack = Frame(commander, Opcode.ACK, self.address)
-        self.queue.append(Outgoing(ack, self.mem.pattern_toward(commander),
-                                   PRIORITY_ACK, count=count))
+        ack = self._acks.get(commander)
+        if ack is None:
+            ack = self._acks[commander] = (
+                Frame(commander, Opcode.ACK, self.address),
+                self.mem.pattern_toward(commander))
+        ack_frame, pattern = ack
+        self.queue.append(Outgoing(ack_frame, pattern, PRIORITY_ACK,
+                                   count=count))
 
     def _forward_relay(self, frame: Frame) -> None:
-        onward = Frame(controller_address(), Opcode.RELAY, frame.transmitter)
-        if any(o.frame == onward for o in self.queue):
+        origin = frame.transmitter
+        onward = self._forwards.get(origin)
+        if onward is None:
+            onward = self._forwards[origin] = Outgoing(
+                Frame(_CONTROLLER, Opcode.RELAY, origin),
+                self.mem.pattern_toward(_CONTROLLER), PRIORITY_DATA)
+        if any(o.frame == onward.frame for o in self.queue):
             return
-        self.queue.append(Outgoing(onward, self.mem.pattern_toward(
-            controller_address()), PRIORITY_DATA))
+        self.queue.append(onward)
 
     # -- timers --------------------------------------------------------------
 

@@ -9,12 +9,13 @@ address as a 4-bit binary string (``format_address``/``parse_address``).
 A frame's wire form is one integer, its ``FRAME_BITS`` bits MSB first: the
 sender loads it (``frame_mask``), receivers and the controller collect it bit
 by bit (``BIT_MASK``), and ``parse_mask`` decodes it.  ``frame_mask`` checks
-its frame and computes the mask with no table.  ``parse_mask`` and
-``frame_text`` (which ``Frame.describe`` uses) keep each decoded ``Frame``
-and each frame's text in tables keyed by mask, filled lazily as runs meet
-frames, so each holds at most 2^``FRAME_BITS`` entries.  Both validate
-before they consult a table, so a cached answer is never given for an input
-the codec rejects.
+its frame and computes the mask with no table; a ``Frame`` keeps its own
+(``Frame.mask``), so a frame sent again is not checked again.
+``parse_mask`` and ``frame_text`` (which ``Frame.describe`` uses) keep each
+decoded ``Frame`` and each frame's text in tables keyed by mask, filled
+lazily as runs meet frames, so each holds at most 2^``FRAME_BITS`` entries.
+Both validate before they consult a table, so a cached answer is never given
+for an input the codec rejects.
 
 The frame format serves bit-serial arbitration, which each node runs
 (``nodes.Agent``) over the OR channel: a transmitter listens during each of
@@ -27,6 +28,7 @@ ones no other frame kind can match, which is what gives it priority.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -75,8 +77,13 @@ class Frame:
     opcode: Opcode
     transmitter: int
 
+    @functools.cached_property
+    def mask(self) -> int:
+        """``frame_mask`` of this frame, checked and computed on first use."""
+        return frame_mask(self)
+
     def describe(self) -> str:
-        return frame_text(frame_mask(self))
+        return frame_text(self.mask)
 
 
 # The mask of bit ``k`` of a frame, MSB first: a frame's bits as one integer.

@@ -4,8 +4,9 @@ Each restates one rule of the model in its simplest form, apart from the
 code a run executes: the geometry of one link, a frame's bits as a tuple
 and decoding a frame from them, arbitration as a maximum and as a
 bit-serial round over carrier sense of summed light, reachability from the
-power map, the phase of a cycle, an engine that polls every agent for work
-and steps every bit, and the live engine checking its wake time.
+power map, the phase of a cycle and of a World, an engine that polls
+every agent for work and steps every bit, and the live engine checking its
+wake time.
 """
 
 from __future__ import annotations
@@ -43,6 +44,15 @@ def geometry_between(a: NodePose, b: NodePose) -> PathGeometry:
     incoming = sum(-uc * nc for uc, nc in zip(u, b.normal))
     side = "top" if incoming >= 0 else "bottom"
     return PathGeometry(dist, u, side)  # type: ignore[arg-type]
+
+
+def phase(world: World) -> tuple[Subcycle, int, int]:
+    """The subcycle, bit offset and icycle of ``world``'s current cycle,
+    from its phase origin and the icycle count before it."""
+    ics, rel = divmod(world.cycle - world.phase_origin,
+                      world.clock.icycle_len)
+    k, off = divmod(rel, world.clock.subcycle_len)
+    return SUBCYCLES[k], off, world._ic_base + ics
 
 
 def subcycle_of(cycle: int, cfg: ClockConfig) -> tuple[Subcycle, int]:
@@ -150,7 +160,9 @@ class PollingWorld(World):
     """The World that keeps no set of agents to close and takes no step
     longer than a subcycle or, while a frame is sent, a bit.
 
-    It runs every subcycle of every instruction cycle, inert or not, and
+    Like the live World it is stepped one instruction cycle (or the part
+    of one before a cut) per call, but it runs every subcycle of every
+    instruction cycle, inert or not, taking its phase from ``phase``, and
     emits and observes every bit of a frame, whether sent alone or against
     other senders (``_emit_cycle``, ``Agent.emit`` and ``Agent.observe``):
     it is the per-bit reference for carrier sense, exits and collision
@@ -168,26 +180,29 @@ class PollingWorld(World):
         # never 0, so that every subcycle's end reaches ``_close_agents``
         self._pending = -1
 
-    def _run_subcycle(self, stop: int) -> None:
-        sub, off, ic = self._phase()
-        start = self.cycle - off
-        last = start + self.clock.subcycle_len - 1
-        senders = [a for a, _ in self._senders[sub]]
-        first = self.cycle
-        if off == 0:
-            self._begin_subcycle(sub, ic)
-            self._emit_cycle([a for a in senders if polled_send_work(a)],
-                             sub, 0, ic)
-            first += 1
-        transmitters = [a for a in senders if a.inflight is not None]
-        if transmitters:
-            for cycle in range(first, min(start + FRAME_BITS, stop)):
-                self.cycle = cycle
-                self._emit_cycle(transmitters, sub, cycle - start, ic)
-        if stop > last:
-            self.cycle = last
-            self._end_subcycle(sub, ic)
-        self.cycle = min(stop, last + 1)
+    def _run_icycle(self, stop: int) -> None:
+        while True:
+            sub, off, ic = phase(self)
+            start = self.cycle - off
+            last = start + self.clock.subcycle_len - 1
+            senders = [a for a in self._order if a.mode is sub]
+            first = self.cycle
+            if off == 0:
+                self._begin_subcycle(sub, ic)
+                self._emit_cycle([a for a in senders if polled_send_work(a)],
+                                 sub, 0, ic)
+                first += 1
+            transmitters = [a for a in senders if a.inflight is not None]
+            if transmitters:
+                for cycle in range(first, min(start + FRAME_BITS, stop)):
+                    self.cycle = cycle
+                    self._emit_cycle(transmitters, sub, cycle - start, ic)
+            if stop > last:
+                self.cycle = last
+                self._end_subcycle(sub, ic)
+            self.cycle = min(stop, last + 1)
+            if self.cycle == stop or sub is Subcycle.T4:
+                return
 
     def _emit_cycle(self, transmitters: list[Agent], sub: Subcycle, off: int,
                     ic: int) -> None:

@@ -29,6 +29,7 @@ from oracles import (
     WakeCheckingWorld,
     contention_round,
     frame_bits,
+    phase,
     subcycle_of,
 )
 
@@ -264,7 +265,7 @@ def test_phase_agrees_with_subcycle_of_without_gaps(monkeypatch):
 
     def checking_begin(world, sub, ic):
         starts.append(world.cycle)
-        assert world._phase() == (sub, 0, ic)
+        assert phase(world) == (sub, 0, ic)
         assert (sub, 0) == subcycle_of(world.cycle, world.clock)
         assert ic == world.cycle // world.clock.icycle_len
         begin(world, sub, ic)

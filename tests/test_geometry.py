@@ -129,6 +129,16 @@ def test_cell_of_tie_breaks_to_smaller_cell():
     assert cell_of(midpoint, grid) == (0, 0)
 
 
+def test_a_grid_finer_than_the_tie_tolerance_positions_its_cells():
+    # ties are within a share of the radius: on a 1e-13 grid, an absolute
+    # 1e-12 would tie all nine candidates and map every point to the
+    # smallest, which no row holds
+    grid = HexGrid(1e-13, ((0, 0, 1),))
+    assert grid.position_of(grid.center((0, 0)) + (0.0,)) == 0
+    assert grid.position_of(grid.center((1, 0)) + (0.0,)) == 1
+    assert cell_of((SQRT3 / 2 * 1e-13, 0.0, 0.0), grid) == (0, 0)
+
+
 def test_working_modes():
     assert working_mode_of((0, 0)) is Subcycle.T1
     assert working_mode_of((1, 0)) is Subcycle.T2

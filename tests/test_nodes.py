@@ -34,7 +34,7 @@ from optomac.protocol import (
 )
 from optomac.timebase import FRAME_BITS, ClockConfig, Rng, Subcycle
 from optomac.trace import NullTrace, TraceWriter
-from oracles import frame_bits
+from oracles import frame_bits, parse_bits
 
 SENSOR = 0b0001
 PEER = 0b0010
@@ -341,6 +341,103 @@ def test_relay_forwarding_keeps_origin():
     # the same request again while one copy is queued is dropped
     feed_subcycle(agent, Subcycle.T1, ic=1, base_cycle=48, top=relay)
     assert [o.frame for o in agent.queue] == [onward]
+
+
+# -- frames built once --------------------------------------------------------
+#
+# An agent builds each distinct frame it sends once and sends that object
+# again: its RELAY request per target, each chain's frame per state, a
+# forward per origin and an ACK's frame per commander.  Each test below
+# fails if its cache ignores its key.
+
+
+def sent_frame(sent: list) -> tuple[Frame, int]:
+    """The frame and pattern ``run_own_subcycle`` saw go out."""
+    return parse_bits(tuple(s[0] for s in sent[:FRAME_BITS])), sent[0][1]
+
+
+def test_a_request_to_a_new_target_sends_the_new_relay():
+    agent, _ = make_agent()
+    agent.mem.optimal_pattern = {PEER: 2, controller_address(): 3}
+    agent.start_request(PEER, ic=0)
+    assert sent_frame(run_own_subcycle(agent, ic=0)) == (
+        Frame(PEER, Opcode.RELAY, SENSOR), 2)
+    agent.start_request(controller_address(), ic=1)
+    assert sent_frame(run_own_subcycle(agent, ic=1, base_cycle=48)) == (
+        Frame(controller_address(), Opcode.RELAY, SENSOR), 3)
+    # back to the first target, after its retry period
+    agent.start_request(PEER, ic=2)
+    assert sent_frame(run_own_subcycle(agent, ic=2, base_cycle=96)) == (
+        Frame(PEER, Opcode.RELAY, SENSOR), 2)
+
+
+def test_a_chain_sends_the_frame_of_its_current_state():
+    # NOTIFY, BLOCK heard, COMMAND, no ACK, BACKOFF, and NOTIFY again
+    agent, _ = make_agent(variant=Variant.HANDSHAKE)
+    chain = agent.start_chain(ACTUATOR)
+    notify = (Frame(ACTUATOR, Opcode.NOTIFY, SENSOR), 0)
+    assert sent_frame(run_own_subcycle(agent, ic=0)) == notify
+    block = frame_bits(Frame(broadcast_address(), Opcode.BLOCK, ACTUATOR))
+    feed_subcycle(agent, Subcycle.T2, ic=0, base_cycle=12, top=block)
+    assert chain.state is ChainState.SEND_COMMAND
+    assert sent_frame(run_own_subcycle(agent, ic=1, base_cycle=48)) == (
+        Frame(ACTUATOR, Opcode.COMMAND, SENSOR), 0)
+    for k in range(AWAIT_WINDOW_SUBCYCLES):
+        feed_subcycle(agent, Subcycle.T2 if k == 0 else Subcycle.T3, ic=1)
+    assert chain.state is ChainState.BACKOFF
+    ic = chain.retry_ic
+    assert sent_frame(run_own_subcycle(agent, ic=ic,
+                                       base_cycle=48 * ic)) == notify
+
+
+def test_each_chain_sends_its_own_frame():
+    agent, _ = make_agent(variant=Variant.BASIC)
+    agent.mem.optimal_pattern = {ACTUATOR: 1, 0b1001: 2}
+    first = agent.start_chain(ACTUATOR)
+    assert sent_frame(run_own_subcycle(agent, ic=0)) == (
+        Frame(ACTUATOR, Opcode.COMMAND, SENSOR), 1)
+    agent.chains.remove(first)
+    agent.start_chain(0b1001)
+    assert sent_frame(run_own_subcycle(agent, ic=1, base_cycle=48)) == (
+        Frame(0b1001, Opcode.COMMAND, SENSOR), 2)
+
+
+def test_relays_queue_one_forward_per_origin():
+    agent, _ = make_agent(address=ACTUATOR, is_actuator=True,
+                          mode=Subcycle.T3)
+    from_peer = frame_bits(Frame(ACTUATOR, Opcode.RELAY, PEER))
+    from_sensor = frame_bits(Frame(ACTUATOR, Opcode.RELAY, SENSOR))
+    feed_subcycle(agent, Subcycle.T1, ic=0, top=from_peer)
+    feed_subcycle(agent, Subcycle.T2, ic=0, base_cycle=12, top=from_peer)
+    feed_subcycle(agent, Subcycle.T1, ic=1, base_cycle=48, top=from_sensor)
+    assert [o.frame for o in agent.queue] == [
+        Frame(controller_address(), Opcode.RELAY, PEER),
+        Frame(controller_address(), Opcode.RELAY, SENSOR)]
+    # once the first is sent, the same origin queues it again
+    run_own_subcycle(agent, ic=1, base_cycle=72)
+    feed_subcycle(agent, Subcycle.T1, ic=2, base_cycle=96, top=from_peer)
+    assert [o.frame for o in agent.queue] == [
+        Frame(controller_address(), Opcode.RELAY, SENSOR),
+        Frame(controller_address(), Opcode.RELAY, PEER)]
+
+
+def test_ack_counts_rise_per_command():
+    agent, hooks = make_agent(address=ACTUATOR, is_actuator=True,
+                              mode=Subcycle.T3, variant=Variant.BASIC)
+    agent.mem.optimal_pattern = {SENSOR: 1, PEER: 2}
+    from_sensor = frame_bits(Frame(ACTUATOR, Opcode.COMMAND, SENSOR))
+    from_peer = frame_bits(Frame(ACTUATOR, Opcode.COMMAND, PEER))
+    feed_subcycle(agent, Subcycle.T1, ic=0, top=from_sensor)
+    feed_subcycle(agent, Subcycle.T2, ic=0, base_cycle=12, top=from_peer)
+    feed_subcycle(agent, Subcycle.T1, ic=1, base_cycle=48, top=from_sensor)
+    assert [(o.frame, o.pattern, o.count) for o in agent.queue] == [
+        (Frame(SENSOR, Opcode.ACK, ACTUATOR), 1, 1),
+        (Frame(PEER, Opcode.ACK, ACTUATOR), 2, 1),
+        (Frame(SENSOR, Opcode.ACK, ACTUATOR), 1, 2)]
+    for k in range(3):
+        run_own_subcycle(agent, ic=1 + k, base_cycle=72 + 48 * k)
+    assert [(by, count) for by, count, _ in hooks.actuations] == [
+        (SENSOR, 1), (PEER, 1), (SENSOR, 2)]
 
 
 ASLEEP = 10**6
