@@ -73,8 +73,6 @@ from .timebase import (
 )
 from .trace import NullTrace, TraceWriter
 
-_CONTROLLER = controller_address()
-
 
 @dataclass
 class Stimulus:
@@ -492,7 +490,7 @@ class World:
         deep nodes whose light does not reach the skin).
         """
         frame = parse_mask(self._controller_bits)
-        if frame.recipient != _CONTROLLER:
+        if frame.recipient != controller_address():
             return
         self.controller_frames.append((self.cycle, frame))
         self.trace.controller_frame(self.cycle, self._controller_bits)

@@ -2,82 +2,36 @@
 
 ``Metrics.to_json`` writes what ``json.dumps(body, indent=2,
 sort_keys=True)`` writes.  With an indent that call takes the pure-Python
-encoder, so each record of a known kind and shape (its keys, and a type for
-each value) is written from a fixed template instead, each value spelled as
-the encoder spells it: strings by ``encode_basestring_ascii``, ints and
-finite floats by their ``repr``.  Any other record, a non-finite float
-among them, goes through ``json.dumps``.
+encoder, so a list whose records are all non-empty dicts of scalars is
+written by the C encoder in one call instead, its item separator a newline
+and the members' indent.  An encoded string escapes every newline, so each
+newline in that text is a separator, and the ones between records are
+widened to the record indent.  Any other list goes through ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _str
+from itertools import chain
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+# a newline between members, as ``indent=2`` writes them two levels deep
+_FLAT = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
 
 
-# the keys of each record kind; the templates below list them sorted
-_ACTUATION_KEYS = frozenset(("actuator", "commander", "cycle", "stage"))
-_DOSE_KEYS = frozenset(("cluster", "cycle", "dose", "position"))
-_LATENCY_KEYS = frozenset(("cycles", "kind", "node"))
-_TIMEOUT_KEYS = frozenset(("cycle", "node", "waited"))
-
-
-def _actuation(r: dict) -> str | None:
-    actuator, commander, cycle, stage = (r["actuator"], r["commander"],
-                                         r["cycle"], r["stage"])
-    if (type(actuator) is str and type(commander) is str
-            and type(cycle) is int and type(stage) is int):
-        return ('    {\n      "actuator": %s,\n      "commander": %s,\n'
-                '      "cycle": %d,\n      "stage": %d\n    }'
-                % (_str(actuator), _str(commander), cycle, stage))
-    return None
-
-
-def _dose(r: dict) -> str | None:
-    cluster, cycle, dose, position = (r["cluster"], r["cycle"], r["dose"],
-                                      r["position"])
-    # ``dose - dose`` is 0.0 only for a finite dose
-    if (type(cluster) is str and type(cycle) is int and type(dose) is float
-            and dose - dose == 0.0 and type(position) is int):
-        return ('    {\n      "cluster": %s,\n      "cycle": %d,\n'
-                '      "dose": %r,\n      "position": %d\n    }'
-                % (_str(cluster), cycle, dose, position))
-    return None
-
-
-def _latency(r: dict) -> str | None:
-    cycles, kind, node = r["cycles"], r["kind"], r["node"]
-    if type(cycles) is int and type(kind) is str and type(node) is str:
-        return ('    {\n      "cycles": %d,\n      "kind": %s,\n'
-                '      "node": %s\n    }' % (cycles, _str(kind), _str(node)))
-    return None
-
-
-def _timeout(r: dict) -> str | None:
-    cycle, node, waited = r["cycle"], r["node"], r["waited"]
-    if type(cycle) is int and type(node) is str and type(waited) is str:
-        return ('    {\n      "cycle": %d,\n      "node": %s,\n'
-                '      "waited": %s\n    }'
-                % (cycle, _str(node), _str(waited)))
-    return None
-
-
-def _records(records: list, keys: frozenset, template) -> str:
+def _records(records) -> str:
     """A list of records as ``json.dumps`` writes it one level deep."""
     if not records:
         return "[]"
-    parts = []
-    for record in records:
-        text = None
-        if type(record) is dict and record.keys() == keys:
-            text = template(record)
-        if text is None:
-            # as ``json.dumps`` writes it two levels deep
-            text = "    " + json.dumps(record, indent=2,
-                                       sort_keys=True).replace("\n", "\n    ")
-        parts.append(text)
-    return "[\n" + ",\n".join(parts) + "\n  ]"
+    if ({type(r) for r in records} == {dict} and all(records)
+            and set(map(type, chain.from_iterable(
+                map(dict.values, records)))) <= _SCALARS):
+        return ("[\n    {\n      "
+                + _FLAT(records)[2:-2].replace(
+                    "},\n      {", "\n    },\n    {\n      ")
+                + "\n    }\n  ]")
+    return json.dumps(records, indent=2, sort_keys=True).replace("\n", "\n  ")
 
 
 @dataclass
@@ -135,21 +89,10 @@ class Metrics:
     def to_json(self) -> str:
         """The body as ``json.dumps(body, indent=2, sort_keys=True)``
         writes it; see the module docstring."""
-        lists = (self.actuations, self.doses, self.latencies, self.timeouts)
-        summary = self.summary()
-        if any(type(records) is not list for records in lists):
-            return json.dumps({
-                "summary": summary,
-                "doses": self.doses,
-                "actuations": self.actuations,
-                "latencies": self.latencies,
-                "timeouts": self.timeouts,
-            }, indent=2, sort_keys=True)
         return ('{\n  "actuations": %s,\n  "doses": %s,\n  "latencies": %s,\n'
                 '  "summary": %s,\n  "timeouts": %s\n}' % (
-                    _records(self.actuations, _ACTUATION_KEYS, _actuation),
-                    _records(self.doses, _DOSE_KEYS, _dose),
-                    _records(self.latencies, _LATENCY_KEYS, _latency),
-                    json.dumps(summary, indent=2, sort_keys=True).replace(
-                        "\n", "\n  "),
-                    _records(self.timeouts, _TIMEOUT_KEYS, _timeout)))
+                    _records(self.actuations), _records(self.doses),
+                    _records(self.latencies),
+                    json.dumps(self.summary(), indent=2, sort_keys=True)
+                    .replace("\n", "\n  "),
+                    _records(self.timeouts)))

@@ -77,7 +77,6 @@ class ChainState(enum.Enum):
 _SEND_OPCODES = {ChainState.SEND_NOTIFY: Opcode.NOTIFY,
                  ChainState.SEND_COMMAND: Opcode.COMMAND}
 _AWAIT_STATES = (ChainState.AWAIT_BLOCK, ChainState.AWAIT_ACK)
-_CONTROLLER = controller_address()
 # the reason an ``rx_reject`` of bits that vet as a collision gives
 _COLLISION_SUSPECT = Verdict.COLLISION_SUSPECT.value
 
@@ -546,9 +545,10 @@ class Agent:
         origin = frame.transmitter
         onward = self._forwards.get(origin)
         if onward is None:
+            controller = controller_address()
             onward = self._forwards[origin] = Outgoing(
-                Frame(_CONTROLLER, Opcode.RELAY, origin),
-                self.mem.pattern_toward(_CONTROLLER), PRIORITY_DATA)
+                Frame(controller, Opcode.RELAY, origin),
+                self.mem.pattern_toward(controller), PRIORITY_DATA)
         if any(o.frame == onward.frame for o in self.queue):
             return
         self.queue.append(onward)

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from optomac.metrics import Metrics
 
-# names with quotes, backslashes, control and non-ASCII characters
+# names with quotes, backslashes, control and non-ASCII characters, and
+# ones spelled like the separators of the encoded text
 NAMES = st.text(max_size=6) | st.sampled_from(
-    ('a"b', "back\\slash", "tab\there", "ñodo", "节点", "\U0001f52c", ""))
+    ('a"b', "back\\slash", "tab\there", "ñodo", "节点", "\U0001f52c", "",
+     "a, ", '}, {"', "},\n      {", "line\nbreak"))
 INTS = st.integers(-10**20, 10**20)
 FLOATS = st.floats() | st.sampled_from(
     (1e-7, 1e16, -0.0, 0.1, float("nan"), float("inf"), float("-inf")))
@@ -37,23 +39,26 @@ SHAPES = {
 def records(draw, kind: str):
     """A record of ``kind``: mostly of its shape, else with a value of
     another type, a key more or a key less, or (except a dose, which
-    ``total_dose`` reads) not a dict at all."""
+    ``total_dose`` reads) empty or not a dict at all."""
     shape = SHAPES[kind]
     record = {key: draw(values) for key, values in shape.items()}
     change = draw(st.sampled_from(("none", "none", "value", "extra",
-                                   "missing", "other")))
+                                   "missing", "empty", "other")))
     if change == "value":
         record[draw(st.sampled_from(sorted(shape)))] = draw(WRONG)
     elif change == "extra":
         record[draw(NAMES)] = draw(VALUES)
     elif change == "missing":
         del record[draw(st.sampled_from(sorted(set(shape) - {"dose"})))]
+    elif change == "empty" and kind != "doses":
+        return {}
     elif change == "other" and kind != "doses":
         return draw(VALUES)
     if kind == "doses":
         # the summary sums the doses
         record["dose"] = draw(INTS | FLOATS | st.booleans())
-    return record
+    # in any key order, as the runs write them
+    return dict(draw(st.permutations(list(record.items()))))
 
 
 @settings(max_examples=300, deadline=None)
@@ -63,7 +68,7 @@ def records(draw, kind: str):
 def test_metrics_json_is_what_json_dumps_writes(lists, as_tuple):
     metrics = Metrics(**lists)
     if as_tuple is not None:
-        # a list that is not a list takes the plain path
+        # a tuple is written as a list
         setattr(metrics, as_tuple, tuple(getattr(metrics, as_tuple)))
     assert metrics.to_json() == dumped(metrics)
 
@@ -88,8 +93,8 @@ def dumped(metrics: Metrics) -> str:
 @pytest.mark.parametrize("kind,key", [(kind, key) for kind in SHAPES
                                       for key in sorted(SHAPES[kind])])
 def test_a_value_of_another_type_is_written_as_json_dumps_writes(kind, key):
-    # values equal to or spelled like a right one: each must leave the
-    # template for ``json.dumps``
+    # values equal to or spelled like a right one, and a list and a dict,
+    # which must leave the C encoder's path for ``json.dumps``
     for value in (True, False, None, 1.0, 2, "1", float("nan"),
                   float("inf"), [1], {"k": 1}):
         if key == "dose" and type(value) not in (bool, int, float):
@@ -99,7 +104,7 @@ def test_a_value_of_another_type_is_written_as_json_dumps_writes(kind, key):
         assert metrics.to_json() == dumped(metrics), value
 
 
-def test_templated_records_spell_values_as_the_encoder():
+def test_records_spell_values_as_the_encoder():
     metrics = Metrics(
         doses=[{"cluster": "ñ\"1", "cycle": 10**17, "dose": d, "position": -1}
                for d in (1e-7, 1e16, -0.0, 0.1, 2.0)],
