@@ -104,7 +104,7 @@ def _artifact_map(result: ScenarioResult, trace: TraceWriter) -> dict[str, str]:
 def _write_artifacts(directory: Path, artifacts: dict[str, str]) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     for name, body in artifacts.items():
-        (directory / name).write_text(body)
+        (directory / name).write_text(body, encoding="utf-8")
 
 
 def _verify(golden: Path, artifacts: dict[str, str]) -> list[str]:
@@ -116,7 +116,7 @@ def _verify(golden: Path, artifacts: dict[str, str]) -> list[str]:
         if not ref.is_file():
             continue
         compared += 1
-        want = ref.read_text()
+        want = ref.read_text(encoding="utf-8")
         if want == body:
             continue
         diff = list(difflib.unified_diff(

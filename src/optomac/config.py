@@ -495,7 +495,7 @@ def loads(text: str) -> WorldConfig:
 
 
 def load_path(path: str | Path) -> WorldConfig:
-    return loads(Path(path).read_text())
+    return loads(Path(path).read_text(encoding="utf-8"))
 
 
 def dumps(cfg: WorldConfig) -> str:
@@ -503,7 +503,7 @@ def dumps(cfg: WorldConfig) -> str:
 
 
 def save(cfg: WorldConfig, path: str | Path) -> None:
-    Path(path).write_text(dumps(cfg) + "\n")
+    Path(path).write_text(dumps(cfg) + "\n", encoding="utf-8")
 
 
 @functools.cache
@@ -514,7 +514,7 @@ def load_fixture(name: str) -> WorldConfig:
     down to its tuples, so callers can share it.
     """
     ref = resources.files("optomac").joinpath("fixtures").joinpath(f"{name}.json")
-    return loads(ref.read_text())
+    return loads(ref.read_text(encoding="utf-8"))
 
 
 # -- world assembly ----------------------------------------------------------

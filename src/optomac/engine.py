@@ -49,6 +49,11 @@ longer gap is the learning/working mode toggle; learning runs once before
 the World starts, so the World traces such a gap as ``mode_toggle`` and
 otherwise treats it as a frame sync.  Instruction-cycle indices stay
 monotonic across gaps so protocol timers keep their meaning.
+
+Code run per subcycle or per frame reads enum members through their module
+constants (``T1``, ``T4`` and ``NONE`` from ``timebase``), because a
+metaclass ``__getattr__`` (``EnumType``'s) makes each class-attribute read
+such as ``Subcycle.T4`` about five times slower on Python 3.11.
 """
 
 from __future__ import annotations
@@ -64,9 +69,11 @@ from .nodes import Agent
 from .protocol import BIT_MASK, Frame, controller_address, parse_mask
 from .timebase import (
     FRAME_BITS,
+    NONE,
     SUBCYCLES,
+    T1,
+    T4,
     ClockConfig,
-    NonClockEvent,
     Subcycle,
     detect_nonclock,
     overlapping_gaps,
@@ -182,7 +189,7 @@ class World:
         event = detect_nonclock(length, self.clock)
         self.trace.event(self.cycle, "laser_gap", length=length,
                          event=event.name.lower())
-        if event is NonClockEvent.NONE:
+        if event is NONE:
             self._dark_until = self.cycle + length
             return
         # the abandoned subcycle is never closed, so nothing decodes what
@@ -268,12 +275,12 @@ class World:
         k, off = divmod(rel, sub_len)
         start = self.cycle - off
         if rel == 0:
-            self._begin_subcycle(Subcycle.T1, ic)
+            self._begin_subcycle(T1, ic)
             end = start + self._icycle_len
             if (not self._pending and stop >= end
                     and (ic < self._wake[0] or not self._any_send_work(ic))):
                 self.cycle = end - 1
-                self._end_subcycle(Subcycle.T4, ic)
+                self._end_subcycle(T4, ic)
                 self.cycle = end
                 return
         while True:
@@ -324,7 +331,7 @@ class World:
     def _begin_subcycle(self, sub: Subcycle, ic: int) -> None:
         self._controller_bits = 0
         self._evidence_seen.clear()
-        if sub is Subcycle.T1:
+        if sub is T1:
             self.scenario.on_icycle_start(self, ic)
 
     def _carry(self, transmitters: list[Agent], sub: Subcycle, start: int,
@@ -406,7 +413,7 @@ class World:
             self._close_agents(sub, ic)
         if self._controller_bits != 0:
             self._controller_decode()
-        if sub is Subcycle.T4:
+        if sub is T4:
             # only this pass moves a latch; the flag is cleared first, so a
             # change a hook makes during the walk is sensed at the next T4
             if self._stimuli_changed:

@@ -22,6 +22,14 @@ and an ACK's ``Frame`` per commander (an ACK's count needs a new
 ``Outgoing``).  The memory does not change once the node exists, so such a
 frame's pattern holds too, and a ``Frame`` keeps its checked mask
 (``Frame.mask``).  Nothing in an ``Outgoing`` changes once it is built.
+
+Code run per subcycle or per frame reads enum members through their module
+constants (``BACKOFF`` and ``SEND_NOTIFY`` here, ``NOTIFY`` and ``OK`` from
+``protocol``, ``T4`` from ``timebase``), because a metaclass ``__getattr__``
+(``EnumType``'s) makes each class-attribute read such as
+``ChainState.BACKOFF`` about five times slower on Python 3.11; for the same
+reason no per-frame table is keyed by a plain ``Enum`` member, whose hash
+runs in Python (a chain's ``sends`` are keyed by ``Opcode``, an ``int``).
 """
 
 from __future__ import annotations
@@ -32,10 +40,17 @@ from dataclasses import dataclass, field
 
 from .metrics import Metrics
 from .protocol import (
+    ACK,
+    BIT_MASK,
+    BLOCK,
+    COLLISION_SUSPECT,
+    COMMAND,
+    NOTIFY,
+    OK,
     PRIORITY_ACK,
     PRIORITY_BLOCK,
     PRIORITY_DATA,
-    BIT_MASK,
+    RELAY,
     Backoff,
     Frame,
     NodeMemory,
@@ -46,7 +61,7 @@ from .protocol import (
     parse_mask,
     vet,
 )
-from .timebase import FRAME_BITS, Rng, Subcycle
+from .timebase import FRAME_BITS, T4, Rng, Subcycle
 from .trace import TraceWriter
 
 # Liveness backstop: a node that saw a foreign BLOCK stays quiet until it sees
@@ -65,6 +80,9 @@ class Variant(enum.Enum):
     HANDSHAKE = "handshake"
 
 
+BASIC, HANDSHAKE = Variant
+
+
 class ChainState(enum.Enum):
     SEND_NOTIFY = "send_notify"
     AWAIT_BLOCK = "await_block"
@@ -73,12 +91,11 @@ class ChainState(enum.Enum):
     BACKOFF = "backoff"
 
 
-# the frame a chain in each ``SEND_*`` state sends
-_SEND_OPCODES = {ChainState.SEND_NOTIFY: Opcode.NOTIFY,
-                 ChainState.SEND_COMMAND: Opcode.COMMAND}
-_AWAIT_STATES = (ChainState.AWAIT_BLOCK, ChainState.AWAIT_ACK)
+SEND_NOTIFY, AWAIT_BLOCK, SEND_COMMAND, AWAIT_ACK, BACKOFF = ChainState
+
+_AWAIT_STATES = (AWAIT_BLOCK, AWAIT_ACK)
 # the reason an ``rx_reject`` of bits that vet as a collision gives
-_COLLISION_SUSPECT = Verdict.COLLISION_SUSPECT.value
+_COLLISION_SUSPECT = COLLISION_SUSPECT.value
 
 
 @dataclass
@@ -87,13 +104,13 @@ class CommandChain:
 
     target: int
     tag: str = ""
-    state: ChainState = ChainState.SEND_NOTIFY
+    state: ChainState = SEND_NOTIFY
     window: int = 0
     retry_ic: int = 0
     started_cycle: int = 0
     backoff: Backoff = field(default_factory=Backoff)
-    # the frame each ``SEND_*`` state sends, built on first use
-    sends: dict[ChainState, Outgoing] = field(
+    # the frame each ``SEND_*`` state sends, by opcode, built on first use
+    sends: dict[Opcode, Outgoing] = field(
         default_factory=dict, repr=False, compare=False)
 
 
@@ -209,7 +226,7 @@ class Agent:
         due = (self.request_next_ic if self.request_target is not None
                else math.inf)
         for chain in self.chains:
-            if chain.state is ChainState.BACKOFF and chain.retry_ic < due:
+            if chain.state is BACKOFF and chain.retry_ic < due:
                 due = chain.retry_ic
         return due
 
@@ -313,7 +330,7 @@ class Agent:
         receives only in the data subcycles it listens in; in its own it
         only senses the carrier (``sense``), and the fourth carries no
         frame."""
-        if sub != self.mode and sub != Subcycle.T4:
+        if sub != self.mode and sub != T4:
             self._rx_top |= top
             self._rx_bottom |= bottom
 
@@ -324,7 +341,7 @@ class Agent:
     def end_subcycle(self, sub: Subcycle, ic: int, cycle: int) -> None:
         if sub == self.mode:
             self._finish_own_subcycle(cycle)
-        elif sub != Subcycle.T4:
+        elif sub != T4:
             if self._rx_top != 0 or self._rx_bottom != 0:
                 self._receive_subcycle(ic, cycle)
             self._tick_windows(ic, cycle)
@@ -350,24 +367,23 @@ class Agent:
     def _first_state(self) -> ChainState:
         """Where a chain starts, and restarts after a backoff: the basic
         variant commands at once, the handshake first reserves the channel."""
-        return (ChainState.SEND_COMMAND if self.variant is Variant.BASIC
-                else ChainState.SEND_NOTIFY)
+        return SEND_COMMAND if self.variant is BASIC else SEND_NOTIFY
 
     def _refresh_chains(self, ic: int) -> None:
         for chain in self.chains:
-            if chain.state is ChainState.BACKOFF and ic >= chain.retry_ic:
+            if chain.state is BACKOFF and ic >= chain.retry_ic:
                 chain.state = self._first_state()
         # its own request is a queued RELAY it transmits; see _forward_relay
         target = self.request_target
         if (target is not None and ic >= self.request_next_ic
                 and not (self.queue and any(
-                    o.frame.opcode is Opcode.RELAY
+                    o.frame.opcode is RELAY
                     and o.frame.transmitter == self.address
                     for o in self.queue))):
             out = self._requests.get(target)
             if out is None:
                 out = self._requests[target] = Outgoing(
-                    Frame(target, Opcode.RELAY, self.address),
+                    Frame(target, RELAY, self.address),
                     self.mem.pattern_toward(target), PRIORITY_DATA)
             self.queue.append(out)
             self.request_next_ic = ic + REQUEST_RETRY_ICS
@@ -394,15 +410,19 @@ class Agent:
             return None
         for chain in self.chains:
             state = chain.state
-            if state in _SEND_OPCODES:
-                out = chain.sends.get(state)
-                if out is None:
-                    out = chain.sends[state] = Outgoing(
-                        Frame(chain.target, _SEND_OPCODES[state],
-                              self.address),
-                        self.mem.pattern_toward(chain.target),
-                        PRIORITY_DATA, chain=chain)
-                return out
+            if state is SEND_NOTIFY:
+                op = NOTIFY
+            elif state is SEND_COMMAND:
+                op = COMMAND
+            else:
+                continue
+            out = chain.sends.get(op)
+            if out is None:
+                out = chain.sends[op] = Outgoing(
+                    Frame(chain.target, op, self.address),
+                    self.mem.pattern_toward(chain.target),
+                    PRIORITY_DATA, chain=chain)
+            return out
         return None
 
     def _pick(self) -> Outgoing | None:
@@ -428,16 +448,16 @@ class Agent:
         self.trace.tx_done(cycle, self.name, fl.mask)
         op = out.frame.opcode
         chain = out.chain
-        if op == Opcode.NOTIFY and chain is not None:
-            chain.state = ChainState.AWAIT_BLOCK
+        if op == NOTIFY and chain is not None:
+            chain.state = AWAIT_BLOCK
             chain.window = AWAIT_WINDOW_SUBCYCLES
-        elif op == Opcode.COMMAND and chain is not None:
+        elif op == COMMAND and chain is not None:
             self.metrics.issued += 1
-            chain.state = ChainState.AWAIT_ACK
+            chain.state = AWAIT_ACK
             chain.window = AWAIT_WINDOW_SUBCYCLES
-        elif op == Opcode.BLOCK:
+        elif op == BLOCK:
             self.metrics.blocks_sent += 1
-        elif op == Opcode.ACK:
+        elif op == ACK:
             self.metrics.acks_sent += 1
             # every ACK answers a command: its recipient is the commander
             self.hooks.on_actuation(self, out.frame.recipient, out.count, cycle)
@@ -457,18 +477,18 @@ class Agent:
                 frame = parse_mask(mask)
                 entry = self._heard[mask] = (frame, vet(frame, self.mem))
             frame, verdict = entry
-            if verdict is Verdict.COLLISION_SUSPECT:
+            if verdict is COLLISION_SUSPECT:
                 self.metrics.rx_rejects += 1
                 self.trace.rx_reject_bits(cycle, self.name, side,
                                           _COLLISION_SUSPECT, mask)
                 continue
-            addressed = verdict is Verdict.OK
+            addressed = verdict is OK
             self.trace.rx_frame(cycle, self.name, side, mask, addressed)
             decoded.append((side, frame, addressed, mask))
         # Two clean NOTIFYs on opposite detectors in one subcycle are a
         # collision the recipient can see directly; it serves neither.
         if (len(decoded) == 2 and self.is_actuator
-                and all(d[1].opcode == Opcode.NOTIFY and d[2]
+                and all(d[1].opcode == NOTIFY and d[2]
                         for d in decoded)):
             for side, _, _, mask in decoded:
                 self.metrics.rx_rejects += 1
@@ -481,22 +501,22 @@ class Agent:
     def _route(self, frame: Frame, addressed: bool, ic: int,
                cycle: int) -> None:
         op = frame.opcode
-        if op == Opcode.BLOCK:
+        if op == BLOCK:
             self._on_block(frame, ic, cycle)
-        elif op == Opcode.ACK:
+        elif op == ACK:
             self._on_ack(frame, addressed, cycle)
-        elif op == Opcode.NOTIFY and addressed and self.is_actuator:
+        elif op == NOTIFY and addressed and self.is_actuator:
             self._on_notify()
-        elif op == Opcode.COMMAND and addressed and self.is_actuator:
+        elif op == COMMAND and addressed and self.is_actuator:
             self._on_command(frame)
-        elif op == Opcode.RELAY and addressed:
+        elif op == RELAY and addressed:
             self._forward_relay(frame)
 
     def _on_block(self, frame: Frame, ic: int, cycle: int) -> None:
         for chain in self.chains:
-            if (chain.state is ChainState.AWAIT_BLOCK
+            if (chain.state is AWAIT_BLOCK
                     and frame.transmitter == chain.target):
-                chain.state = ChainState.SEND_COMMAND
+                chain.state = SEND_COMMAND
                 self.trace.block_cleared(cycle, self.name, chain.target)
                 return
         self.blocked_by = frame.transmitter
@@ -506,7 +526,7 @@ class Agent:
     def _on_ack(self, frame: Frame, addressed: bool, cycle: int) -> None:
         if addressed:
             for chain in self.chains:
-                if (chain.state is ChainState.AWAIT_ACK
+                if (chain.state is AWAIT_ACK
                         and frame.transmitter == chain.target):
                     self.metrics.delivered += 1
                     self.chains.remove(chain)
@@ -519,12 +539,12 @@ class Agent:
             self.blocked_by = None
 
     def _on_notify(self) -> None:
-        if self.variant is not Variant.HANDSHAKE:
+        if self.variant is not HANDSHAKE:
             return
-        if not any(o.frame.opcode == Opcode.BLOCK for o in self.queue):
+        if not any(o.frame.opcode == BLOCK for o in self.queue):
             if self._block is None:
                 self._block = Outgoing(
-                    Frame(broadcast_address(), Opcode.BLOCK, self.address),
+                    Frame(broadcast_address(), BLOCK, self.address),
                     0, PRIORITY_BLOCK)
             self.queue.append(self._block)
 
@@ -535,7 +555,7 @@ class Agent:
         ack = self._acks.get(commander)
         if ack is None:
             ack = self._acks[commander] = (
-                Frame(commander, Opcode.ACK, self.address),
+                Frame(commander, ACK, self.address),
                 self.mem.pattern_toward(commander))
         ack_frame, pattern = ack
         self.queue.append(Outgoing(ack_frame, pattern, PRIORITY_ACK,
@@ -547,7 +567,7 @@ class Agent:
         if onward is None:
             controller = controller_address()
             onward = self._forwards[origin] = Outgoing(
-                Frame(controller, Opcode.RELAY, origin),
+                Frame(controller, RELAY, origin),
                 self.mem.pattern_toward(controller), PRIORITY_DATA)
         if any(o.frame == onward.frame for o in self.queue):
             return
@@ -563,7 +583,7 @@ class Agent:
             if chain.window > 0:
                 continue
             waited = chain.state.value
-            chain.state = ChainState.BACKOFF
+            chain.state = BACKOFF
             chain.retry_ic = ic + chain.backoff.draw(self.rng)
             self.metrics.retries += 1
             self.trace.timeout(cycle, self.name, waited, chain.target,

@@ -32,7 +32,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Any
 
-from .timebase import ADDRESS_BITS, FRAME_BITS, Subcycle
+from .timebase import ADDRESS_BITS, FRAME_BITS, T1, Subcycle
 
 
 class Opcode(enum.IntEnum):
@@ -44,6 +44,10 @@ class Opcode(enum.IntEnum):
     PROBE = 0b010
     RELAY = 0b001
     POSN = 0b000
+
+
+# Each member bound once, as ``timebase`` binds the subcycles
+BLOCK, ACK, NOTIFY, COMMAND, PAT_TRIAL, PROBE, RELAY, POSN = Opcode
 
 
 def broadcast_address() -> int:
@@ -139,6 +143,9 @@ class Verdict(enum.Enum):
     COLLISION_SUSPECT = "collision-suspect"
 
 
+OK, NOT_FOR_ME, COLLISION_SUSPECT = Verdict
+
+
 @dataclass
 class NodeMemory:
     """Per-node learned state; everything the protocol may consult.
@@ -154,7 +161,7 @@ class NodeMemory:
     """
     address: int
     is_actuator: bool = False
-    working_mode: Subcycle = Subcycle.T1
+    working_mode: Subcycle = T1
     position_id: int = -1
     physical: set[int] = field(default_factory=set)
     recognized: set[int] = field(default_factory=set)
@@ -174,10 +181,10 @@ def vet(frame: Frame, mem: NodeMemory) -> Verdict:
     """
     if frame.transmitter not in mem.physical \
             and frame.transmitter != controller_address():
-        return Verdict.COLLISION_SUSPECT
+        return COLLISION_SUSPECT
     if frame.recipient not in (mem.address, broadcast_address()):
-        return Verdict.NOT_FOR_ME
-    return Verdict.OK
+        return NOT_FOR_ME
+    return OK
 
 
 # Transmit-queue priorities: reservation replies preempt everything, then

@@ -56,7 +56,7 @@ from .geometry import HexGrid
 from .learning import LearningReport, run_learning, snapshot_text
 from .metrics import Metrics
 from .nodes import Agent, CommandChain, Hooks, Variant
-from .protocol import Opcode, controller_address
+from .protocol import RELAY, controller_address
 from .timebase import Rng
 from .trace import NullTrace, TraceWriter
 
@@ -363,7 +363,7 @@ class PhotothermalDriver(ScenarioDriver):
     # world-side hooks ---------------------------------------------------------
 
     def on_controller_frame(self, world: World, frame, cycle: int) -> None:
-        if frame.opcode != Opcode.RELAY:
+        if frame.opcode != RELAY:
             return
         origin = frame.transmitter
         agent = world.by_address.get(origin)

@@ -31,12 +31,19 @@ class Subcycle(enum.IntEnum):
 
 # Subcycle by index, looked up without calling the enum
 SUBCYCLES = tuple(Subcycle)
+# Each member bound once, for code that runs per subcycle or per frame: as
+# ``EnumType`` defines ``__getattr__``, a read through the class (such as
+# ``Subcycle.T4``) takes the interpreter's slow attribute path
+T1, T2, T3, T4 = SUBCYCLES
 
 
 class NonClockEvent(enum.Enum):
     NONE = "none"
     FRAME_SYNC = "frame_sync"
     MODE_TOGGLE = "mode_toggle"
+
+
+NONE, FRAME_SYNC, MODE_TOGGLE = NonClockEvent
 
 
 @dataclass(frozen=True)
@@ -74,10 +81,10 @@ def detect_nonclock(missing_run: int, cfg: ClockConfig) -> NonClockEvent:
     if missing_run < 0:
         raise ValueError("missing_run must be non-negative")
     if missing_run >= cfg.g_mode:
-        return NonClockEvent.MODE_TOGGLE
+        return MODE_TOGGLE
     if missing_run >= cfg.g_sync:
-        return NonClockEvent.FRAME_SYNC
-    return NonClockEvent.NONE
+        return FRAME_SYNC
+    return NONE
 
 
 def overlapping_gaps(gaps) -> tuple[tuple[int, int], tuple[int, int]] | None:

@@ -299,10 +299,10 @@ print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
 """
 
 
-def _fresh_python(*args: str) -> str:
+def _fresh_python(*args: str, **environ: str) -> str:
     src = str(Path(optomac.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
+    env = dict(os.environ, **environ,
                PYTHONPATH=src if not path else src + os.pathsep + path)
     done = subprocess.run([sys.executable, *args], env=env, check=True,
                           capture_output=True, text=True, timeout=300)
@@ -337,3 +337,30 @@ def test_runs_need_no_numpy(tmp_path, capsys):
             assert (tmp_path / "fresh" / label / name).read_bytes() == \
                 (here / name).read_bytes(), (label, name)
     capsys.readouterr()
+
+
+# An ASCII locale with neither UTF-8 mode nor locale coercion: files opened
+# without an encoding would be read and written as ASCII.
+_ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def test_documents_and_artifacts_are_utf8_whatever_the_locale(tmp_path):
+    cfg = drug_delivery_config()
+    nodes = tuple(dataclasses.replace(n, name="s\u00e9") if n.name == "s1"
+                  else n for n in cfg.nodes)
+    doc = tmp_path / "deploy.json"
+    # the document as raw UTF-8, as an editor saves it, not as JSON escapes
+    doc.write_bytes(json.dumps(to_dict(dataclasses.replace(cfg, nodes=nodes)),
+                               ensure_ascii=False).encode("utf-8"))
+    run = ["-m", "optomac.cli", "--config", str(doc), "--seed", "0"]
+    ascii_out, utf8_out = tmp_path / "ascii", tmp_path / "utf8"
+    # check=True: a non-zero exit fails the test
+    _fresh_python(*run, "--out", str(ascii_out), **_ASCII_LOCALE)
+    _fresh_python(*run, "--verify", str(ascii_out), **_ASCII_LOCALE)
+    _fresh_python(*run, "--out", str(utf8_out),
+                  **dict(_ASCII_LOCALE, PYTHONUTF8="1"))
+    memory = (ascii_out / "memory.txt").read_bytes()
+    assert "node s\u00e9".encode("utf-8") in memory
+    for name in ARTIFACTS:
+        assert (ascii_out / name).read_bytes() == \
+            (utf8_out / name).read_bytes(), name
