@@ -152,7 +152,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.dump_patterns:
-        sys.stdout.write(_patterns_text(cfg))
+        # UTF-8 whatever the locale, as the artifacts are written
+        sys.stdout.flush()
+        sys.stdout.buffer.write(_patterns_text(cfg).encode("utf-8"))
         return 0
 
     sweep = seeds[0] != seeds[-1]  # len() fails past sys.maxsize seeds

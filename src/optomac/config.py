@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from importlib import resources
@@ -239,10 +240,12 @@ def _parse_patterns(raw: Any, label: str, bad: list[str]):
         return None, None
     step = raw.get("azimuth_step_deg")
     gains = raw.get("gains")
-    if not _num(step) or step <= 0 or (360.0 / step) != int(360.0 / step):
+    # a subnormal step gives an infinite count, which no int holds
+    count = 360.0 / step if _num(step) and step > 0 else math.nan
+    if not math.isfinite(count) or count != int(count):
         bad.append(f"{label}.patterns.azimuth_step_deg: must evenly divide 360")
         return None, None
-    n_az = int(round(360.0 / step))
+    n_az = int(count)
     if (not isinstance(gains, list) or not gains
             or not all(isinstance(row, list) and len(row) == n_az
                        and all(_num(v) and v >= 0 for v in row)

@@ -15,13 +15,10 @@ channel: a transmitter that is mute for its own 0-bit but senses a foreign
 pulse exits the subcycle and requeues the frame.  The frame with the highest
 bit pattern survives unmodified.
 
-A node builds each distinct frame it sends once and queues that object
-again: its RELAY request per target, the forward of a RELAY per origin, the
-frame of each chain's ``SEND_*`` state (``CommandChain.sends``), its BLOCK,
-and an ACK's ``Frame`` per commander (an ACK's count needs a new
-``Outgoing``).  The memory does not change once the node exists, so such a
-frame's pattern holds too, and a ``Frame`` keeps its checked mask
-(``Frame.mask``).  Nothing in an ``Outgoing`` changes once it is built.
+A node builds each distinct frame it sends once, in one memo keyed by
+recipient, opcode and transmitter (``Agent._outgoing``; exact, since the
+memory does not change once the node exists), and queues that object again.
+An ACK's count and a chain's link ride on a new ``Outgoing`` over the memo's.
 
 Code run per subcycle or per frame reads enum members through their module
 constants (``BACKOFF`` and ``SEND_NOTIFY`` here, ``NOTIFY`` and ``OK`` from
@@ -29,7 +26,7 @@ constants (``BACKOFF`` and ``SEND_NOTIFY`` here, ``NOTIFY`` and ``OK`` from
 (``EnumType``'s) makes each class-attribute read such as
 ``ChainState.BACKOFF`` about five times slower on Python 3.11; for the same
 reason no per-frame table is keyed by a plain ``Enum`` member, whose hash
-runs in Python (a chain's ``sends`` are keyed by ``Opcode``, an ``int``).
+runs in Python (the memo's opcode is an ``Opcode``, an ``int``).
 """
 
 from __future__ import annotations
@@ -109,7 +106,8 @@ class CommandChain:
     retry_ic: int = 0
     started_cycle: int = 0
     backoff: Backoff = field(default_factory=Backoff)
-    # the frame each ``SEND_*`` state sends, by opcode, built on first use
+    # the frame each ``SEND_*`` state sends, by opcode: the agent's memo
+    # entry linked to this chain, built on first use
     sends: dict[Opcode, Outgoing] = field(
         default_factory=dict, repr=False, compare=False)
 
@@ -196,13 +194,8 @@ class Agent:
         self.request_target: int | None = None
         self.request_next_ic = 0
         self.wake = [0]  # the World's wake time, a cell it shares
-        # frames built once and sent again: the own RELAY request per
-        # target, the forward of a RELAY per origin, the ACK frame per
-        # commander and the BLOCK
-        self._requests: dict[int, Outgoing] = {}
-        self._forwards: dict[int, Outgoing] = {}
-        self._acks: dict[int, tuple[Frame, int]] = {}
-        self._block: Outgoing | None = None
+        # (recipient, opcode, transmitter) -> the frame sent, built once
+        self._memo: dict[tuple[int, Opcode, int], Outgoing] = {}
 
     # -- identity helpers ------------------------------------------------
 
@@ -380,12 +373,7 @@ class Agent:
                     o.frame.opcode is RELAY
                     and o.frame.transmitter == self.address
                     for o in self.queue))):
-            out = self._requests.get(target)
-            if out is None:
-                out = self._requests[target] = Outgoing(
-                    Frame(target, RELAY, self.address),
-                    self.mem.pattern_toward(target), PRIORITY_DATA)
-            self.queue.append(out)
+            self.queue.append(self._outgoing(target, RELAY, self.address))
             self.request_next_ic = ic + REQUEST_RETRY_ICS
 
     def _load_next(self, cycle: int) -> None:
@@ -418,10 +406,9 @@ class Agent:
                 continue
             out = chain.sends.get(op)
             if out is None:
+                memo = self._outgoing(chain.target, op, self.address)
                 out = chain.sends[op] = Outgoing(
-                    Frame(chain.target, op, self.address),
-                    self.mem.pattern_toward(chain.target),
-                    PRIORITY_DATA, chain=chain)
+                    memo.frame, memo.pattern, memo.priority, chain=chain)
             return out
         return None
 
@@ -539,39 +526,44 @@ class Agent:
             self.blocked_by = None
 
     def _on_notify(self) -> None:
-        if self.variant is not HANDSHAKE:
-            return
-        if not any(o.frame.opcode == BLOCK for o in self.queue):
-            if self._block is None:
-                self._block = Outgoing(
-                    Frame(broadcast_address(), BLOCK, self.address),
-                    0, PRIORITY_BLOCK)
-            self.queue.append(self._block)
+        if self.variant is HANDSHAKE:
+            self._queue_once(
+                self._outgoing(broadcast_address(), BLOCK, self.address))
 
     def _on_command(self, frame: Frame) -> None:
         commander = frame.transmitter
         count = self.command_counts[commander] = (
             self.command_counts.get(commander, 0) + 1)
-        ack = self._acks.get(commander)
-        if ack is None:
-            ack = self._acks[commander] = (
-                Frame(commander, ACK, self.address),
-                self.mem.pattern_toward(commander))
-        ack_frame, pattern = ack
-        self.queue.append(Outgoing(ack_frame, pattern, PRIORITY_ACK,
-                                   count=count))
+        ack = self._outgoing(commander, ACK, self.address)
+        self.queue.append(
+            Outgoing(ack.frame, ack.pattern, ack.priority, count=count))
 
     def _forward_relay(self, frame: Frame) -> None:
-        origin = frame.transmitter
-        onward = self._forwards.get(origin)
-        if onward is None:
-            controller = controller_address()
-            onward = self._forwards[origin] = Outgoing(
-                Frame(controller, RELAY, origin),
-                self.mem.pattern_toward(controller), PRIORITY_DATA)
-        if any(o.frame == onward.frame for o in self.queue):
-            return
-        self.queue.append(onward)
+        self._queue_once(
+            self._outgoing(controller_address(), RELAY, frame.transmitter))
+
+    def _queue_once(self, out: Outgoing) -> None:
+        """Queue ``out`` unless it is queued; the memo gives one object per
+        frame, so identity is frame equality here."""
+        for queued in self.queue:
+            if queued is out:
+                return
+        self.queue.append(out)
+
+    def _outgoing(self, recipient: int, op: Opcode,
+                  transmitter: int) -> Outgoing:
+        """The memo's one ``Outgoing`` for this frame, built on first use.
+        Its pattern is the one toward ``recipient`` (0 for the broadcast
+        address, which no node learns), and its priority follows ``op``."""
+        key = (recipient, op, transmitter)
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = Outgoing(
+                Frame(recipient, op, transmitter),
+                self.mem.pattern_toward(recipient),
+                PRIORITY_BLOCK if op == BLOCK
+                else PRIORITY_ACK if op == ACK else PRIORITY_DATA)
+        return out
 
     # -- timers --------------------------------------------------------------
 

@@ -221,6 +221,11 @@ def _edited_drug_delivery(tmp_path, path, value):
      "nodes[0] (s1).patterns.azimuth_step_deg: must evenly divide 360"),
     (("nodes", 0, "patterns", "azimuth_step_deg"), math.nan,
      "nodes[0] (s1).patterns.azimuth_step_deg: must evenly divide 360"),
+    # 360 over a subnormal step is infinite: no count of azimuths
+    (("nodes", 0, "patterns", "azimuth_step_deg"), 5e-324,
+     "nodes[0] (s1).patterns.azimuth_step_deg: must evenly divide 360"),
+    (("nodes", 0, "patterns", "azimuth_step_deg"), 1e-320,
+     "nodes[0] (s1).patterns.azimuth_step_deg: must evenly divide 360"),
     (("grid", "cell_radius"), math.inf,
      "grid.cell_radius: must be a positive number"),
     (("channel", "mu"), math.nan, "channel: mu must be a finite number"),
@@ -253,9 +258,10 @@ def _edited_drug_delivery(tmp_path, path, value):
     (("grid", "rows"), [[0, 0, 3], [0, 0, 3]],
      "grid: row r values must be strictly increasing"),
 ], ids=["guard_bits-1.5", "position-inf", "position-nan", "step-inf",
-        "step-nan", "cell_radius-inf", "mu-nan", "emit_power-nan",
-        "coincident-nodes", "nodes-at-distance-0", "overlapping-gaps",
-        "root-list", "clock-list", "channel-number", "nodes-object",
+        "step-nan", "step-5e-324", "step-1e-320", "cell_radius-inf",
+        "mu-nan", "emit_power-nan", "coincident-nodes",
+        "nodes-at-distance-0", "overlapping-gaps", "root-list", "clock-list",
+        "channel-number", "nodes-object",
         "node-string", "recognized-string", "patterns-list",
         "controller_hears-string", "clusters-object", "cluster-string",
         "cluster-unknown-key", "cluster-no-name", "rows-repeated"])
@@ -299,20 +305,20 @@ print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
 """
 
 
-def _fresh_python(*args: str, **environ: str) -> str:
+def _fresh_python(*args: str, **environ: str) -> bytes:
     src = str(Path(optomac.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, **environ,
                PYTHONPATH=src if not path else src + os.pathsep + path)
     done = subprocess.run([sys.executable, *args], env=env, check=True,
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, timeout=300)
     return done.stdout
 
 
 def test_import_leaves_numpy_out():
     assert _fresh_python(
         "-c", "import sys, optomac; print('numpy' in sys.modules)"
-    ).strip() == "False"
+    ).strip() == b"False"
 
 
 def test_runs_need_no_numpy(tmp_path, capsys):
@@ -344,14 +350,20 @@ def test_runs_need_no_numpy(tmp_path, capsys):
 _ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
 
 
-def test_documents_and_artifacts_are_utf8_whatever_the_locale(tmp_path):
+def _non_ascii_document(tmp_path) -> Path:
+    """The drug-delivery document with s1 renamed "s\u00e9", as raw UTF-8,
+    as an editor saves it, not as JSON escapes."""
     cfg = drug_delivery_config()
     nodes = tuple(dataclasses.replace(n, name="s\u00e9") if n.name == "s1"
                   else n for n in cfg.nodes)
     doc = tmp_path / "deploy.json"
-    # the document as raw UTF-8, as an editor saves it, not as JSON escapes
     doc.write_bytes(json.dumps(to_dict(dataclasses.replace(cfg, nodes=nodes)),
                                ensure_ascii=False).encode("utf-8"))
+    return doc
+
+
+def test_documents_and_artifacts_are_utf8_whatever_the_locale(tmp_path):
+    doc = _non_ascii_document(tmp_path)
     run = ["-m", "optomac.cli", "--config", str(doc), "--seed", "0"]
     ascii_out, utf8_out = tmp_path / "ascii", tmp_path / "utf8"
     # check=True: a non-zero exit fails the test
@@ -364,3 +376,13 @@ def test_documents_and_artifacts_are_utf8_whatever_the_locale(tmp_path):
     for name in ARTIFACTS:
         assert (ascii_out / name).read_bytes() == \
             (utf8_out / name).read_bytes(), name
+
+
+def test_dumped_patterns_are_utf8_whatever_the_locale(tmp_path):
+    run = ["-m", "optomac.cli", "--config", str(_non_ascii_document(tmp_path)),
+           "--dump-patterns"]
+    # check=True: a non-zero exit fails the test
+    ascii_out = _fresh_python(*run, **_ASCII_LOCALE)
+    assert ascii_out == _fresh_python(*run,
+                                      **dict(_ASCII_LOCALE, PYTHONUTF8="1"))
+    assert ascii_out.startswith("node s\u00e9 address 0001\n".encode("utf-8"))

@@ -286,7 +286,9 @@ def _leaf_paths(node, path=()):
 SCENARIO_DOCS = {name: to_dict(default_config(name))
                  for name in SCENARIO_NAMES}
 ODD_VALUES = [0, -1, 1.5, 1e-9, 1e9, math.nan, math.inf, -math.inf, True,
-              "1", None]
+              "1", None,
+              # subnormal, huge finite and beyond float range; not ASCII
+              5e-324, 1e-320, 1e200, 1.7e308, 10**400, "s\u00e9"]
 FUZZ_CYCLES = 480
 # depths and normals a node may be moved to: the packaged deployments put
 # every node at z = 0 facing up, so only these light bottom detectors

@@ -1,12 +1,14 @@
 """Agent state machine driven cycle by cycle with hand-built channel input."""
 
 import copy
+import json
 import math
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from optomac.config import SCENARIO_NAMES
 from optomac.metrics import Metrics
 from optomac.nodes import (
     AWAIT_WINDOW_SUBCYCLES,
@@ -32,6 +34,7 @@ from optomac.protocol import (
     controller_address,
     frame_mask,
 )
+from optomac.scenarios import run_scenario
 from optomac.timebase import FRAME_BITS, ClockConfig, Rng, Subcycle
 from optomac.trace import NullTrace, TraceWriter
 from oracles import frame_bits, parse_bits
@@ -345,10 +348,12 @@ def test_relay_forwarding_keeps_origin():
 
 # -- frames built once --------------------------------------------------------
 #
-# An agent builds each distinct frame it sends once and sends that object
-# again: its RELAY request per target, each chain's frame per state, a
-# forward per origin and an ACK's frame per commander.  Each test below
-# fails if its cache ignores its key.
+# An agent builds each distinct frame it sends once, in one memo keyed by
+# recipient, opcode and transmitter, and sends that object again: its RELAY
+# request per target, each chain's frame per state, a forward per origin,
+# its BLOCK and an ACK's frame per commander.  Each test below fails if the
+# memo ignores a part of its key, if a BLOCK or forward is queued twice, or
+# if an ACK's count or a chain's link is shared.
 
 
 def sent_frame(sent: list) -> tuple[Frame, int]:
@@ -438,6 +443,67 @@ def test_ack_counts_rise_per_command():
         run_own_subcycle(agent, ic=1 + k, base_cycle=72 + 48 * k)
     assert [(by, count) for by, count, _ in hooks.actuations] == [
         (SENSOR, 1), (PEER, 1), (SENSOR, 2)]
+
+
+def test_chains_to_one_target_each_move_their_own_state():
+    agent, _ = make_agent(variant=Variant.BASIC)
+    first = agent.start_chain(ACTUATOR)
+    run_own_subcycle(agent, ic=0)
+    assert first.state is ChainState.AWAIT_ACK
+    second = agent.start_chain(ACTUATOR)
+    assert sent_frame(run_own_subcycle(agent, ic=1, base_cycle=48)) == (
+        Frame(ACTUATOR, Opcode.COMMAND, SENSOR), 0)
+    assert second.state is ChainState.AWAIT_ACK
+    assert agent.metrics.issued == 2
+
+
+def test_a_frame_sent_twice_is_one_object():
+    sensor, _ = make_agent()
+    sensor.start_request(controller_address(), ic=0)
+    sensor._refresh_chains(0)
+    request = sensor.queue.pop()
+    sensor._refresh_chains(REQUEST_RETRY_ICS)
+    assert sensor.queue == [request] and sensor.queue[0] is request
+    sensor.queue.clear()
+    sensor.start_chain(ACTUATOR)
+    assert sensor._next_out() is sensor._next_out()
+
+    actuator, _ = make_agent(address=ACTUATOR, is_actuator=True,
+                             mode=Subcycle.T3)
+    queued = []
+    for k, opcode in enumerate(2 * [Opcode.NOTIFY, Opcode.RELAY,
+                                    Opcode.COMMAND]):
+        feed_subcycle(actuator, Subcycle.T1, ic=k, base_cycle=48 * k,
+                      top=frame_bits(Frame(ACTUATOR, opcode, SENSOR)))
+        queued.append(actuator.queue[-1])
+        run_own_subcycle(actuator, ic=k, base_cycle=48 * k + 24)
+    block, forward, ack = queued[:3]
+    assert (queued[3] is block and queued[4] is forward
+            and queued[5].frame is ack.frame)
+    # an ACK's count rides on a new Outgoing over the memo's
+    assert (ack.count, queued[5].count) == (1, 2)
+    assert actuator.queue == []
+
+
+def test_one_memo_holds_every_frame_a_handshake_run_sends():
+    kinds = set()
+    for scenario in SCENARIO_NAMES:
+        trace = TraceWriter("events")
+        result = run_scenario(scenario, protocol="handshake", seed=0,
+                              trace=trace)
+        sent = {}
+        for line in trace.getvalue().splitlines():
+            event = json.loads(line)
+            if event["kind"] == "tx_done":
+                sent.setdefault(event["node"], set()).add(event["frame"])
+        for name, agent in result.world.agents.items():
+            memo = {out.frame.describe(): out.frame.opcode
+                    for out in agent._memo.values()}
+            assert sent.get(name, set()) <= memo.keys(), (scenario, name)
+            kinds.update(memo[text] for text in sent.get(name, ()))
+    # the five kinds of frame a node sends after learning
+    assert kinds == {Opcode.NOTIFY, Opcode.BLOCK, Opcode.COMMAND, Opcode.ACK,
+                     Opcode.RELAY}
 
 
 ASLEEP = 10**6

@@ -155,7 +155,10 @@ def trace_cli() -> tuple[dict[str, set[int]], dict[str, set[int]]]:
         try:
             from optomac import cli
             for argv in _runs(Path(tmp)):
-                with contextlib.redirect_stdout(io.StringIO()), \
+                # a stdout over bytes, as a terminal's: --dump-patterns
+                # writes UTF-8 bytes to it
+                with contextlib.redirect_stdout(
+                        io.TextIOWrapper(io.BytesIO(), "utf-8")), \
                         contextlib.redirect_stderr(io.StringIO()):
                     code = cli.main(argv)
                 if code not in (0, 1):
