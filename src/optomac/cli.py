@@ -28,7 +28,7 @@ from pathlib import Path
 from . import config as config_mod
 from .config import ConfigError, WorldConfig
 from .scenarios import ScenarioResult, default_config, run_scenario
-from .trace import LEVELS, TraceWriter
+from .trace import LEVELS, NullTrace, TraceWriter
 
 ARTIFACTS = ("trace.jsonl", "metrics.json", "memory.txt", "patterns.txt")
 
@@ -152,16 +152,25 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.dump_patterns:
-        # UTF-8 whatever the locale, as the artifacts are written
-        sys.stdout.flush()
-        sys.stdout.buffer.write(_patterns_text(cfg).encode("utf-8"))
+        # UTF-8 whatever the locale, as the artifacts are written; a
+        # text-only stream (an in-process redirect) takes the text itself
+        text = _patterns_text(cfg)
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.write(text)
+        else:
+            sys.stdout.flush()
+            buffer.write(text.encode("utf-8"))
         return 0
 
     sweep = seeds[0] != seeds[-1]  # len() fails past sys.maxsize seeds
     protocol = args.protocol if args.protocol is not None else cfg.protocol
+    # a run that writes and verifies no artifact builds no trace text
+    wants_artifacts = args.out is not None or args.verify is not None
     failures = 0
     for seed in seeds:
-        trace = TraceWriter(args.trace_level)
+        trace = (TraceWriter(args.trace_level) if wants_artifacts
+                 else NullTrace())
         try:
             result = run_scenario(args.scenario, cfg=cfg, protocol=protocol,
                                   seed=seed, max_cycles=args.max_cycles,
@@ -171,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         print(_summary_line(result, protocol, seed))
         failures += args.verify is None and result.status != "ok"
-        if args.out is None and args.verify is None:
+        if not wants_artifacts:
             continue
         artifacts = _artifact_map(result, trace)
         if args.out is not None:

@@ -23,7 +23,7 @@ monotonic, so it leaves the wake time alone.
 A detector's bit is the sum of the emitters' power-table entries on its
 side, and its collision evidence the count of emitters whose own entry
 reaches the threshold; a node whose detectors see no bit is left
-unchanged.  One walk carries every frame (``World._carry``): while two or
+unchanged.  One walk carries every frame (``World._walk``): while two or
 more race, each offset's emissions come from the frames still in the race
 and a sender lit on its own 0-bit exits there (``Agent.sense``); once one
 frame is left, alone from the start or not, the rest of it is one step.
@@ -40,6 +40,23 @@ its T4 end, with the sensor pass and ``on_icycle_end``.  Which nodes see
 a bit, and what, is memoised per set of simultaneous emissions.  No node
 ever sees a partial cycle, so runs are reproducible bit-for-bit given the
 same seed and configuration.
+
+Each distinct race is walked once per World (``World._carry``).  A race is
+keyed by its window, its first and end cycle relative to the subcycle's
+start, and by the (agent, mask, pattern) of each sender still in it, in
+transmitter order, the order in which a detector sums their light.  The
+walk changes no state and writes no line; it returns the outcome that
+``_carry`` then replays: each exit through ``Agent.sense`` and, at the
+``power`` level, each power line, in cycle order with an exit before its
+cycle's line; collision evidence, counted once per agent per subcycle; the
+lit agents and the controller's bits, ORed into the subcycle's; and each
+lit listener's masks, through ``Agent.receive``.  The memo is exact for
+the World's life, because the walk reads nothing else that can change: the
+power map, ``controller_hears``, the working modes, ``theta_detect`` and
+the trace level are fixed when the World is built; a short laser gap
+enters through the window's first cycle and a ``run_cycles`` stop or a
+gap's start through its end; and a frame that has already exited does not
+race.
 
 Timekeeping is phase-relative.  A gap in the external laser clock shorter
 than ``g_sync`` is flywheeled: the phase holds and its cycles run as usual,
@@ -163,9 +180,9 @@ class World:
         self.controller_frames: list[tuple[int, Frame]] = []
         # the names whose light reaches the controller: every agent's unless
         # ``controller_hears`` narrows them
-        self.controller_hears = set(controller_hears
-                                    if controller_hears is not None
-                                    else self.agents)
+        self.controller_hears = frozenset(controller_hears
+                                          if controller_hears is not None
+                                          else self.agents)
         # what the controller saw this subcycle, as a bit mask
         self._controller_bits = 0
         # the agents whose collision evidence this subcycle was counted
@@ -174,6 +191,8 @@ class World:
         # each agent that sees a bit, and those agents as a bit mask
         self._lit: dict[tuple, tuple[list[tuple[Agent, bool, bool, bool]],
                                      int]] = {}
+        # race key -> its outcome; see ``_carry`` and ``_walk``
+        self._carries: dict[tuple, tuple] = {}
         # a stimulus changed since the last T4 sensor pass; before any, each
         # reading is 0, below theta_fluor, and each latch is off
         self._stimuli_changed = False
@@ -263,11 +282,11 @@ class World:
 
         Otherwise, at offset 0 of each subcycle only the nodes whose working
         mode it is and that have something to send load a frame.  Then
-        ``_carry`` carries the transmitters' frames, where carrier sense may
-        make one exit at any bit while two or more race.  Nothing else can
-        happen before the subcycle's last cycle, so a subcycle without a
-        transmitter and the guard bits are passed over.  A subcycle cut
-        short by ``stop`` skips its end-of-subcycle work.
+        ``_carry`` carries the frames not yet out of the race, where carrier
+        sense may make one exit at any bit while two or more race.  Nothing
+        else can happen before the subcycle's last cycle, so a subcycle
+        without a transmitter and the guard bits are passed over.  A
+        subcycle cut short by ``stop`` skips its end-of-subcycle work.
         """
         ics, rel = divmod(self.cycle - self.phase_origin, self._icycle_len)
         ic = self._ic_base + ics
@@ -296,13 +315,17 @@ class World:
                         if ic >= agent.next_due():
                             agent.emit(sub, 0, ic, self.cycle)
             last = start + sub_len - 1
-            transmitters = []
+            # (agent, mask, pattern) of each sender whose frame is still in
+            # the race, in transmitter order; one that exited is mute
+            racers = ()
             for agent, bit in senders:
-                if agent.inflight is not None:
-                    transmitters.append(agent)
+                fl = agent.inflight
+                if fl is not None:
                     self._pending |= bit
-            if transmitters:
-                self._carry(transmitters, sub, start,
+                    if fl.exited_at is None:
+                        racers += agent, fl.mask, fl.out.pattern
+            if racers:
+                self._carry(racers, sub, start,
                             max(self.cycle, self._dark_until),
                             min(start + FRAME_BITS, stop))
             if stop <= last:
@@ -334,79 +357,110 @@ class World:
         if sub is T1:
             self.scenario.on_icycle_start(self, ic)
 
-    def _carry(self, transmitters: list[Agent], sub: Subcycle, start: int,
-               first: int, end: int) -> None:
-        """Carry the transmitters' frames over cycles ``first`` to
-        ``end - 1``, which no laser gap darkens.
+    def _carry(self, racers: tuple, sub: Subcycle, start: int, first: int,
+               end: int) -> None:
+        """Carry the frames of ``racers``, the flat (agent, mask, pattern)
+        of each sender still in the race, over cycles ``first`` to
+        ``end - 1``, which no laser gap darkens: replay the outcome of their
+        race, walked the first time the World meets it.  The module
+        docstring gives the key, the replay order and why it is exact.
+        """
+        key = (first - start, end - start) + racers
+        outcome = self._carries.get(key)
+        if outcome is None:
+            outcome = self._carries[key] = self._walk(key, sub)
+        events, evidence, lit_mask, controller_bits, listeners = outcome
+        for off, agent, sources in events:
+            if agent is None:
+                self.trace.power(start + off, sources)
+            else:
+                agent.sense(off, start + off)
+        if evidence:
+            seen = self._evidence_seen
+            for name in evidence:
+                if name not in seen:
+                    seen.add(name)
+                    self.metrics.collisions += 1
+        self._pending |= lit_mask
+        self._controller_bits |= controller_bits
+        for agent, (top, bottom) in listeners:
+            agent.receive(sub, top, bottom)
+
+    def _walk(self, key: tuple, sub: Subcycle) -> tuple:
+        """The outcome of the race ``key`` names (see ``_carry``), with
+        offsets relative to the subcycle's start; it reads its senders from
+        the key, changes no state and writes no trace line.
 
         While two or more frames race it walks offset by offset.  Each
-        cycle's emissions are the 1-bits of the frames still in the race; a
-        lit sender senses the carrier (``Agent.sense``), so one mute on its
-        own 0-bit exits there, its ``tx_exit`` line before the cycle's
-        ``power`` line; and collision evidence counts once per agent per
-        subcycle.  Once one frame is left, the rest of it is one step: with
-        no other emitter nothing can make it exit or give evidence, and each
-        of its 1-bits lights the same detectors.  Each lit listener takes
-        what its detectors saw over the whole carry as one mask
-        (``Agent.receive``).
+        offset's emissions are the 1-bits of the frames still in the race,
+        and a lit sender mute on its own 0-bit exits there.  Once one frame
+        is left, the rest of it is one step: with no other emitter nothing
+        can make it exit or give evidence, and each of its 1-bits lights the
+        same detectors.  The outcome holds the exits ``(offset, agent,
+        None)`` and, at the ``power`` level, the power lines ``(offset,
+        None, sources)``, in cycle order with each exit before its cycle's
+        line; the names of the agents with collision evidence; the lit
+        agents as a bit mask; the bits the controller saw; and each lit
+        listener with its ``(top, bottom)`` masks.
         """
         hears = self.controller_hears
-        trace = self.trace
         power = self._trace_power
-        seen = self._evidence_seen
-        heard = {}
-        cycle = first
+        # the senders still in the race, in transmitter order, each with
+        # its frame's mask and its emission
+        racing = {}
+        for i in range(2, len(key), 3):
+            agent = key[i]
+            racing[agent] = key[i + 1], (agent.name, key[i + 2])
+        events, evidence, heard = [], [], {}
+        lit_all = controller = 0
+        off, end = key[0], key[1]
         exited = True
-        while cycle < end:
+        while off < end:
             if exited:
-                # (frame in flight, emission) of each sender still in the
-                # race, and the masks of those the controller hears, ORed
-                racing, audible = [], 0
-                for agent in transmitters:
-                    fl = agent.inflight
-                    if fl.exited_at is None:
-                        racing.append((fl, (agent.name, fl.out.pattern)))
-                        if agent.name in hears:
-                            audible |= fl.mask
+                # the masks of the racers the controller hears, ORed
+                audible = 0
+                for mask, (name, _) in racing.values():
+                    if name in hears:
+                        audible |= mask
                 exited = False
             alone = len(racing) == 1
             if alone:
                 # the rest of the lone frame: its 1-bits up to ``end``
-                fl, emission = racing[0]
-                bits = fl.mask & (((1 << (end - cycle)) - 1)
-                                  << (start + FRAME_BITS - end))
+                (mask, emission), = racing.values()
+                bits = mask & (((1 << (end - off)) - 1) << (FRAME_BITS - end))
                 emissions = (emission,) if bits else ()
-                at, cycle = cycle, end
+                at, off = off, end
             else:
-                bits = BIT_MASK[cycle - start]
-                emissions = tuple(e for fl, e in racing if fl.mask & bits)
-                at, cycle = cycle, cycle + 1
+                bits = BIT_MASK[off]
+                emissions = tuple([emission for mask, emission
+                                   in racing.values() if mask & bits])
+                at, off = off, off + 1
             if not emissions:
                 continue
-            self._controller_bits |= audible & bits
+            controller |= audible & bits
             lit, lit_mask = self._lit_for(emissions)
-            self._pending |= lit_mask
-            for agent, top, bottom, evidence in lit:
-                if evidence and agent.name not in seen:
-                    seen.add(agent.name)
-                    self.metrics.collisions += 1
+            lit_all |= lit_mask
+            for agent, top, bottom, strong in lit:
+                if strong and agent.name not in evidence:
+                    evidence.append(agent.name)
                 if agent.mode is not sub:
-                    sides = heard.get(agent)
-                    if sides is None:
-                        sides = heard[agent] = [0, 0]
-                    if top:
-                        sides[0] |= bits
-                    if bottom:
-                        sides[1] |= bits
-                elif not alone and agent.sense(at - start, at):
-                    exited = True
+                    seen_top, seen_bottom = heard.get(agent, (0, 0))
+                    heard[agent] = (seen_top | (bits if top else 0),
+                                    seen_bottom | (bits if bottom else 0))
+                elif not alone:
+                    # carrier sense: a racer mute on this bit exits
+                    entry = racing.get(agent)
+                    if entry is not None and not entry[0] & bits:
+                        del racing[agent]
+                        events.append((at, agent, None))
+                        exited = True
             if power:
-                sources = sorted(n for n, _ in emissions)
-                for c in range(at, cycle):
-                    if bits & BIT_MASK[c - start]:
-                        trace.power(c, sources)
-        for agent, (top, bottom) in heard.items():
-            agent.receive(sub, top, bottom)
+                sources = tuple(sorted(name for name, _ in emissions))
+                for c in range(at, off):
+                    if bits & BIT_MASK[c]:
+                        events.append((c, None, sources))
+        return (tuple(events), tuple(evidence), lit_all, controller,
+                tuple(heard.items()))
 
     def _end_subcycle(self, sub: Subcycle, ic: int) -> None:
         if self._pending:

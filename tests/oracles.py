@@ -5,8 +5,8 @@ code a run executes: the geometry of one link, a frame's bits as a tuple
 and decoding a frame from them, arbitration as a maximum and as a
 bit-serial round over carrier sense of summed light, reachability from the
 power map, the phase of a cycle and of a World, an engine that polls
-every agent for work and steps every bit, and the live engine checking its
-wake time.
+every agent for work and steps every bit, the live engine checking its
+wake time, and the live engine walking every race it carries.
 """
 
 from __future__ import annotations
@@ -251,3 +251,26 @@ class WakeCheckingWorld(World):
             busy = [a.name for a in self._order if ic >= a.next_due()]
             assert not busy, (f"{busy} have send work in icycle {ic}, "
                               f"before the wake time {self._wake[0]}")
+
+
+class _Forgetful(dict):
+    """A memo that stores nothing it is given."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+class WalkingWorld(World):
+    """The live World whose race memo never stores, so every carry walks
+    its race (``World._walk``) and replays what it just walked; it counts
+    the walks.  The live World must give the same runs while it walks each
+    distinct race once."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._carries = _Forgetful()
+        self.walks = 0
+
+    def _walk(self, key: tuple, sub: Subcycle) -> tuple:
+        self.walks += 1
+        return super()._walk(key, sub)

@@ -1,6 +1,8 @@
 """Command line front end: artifacts, verification, sweeps, exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -11,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import optomac
-from optomac.cli import ARTIFACTS, _parse_seeds, main
+from optomac import cli
+from optomac.cli import ARTIFACTS, _parse_seeds, _patterns_text, main
 from optomac.config import save, to_dict
 from optomac.scenarios import (
     drug_delivery_config,
@@ -103,6 +106,37 @@ def test_dump_patterns(capsys):
     assert out.startswith("node s1 address 0001\n")
     assert "node a1 address 1000" in out
     assert "pattern 0 mask -" in out
+
+
+def test_dump_patterns_to_a_text_only_stream():
+    # an in-process caller may redirect stdout to a stream without a
+    # byte buffer; the text goes there
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["--scenario", "drug_delivery", "--dump-patterns"]) == 0
+    assert out.getvalue() == _patterns_text(drug_delivery_config())
+
+
+def test_a_run_without_artifacts_builds_no_trace_text(tmp_path, capsys,
+                                                     monkeypatch):
+    # without --out or --verify nothing reads the trace, so none is
+    # written; what the run prints is the same
+    built = []
+
+    class CountingWriter(cli.TraceWriter):
+        def __init__(self, level="events"):
+            built.append(level)
+            super().__init__(level)
+
+    monkeypatch.setattr(cli, "TraceWriter", CountingWriter)
+    argv = ["--config", str(Path(__file__).with_name("data")
+                            / "photothermal_hold.json"), "--seeds", "0..2"]
+    assert main(argv) == 0
+    printed = capsys.readouterr()
+    assert built == []
+    assert main(argv + ["--out", str(tmp_path / "sweep")]) == 0
+    assert capsys.readouterr() == printed
+    assert built == ["events"] * 3
 
 
 def test_dump_patterns_needs_no_scenario(tmp_path, capsys):

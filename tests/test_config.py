@@ -2,14 +2,20 @@
 
 import copy
 import dataclasses
+import io
 import json
 import math
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optomac import cli
 from optomac.antenna import SampledPatternTable
 from optomac.config import (
     SCENARIO_NAMES,
@@ -389,3 +395,55 @@ def test_accepted_configs_run(data, seed):
     result = run_scenario(name, cfg=cfg, seed=seed, max_cycles=FUZZ_CYCLES)
     assert result.status in ("ok", "timeout", "idle")
 
+
+
+# every document the command line is run on: the packaged scenarios' and
+# the test documents (laser gaps, bottom detectors, a wide grid, the hold)
+CLI_DOCS = {**SCENARIO_DOCS, **{
+    path.stem: json.loads(path.read_text(encoding="utf-8"))
+    for path in sorted(Path(__file__).with_name("data").glob("*.json"))}}
+# exit 2 names what is wrong: each violation of a document, or the
+# argument or document key a run rejects
+NAMED = re.compile(r"optomac: (\d+ config violation\(s\):(\n  - \S.*)+"
+                   r"|[a-z_]+: \S.*|config does not name a scenario)\n")
+
+
+def _cli(argv):
+    """``cli.main(argv)`` in process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(CLI_DOCS)), st.data())
+def test_accepted_documents_run_through_the_cli(name, data):
+    """With one leaf at a boundary value, a document written, then
+    verified, then its patterns dumped, exits 0 or 1 each time, or 2 with a
+    named violation each time; it never raises."""
+    doc = copy.deepcopy(CLI_DOCS[name])
+    path = data.draw(st.sampled_from(_leaves(doc)), label="leaf")
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = data.draw(st.sampled_from(ODD_VALUES), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "deploy.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        run = ["--config", str(config), "--seed", "0",
+               "--max-cycles", str(FUZZ_CYCLES)]
+        golden = str(Path(tmp) / "run")
+        codes = []
+        for argv in (run + ["--out", golden], run + ["--verify", golden],
+                     ["--config", str(config), "--dump-patterns"]):
+            code, out, err = _cli(argv)
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert NAMED.fullmatch(err), err
+            codes.append(code)
+    if codes[0] == 2:
+        assert codes == [2, 2, 2]
+    else:
+        # the artifacts reproduce, and the patterns print
+        assert codes[1:] == [0, 0]

@@ -645,9 +645,10 @@ def test_contended_frames_are_emitted_at_offset_0_only(monkeypatch):
 def test_frame_left_alone_carries_its_rest_in_one_step(monkeypatch):
     # s1 commands a (1000 100 0001) while s2 relays to the controller
     # (1110 001 0010): both pulse offset 0, and s1 exits on its 0-bit at
-    # offset 1.  From there s2's frame races alone, so the live engine asks
-    # no node to sense its bits at offsets 2, 6 and 9.  The polling oracle
-    # observes every bit and gives the same trace
+    # offset 1.  From there s2's frame races alone.  The live engine asks a
+    # node to sense only where it exits, so not at offset 0 nor at s2's
+    # bits at offsets 2, 6 and 9.  The polling oracle observes every bit
+    # and gives the same trace
     specs = [spec for spec in clique_specs() if spec[0] != "s3"]
     sensed = []
     sense = Agent.sense
@@ -672,7 +673,7 @@ def test_frame_left_alone_carries_its_rest_in_one_step(monkeypatch):
         runs.append((trace.getvalue(), world.metrics.to_json(),
                      world.controller_frames))
         if world_cls is World:
-            assert sorted(set(sensed)) == [0, 1]
+            assert sorted(set(sensed)) == [1]
     events = [json.loads(line) for line in runs[0][0].splitlines()]
     assert [(e["node"], e["bit"]) for e in events
             if e["kind"] == "tx_exit"] == [("s1", 1)]
