@@ -41,22 +41,28 @@ a bit, and what, is memoised per set of simultaneous emissions.  No node
 ever sees a partial cycle, so runs are reproducible bit-for-bit given the
 same seed and configuration.
 
-Each distinct race is walked once per World (``World._carry``).  A race is
-keyed by its window, its first and end cycle relative to the subcycle's
-start, and by the (agent, mask, pattern) of each sender still in it, in
-transmitter order, the order in which a detector sums their light.  The
-walk changes no state and writes no line; it returns the outcome that
-``_carry`` then replays: each exit through ``Agent.sense`` and, at the
-``power`` level, each power line, in cycle order with an exit before its
-cycle's line; collision evidence, counted once per agent per subcycle; the
-lit agents and the controller's bits, ORed into the subcycle's; and each
-lit listener's masks, through ``Agent.receive``.  The memo is exact for
-the World's life, because the walk reads nothing else that can change: the
-power map, ``controller_hears``, the working modes, ``theta_detect`` and
-the trace level are fixed when the World is built; a short laser gap
+Each distinct race is walked once per deployment (``World._carry``).  A
+race is keyed by its window, its first and end cycle relative to the
+subcycle's start, and by the (index, mask, pattern) of each sender still in
+it, in transmitter order, the order in which a detector sums their light;
+an agent's index is its position in ``World._order``, the config's node
+order.  The walk changes no state and writes no line; it returns the
+outcome that ``_carry`` then replays, mapping each index back to its agent:
+each exit through ``Agent.sense`` and, at the ``power`` level, each power
+line, in cycle order with an exit before its cycle's line; collision
+evidence, counted once per agent per subcycle; the lit agents and the
+controller's bits, ORed into the subcycle's; and each lit listener's masks,
+through ``Agent.receive``.  This memo and the lit-set memo hold indices,
+names and bits, never an agent, and live in a store on the config
+(``WorldConfig.memos``) that ``build_world`` hands to each World, keyed by
+whether the trace wants power lines and by the agents' working modes; a
+World built without the store keeps a private one.  The memo is exact for
+the config's life, because the walk reads nothing else that can change: the
+power map, ``controller_hears`` and ``theta_detect`` come from the config;
+the working modes and the power flag key the store; a short laser gap
 enters through the window's first cycle and a ``run_cycles`` stop or a
 gap's start through its end; and a frame that has already exited does not
-race.
+race.  No seed, protocol or scenario hook enters a walk.
 
 Timekeeping is phase-relative.  A gap in the external laser clock shorter
 than ``g_sync`` is flywheeled: the phase holds and its cycles run as usual,
@@ -131,7 +137,8 @@ class World:
                  metrics: Metrics | None = None,
                  scenario: ScenarioHooks | None = None,
                  laser_gaps: tuple[tuple[int, int], ...] = (),
-                 controller_hears: set[str] | None = None):
+                 controller_hears: set[str] | None = None,
+                 memos: dict | None = None):
         self.poses = poses
         self.clock = clock
         self._icycle_len = clock.icycle_len
@@ -144,11 +151,13 @@ class World:
         self.scenario = scenario if scenario is not None else ScenarioHooks()
         self.agents = {a.name: a for a in agents}
         self.by_address = {a.address: a for a in agents}
-        # bit i of an agent set (``_pending``, the lit masks) is _order[i]
+        # bit i of an agent set (``_pending``, the lit masks) is _order[i],
+        # and so is index i in the memos' keys and values
         self._order = list(self.agents.values())
-        # the senders of each subcycle, by its position in the icycle;
-        # working modes are fixed by learning, before the World exists
-        self._senders = [[(a, 1 << i) for i, a in enumerate(self._order)
+        # the senders of each subcycle, by its position in the icycle, each
+        # with its bit and index; working modes are fixed by learning, before
+        # the World exists
+        self._senders = [[(a, 1 << i, i) for i, a in enumerate(self._order)
                           if a.mode == sub] for sub in SUBCYCLES]
         # the agents to close at the end of the current subcycle
         self._pending = 0
@@ -158,9 +167,8 @@ class World:
             agent.wake = self._wake
         self._sensors = [a for a in agents if not a.is_actuator]
         self.power_map: PowerMap = build_power_map(poses, tables, channel_cfg)
-        # each agent with its column in the power map
-        self._columns = [(a, 1 << i, self.power_map.index[a.name])
-                         for i, a in enumerate(self._order)]
+        # each agent's row and column in the power map, by index
+        self._columns = [self.power_map.index[a.name] for a in self._order]
         self.stimuli: dict[str, Stimulus] = {}
         # how many stimuli are active; only add/set_stimulus change that
         self.lit_stimuli = 0
@@ -187,12 +195,14 @@ class World:
         self._controller_bits = 0
         # the agents whose collision evidence this subcycle was counted
         self._evidence_seen: set[str] = set()
-        # emissions -> (agent, top bit, bottom bit, collision evidence) of
-        # each agent that sees a bit, and those agents as a bit mask
-        self._lit: dict[tuple, tuple[list[tuple[Agent, bool, bool, bool]],
-                                     int]] = {}
-        # race key -> its outcome; see ``_carry`` and ``_walk``
-        self._carries: dict[tuple, tuple] = {}
+        # the lit-set memo, emissions -> (index, top bit, bottom bit,
+        # collision evidence) of each agent that sees a bit and those agents
+        # as a bit mask, and the race memo, race key -> its outcome (see
+        # ``_carry`` and ``_walk``); shared with every World built with the
+        # same ``memos`` store, power-line flag and working modes
+        store = memos if memos is not None else {}
+        self._lit, self._carries = store.setdefault(
+            (self._trace_power, tuple(a.mode for a in self._order)), ({}, {}))
         # a stimulus changed since the last T4 sensor pass; before any, each
         # reading is 0, below theta_fluor, and each latch is off
         self._stimuli_changed = False
@@ -311,19 +321,19 @@ class World:
                 # ``emit`` at offset 0 loads the frame; the walk carries its
                 # bits.  A sender with nothing to send loads nothing
                 if ic >= self._wake[0]:
-                    for agent, _ in senders:
+                    for agent, _, _ in senders:
                         if ic >= agent.next_due():
                             agent.emit(sub, 0, ic, self.cycle)
             last = start + sub_len - 1
-            # (agent, mask, pattern) of each sender whose frame is still in
+            # (index, mask, pattern) of each sender whose frame is still in
             # the race, in transmitter order; one that exited is mute
             racers = ()
-            for agent, bit in senders:
+            for agent, bit, i in senders:
                 fl = agent.inflight
                 if fl is not None:
                     self._pending |= bit
                     if fl.exited_at is None:
-                        racers += agent, fl.mask, fl.out.pattern
+                        racers += i, fl.mask, fl.out.pattern
             if racers:
                 self._carry(racers, sub, start,
                             max(self.cycle, self._dark_until),
@@ -359,7 +369,7 @@ class World:
 
     def _carry(self, racers: tuple, sub: Subcycle, start: int, first: int,
                end: int) -> None:
-        """Carry the frames of ``racers``, the flat (agent, mask, pattern)
+        """Carry the frames of ``racers``, the flat (index, mask, pattern)
         of each sender still in the race, over cycles ``first`` to
         ``end - 1``, which no laser gap darkens: replay the outcome of their
         race, walked the first time the World meets it.  The module
@@ -370,11 +380,12 @@ class World:
         if outcome is None:
             outcome = self._carries[key] = self._walk(key, sub)
         events, evidence, lit_mask, controller_bits, listeners = outcome
-        for off, agent, sources in events:
-            if agent is None:
+        order = self._order
+        for off, i, sources in events:
+            if i is None:
                 self.trace.power(start + off, sources)
             else:
-                agent.sense(off, start + off)
+                order[i].sense(off, start + off)
         if evidence:
             seen = self._evidence_seen
             for name in evidence:
@@ -383,8 +394,8 @@ class World:
                     self.metrics.collisions += 1
         self._pending |= lit_mask
         self._controller_bits |= controller_bits
-        for agent, (top, bottom) in listeners:
-            agent.receive(sub, top, bottom)
+        for i, (top, bottom) in listeners:
+            order[i].receive(sub, top, bottom)
 
     def _walk(self, key: tuple, sub: Subcycle) -> tuple:
         """The outcome of the race ``key`` names (see ``_carry``), with
@@ -396,21 +407,22 @@ class World:
         and a lit sender mute on its own 0-bit exits there.  Once one frame
         is left, the rest of it is one step: with no other emitter nothing
         can make it exit or give evidence, and each of its 1-bits lights the
-        same detectors.  The outcome holds the exits ``(offset, agent,
+        same detectors.  The outcome holds the exits ``(offset, index,
         None)`` and, at the ``power`` level, the power lines ``(offset,
         None, sources)``, in cycle order with each exit before its cycle's
         line; the names of the agents with collision evidence; the lit
         agents as a bit mask; the bits the controller saw; and each lit
-        listener with its ``(top, bottom)`` masks.
+        listener's index with its ``(top, bottom)`` masks.
         """
+        order = self._order
         hears = self.controller_hears
         power = self._trace_power
-        # the senders still in the race, in transmitter order, each with
-        # its frame's mask and its emission
+        # the indices of the senders still in the race, in transmitter
+        # order, each with its frame's mask and its emission
         racing = {}
-        for i in range(2, len(key), 3):
-            agent = key[i]
-            racing[agent] = key[i + 1], (agent.name, key[i + 2])
+        for k in range(2, len(key), 3):
+            i = key[k]
+            racing[i] = key[k + 1], (i, key[k + 2])
         events, evidence, heard = [], [], {}
         lit_all = controller = 0
         off, end = key[0], key[1]
@@ -419,8 +431,8 @@ class World:
             if exited:
                 # the masks of the racers the controller hears, ORed
                 audible = 0
-                for mask, (name, _) in racing.values():
-                    if name in hears:
+                for mask, (i, _) in racing.values():
+                    if order[i].name in hears:
                         audible |= mask
                 exited = False
             alone = len(racing) == 1
@@ -440,22 +452,23 @@ class World:
             controller |= audible & bits
             lit, lit_mask = self._lit_for(emissions)
             lit_all |= lit_mask
-            for agent, top, bottom, strong in lit:
+            for i, top, bottom, strong in lit:
+                agent = order[i]
                 if strong and agent.name not in evidence:
                     evidence.append(agent.name)
                 if agent.mode is not sub:
-                    seen_top, seen_bottom = heard.get(agent, (0, 0))
-                    heard[agent] = (seen_top | (bits if top else 0),
-                                    seen_bottom | (bits if bottom else 0))
+                    seen_top, seen_bottom = heard.get(i, (0, 0))
+                    heard[i] = (seen_top | (bits if top else 0),
+                                seen_bottom | (bits if bottom else 0))
                 elif not alone:
                     # carrier sense: a racer mute on this bit exits
-                    entry = racing.get(agent)
+                    entry = racing.get(i)
                     if entry is not None and not entry[0] & bits:
-                        del racing[agent]
-                        events.append((at, agent, None))
+                        del racing[i]
+                        events.append((at, i, None))
                         exited = True
             if power:
-                sources = tuple(sorted(name for name, _ in emissions))
+                sources = tuple(sorted(order[i].name for i, _ in emissions))
                 for c in range(at, off):
                     if bits & BIT_MASK[c]:
                         events.append((c, None, sources))
@@ -496,12 +509,13 @@ class World:
                 self._pending &= ~bit
             todo = self._pending & ~((bit << 1) - 1)
 
-    def _lit_for(self, emissions: tuple[tuple[str, int], ...]
-                 ) -> tuple[list[tuple[Agent, bool, bool, bool]], int]:
-        """The agents whose detectors see a bit while ``emissions`` pulse,
-        in agent order, each with its top and bottom bit and whether either
-        side has collision evidence, and the same agents as a bit mask;
-        memoised per world.
+    def _lit_for(self, emissions: tuple[tuple[int, int], ...]
+                 ) -> tuple[list[tuple[int, bool, bool, bool]], int]:
+        """The agents whose detectors see a bit while ``emissions``, the
+        (index, pattern) of each emitter, pulse: the index of each, in agent
+        order, with its top and bottom bit and whether either side has
+        collision evidence, and the same agents as a bit mask; memoised
+        with the race memo.
 
         A side's bit is the sum of the emitters' entries reaching
         ``theta_detect``, as in ``superpose``; its evidence is two or more
@@ -513,14 +527,15 @@ class World:
         entry = self._lit.get(emissions)
         if entry is None:
             pm = self.power_map
+            columns = self._columns
             theta = self.channel_cfg.theta_detect
             rows = []
             for tx, pattern in emissions:
-                i = pm.index[tx]
-                rows.append((pm.power[i][pattern], pm.top[i]))
+                row = columns[tx]
+                rows.append((pm.power[row][pattern], pm.top[row]))
             lit = []
             mask = 0
-            for agent, bit, j in self._columns:
+            for i, j in enumerate(columns):
                 # the same sums in the same order as ``superpose``; an
                 # emitter's own entry is 0.0, adds nothing and is not strong
                 top = bottom = 0.0
@@ -536,9 +551,9 @@ class World:
                         if p >= theta:
                             strong_bottom += 1
                 if top >= theta or bottom >= theta:
-                    lit.append((agent, top >= theta, bottom >= theta,
+                    lit.append((i, top >= theta, bottom >= theta,
                                 strong_top >= 2 or strong_bottom >= 2))
-                    mask |= bit
+                    mask |= 1 << i
             entry = self._lit[emissions] = (lit, mask)
         return entry
 

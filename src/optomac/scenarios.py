@@ -537,7 +537,7 @@ def build_world(cfg: WorldConfig, variant: Variant, seed: int,
     world = World(parts.poses, parts.tables, agents, cfg.clock, cfg.channel,
                   trace=trace, metrics=metrics,
                   scenario=driver, laser_gaps=cfg.laser_gaps,
-                  controller_hears=cfg.controller_hears)
+                  controller_hears=cfg.controller_hears, memos=cfg.memos)
     return world, parts, report
 
 

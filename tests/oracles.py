@@ -173,12 +173,15 @@ class PollingWorld(World):
     pending set, its one-step inert icycles, and its one walk over the
     frames, which it starts at offset 0 once the frames are loaded and
     which carries the rest of the last frame left in the race in one step.
+    Its lit sets come from a private memo, never from one the live Worlds
+    of its deployment filled.
     """
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, **{**kwargs, "memos": {}})
         # never 0, so that every subcycle's end reaches ``_close_agents``
         self._pending = -1
+        self._index = {agent: i for i, agent in enumerate(self._order)}
 
     def _run_icycle(self, stop: int) -> None:
         while True:
@@ -208,24 +211,26 @@ class PollingWorld(World):
                     ic: int) -> None:
         """Step one cycle bit by bit: each transmitter emits its bit, and
         each agent whose detectors see one observes it."""
-        emissions = []
+        emitters, emissions = [], []
         for agent in transmitters:
             sent = agent.emit(sub, off, ic, self.cycle)
             if sent is not None and sent[0] == 1:
-                emissions.append((agent.name, sent[1]))
+                emitters.append(agent.name)
+                emissions.append((self._index[agent], sent[1]))
         if not emissions or self.cycle < self._dark_until:
             return
-        if any(tx in self.controller_hears for tx, _ in emissions):
+        if any(tx in self.controller_hears for tx in emitters):
             self._controller_bits |= BIT_MASK[off]
         lit, lit_mask = self._lit_for(tuple(emissions))
         self._pending |= lit_mask
-        for agent, top, bottom, evidence in lit:
+        for i, top, bottom, evidence in lit:
+            agent = self._order[i]
             if evidence and agent.name not in self._evidence_seen:
                 self._evidence_seen.add(agent.name)
                 self.metrics.collisions += 1
             agent.observe(top, bottom, sub, off, ic, self.cycle)
         if self.trace.wants("power"):
-            self.trace.power(self.cycle, sorted(n for n, _ in emissions))
+            self.trace.power(self.cycle, sorted(emitters))
 
     def _close_agents(self, sub: Subcycle, ic: int) -> None:
         for agent in self.agents.values():
@@ -261,13 +266,13 @@ class _Forgetful(dict):
 
 
 class WalkingWorld(World):
-    """The live World whose race memo never stores, so every carry walks
-    its race (``World._walk``) and replays what it just walked; it counts
-    the walks.  The live World must give the same runs while it walks each
-    distinct race once."""
+    """The live World with a private, empty store whose race memo never
+    stores, so every carry walks its race (``World._walk``) and replays
+    what it just walked; it counts the walks.  The live World must give the
+    same runs while it walks each distinct race once per deployment."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, **{**kwargs, "memos": {}})
         self._carries = _Forgetful()
         self.walks = 0
 

@@ -303,9 +303,12 @@ def test_lit_set_matches_superpose_oracle(deployment, mu, data):
         if top.bit or bottom.bit:
             expected.append((name, top.bit == 1, bottom.bit == 1,
                              top.evidence or bottom.evidence))
-    lit, mask = world._lit_for(emissions)
-    assert [(agent.name, top, bottom, evidence)
-            for agent, top, bottom, evidence in lit] == expected
+    # the World keys and reports agents by their index, its i-th agent
+    # being the i-th name
+    lit, mask = world._lit_for(tuple((names.index(tx), p)
+                                     for tx, p in emissions))
+    assert [(names[i], top, bottom, evidence)
+            for i, top, bottom, evidence in lit] == expected
     # the mask holds the same agents, bit i for the i-th
     assert mask == sum(1 << names.index(name) for name, *_ in expected)
 
@@ -326,9 +329,12 @@ def test_lit_evidence_needs_two_strong_emitters_on_one_side():
               for i, name in enumerate(poses)]
     world = World(poses, tables, agents, ClockConfig(), cfg)
 
+    names = list(poses)
+
     def seen_at_rx(*emitters):
-        lit, _ = world._lit_for(tuple((tx, 0) for tx in emitters))
-        return [entry[1:] for entry in lit if entry[0].name == "rx"]
+        lit, _ = world._lit_for(tuple((names.index(tx), 0)
+                                      for tx in emitters))
+        return [entry[1:] for entry in lit if names[entry[0]] == "rx"]
 
     # (top bit, bottom bit, evidence)
     assert seen_at_rx("a") == [(True, False, False)]

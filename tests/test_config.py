@@ -291,6 +291,11 @@ def _leaf_paths(node, path=()):
 
 SCENARIO_DOCS = {name: to_dict(default_config(name))
                  for name in SCENARIO_NAMES}
+# every document the fuzzers start from: the packaged scenarios' and the
+# test documents (laser gaps, bottom detectors, a wide grid, the hold)
+CLI_DOCS = {**SCENARIO_DOCS, **{
+    path.stem: json.loads(path.read_text(encoding="utf-8"))
+    for path in sorted(Path(__file__).with_name("data").glob("*.json"))}}
 ODD_VALUES = [0, -1, 1.5, 1e-9, 1e9, math.nan, math.inf, -math.inf, True,
               "1", None,
               # subnormal, huge finite and beyond float range; not ASCII
@@ -344,12 +349,14 @@ def _add_node(doc, idx, offset):
 
 
 def _edited_document(data):
-    """A packaged scenario's document after structural edits (a node
-    dropped or added, a node's ``recognized`` emptied, each node's depth and
-    normal (up, down or tilted), random laser gaps) and up to two odd leaf
-    values, each drawn from ``data``."""
-    name = data.draw(st.sampled_from(SCENARIO_NAMES), label="scenario")
-    doc = copy.deepcopy(SCENARIO_DOCS[name])
+    """A packaged scenario's or a test document, and the scenario it
+    names, after structural edits (a node dropped or added, a node's
+    ``recognized`` emptied, each node's depth and normal (up, down or
+    tilted), random laser gaps) and up to two odd leaf values, each drawn
+    from ``data``."""
+    source = data.draw(st.sampled_from(sorted(CLI_DOCS)), label="document")
+    doc = copy.deepcopy(CLI_DOCS[source])
+    name = source if source in SCENARIO_DOCS else doc["scenario"]
     n = len(doc["nodes"])
     edit = data.draw(st.sampled_from(("keep", "drop", "add")), label="edit")
     if edit == "drop":
@@ -396,12 +403,6 @@ def test_accepted_configs_run(data, seed):
     assert result.status in ("ok", "timeout", "idle")
 
 
-
-# every document the command line is run on: the packaged scenarios' and
-# the test documents (laser gaps, bottom detectors, a wide grid, the hold)
-CLI_DOCS = {**SCENARIO_DOCS, **{
-    path.stem: json.loads(path.read_text(encoding="utf-8"))
-    for path in sorted(Path(__file__).with_name("data").glob("*.json"))}}
 # exit 2 names what is wrong: each violation of a document, or the
 # argument or document key a run rejects
 NAMED = re.compile(r"optomac: (\d+ config violation\(s\):(\n  - \S.*)+"

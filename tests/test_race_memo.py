@@ -1,15 +1,22 @@
-"""The World's race memo: each distinct race is walked once and replayed.
+"""The race memo: each distinct race of a deployment is walked once and
+replayed.
 
-``World._carry`` keys a race by its window and by the (agent, mask,
+``World._carry`` keys a race by its window and by the (index, mask,
 pattern) of each sender still in it, in transmitter order, and replays the
-outcome ``World._walk`` gave the first time.  These tests hold the replay
-to a World that walks every carry (``oracles.WalkingWorld``) on whole
-scenario runs, and to the per-bit ``PollingWorld`` where only one part of
-the key tells two races apart.
+outcome ``World._walk`` gave the first time a World of the deployment met
+it: the Worlds built from one config share the memo
+(``WorldConfig.memos``).  These tests hold the replay to a World that walks
+every carry (``oracles.WalkingWorld``) on whole scenario runs, and to the
+per-bit ``PollingWorld`` where only one part of the key tells two races
+apart; and they hold a run on a shared memo to a run on a fresh one.
 """
 
+import dataclasses
+import gc
 import json
 import math
+import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -17,14 +24,15 @@ import pytest
 from optomac import scenarios
 from optomac.antenna import SampledPatternTable
 from optomac.channel import ChannelConfig
-from optomac.config import load_path
+from optomac.cli import _artifact_map
+from optomac.config import PROTOCOL_NAMES, load_path
 from optomac.engine import World
 from optomac.geometry import NodePose
 from optomac.metrics import Metrics
 from optomac.nodes import Agent, Outgoing, Variant
 from optomac.protocol import PRIORITY_DATA, Frame, NodeMemory, Opcode
 from optomac.timebase import FRAME_BITS, ClockConfig, Rng, Subcycle
-from optomac.trace import TraceWriter
+from optomac.trace import LEVELS, TraceWriter
 from oracles import PollingWorld, WalkingWorld
 
 DATA = Path(__file__).with_name("data")
@@ -39,6 +47,23 @@ def _scenario_run(monkeypatch, world_cls, cfg, protocol, seed):
                           result.world.controller_frames)
 
 
+class CountingWorld(World):
+    """The live World, recording the window of each race it carries and
+    the key of each race it walks."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.windows, self.walked = set(), []
+
+    def _carry(self, racers, sub, start, first, end):
+        self.windows.add((first - start, end - start))
+        super()._carry(racers, sub, start, first, end)
+
+    def _walk(self, key, sub):
+        self.walked.append(key)
+        return super()._walk(key, sub)
+
+
 @pytest.mark.parametrize("source,protocol", [
     ("hidden_terminal", "basic"), ("hidden_terminal", "handshake"),
     ("clique_contention", "basic"), ("clique_contention", "handshake"),
@@ -49,23 +74,31 @@ def _scenario_run(monkeypatch, world_cls, cfg, protocol, seed):
 ])
 def test_replayed_races_match_walked_ones(monkeypatch, source, protocol):
     # the power-level trace, metrics.json and the controller's frames of a
-    # run that replays each race it walked once equal those of a run that
-    # walks every carry.  The short scenarios replay a few races at most,
-    # the hold document all but three of its ~380
+    # run that replays each race walked once for its deployment equal those
+    # of a run that walks every carry.  The short scenarios replay a few
+    # races at most, the hold document all but three of its ~380.  The
+    # seeds share one memo, so a run walks only the races no seed before
+    # it met, each once
     cfg = (load_path(DATA / source) if source.endswith(".json")
-           else scenarios.default_config(source))
+           else dataclasses.replace(scenarios.default_config(source)))
+    known = set()
     for seed in range(4):
-        live, ran = _scenario_run(monkeypatch, World, cfg, protocol, seed)
+        live, ran = _scenario_run(monkeypatch, CountingWorld, cfg, protocol,
+                                  seed)
         walking, walked = _scenario_run(monkeypatch, WalkingWorld, cfg,
                                         protocol, seed)
         assert ran == walked
-        assert len(live._carries) <= walking.walks
+        assert len(live.walked) <= walking.walks
+        assert len(set(live.walked)) == len(live.walked)
+        assert known.isdisjoint(live.walked)
+        assert set(live._carries) == known | set(live.walked)
         summary = json.loads(ran[1])["summary"]
         if source == "clique_contention":
             assert summary["exits"] > 0 and summary["collisions"] > 0
         if source == "hidden_terminal_gaps.json":
             # a laser gap cut or darkened the window of some race
-            assert any(key[:2] != (0, FRAME_BITS) for key in live._carries)
+            assert any(w != (0, FRAME_BITS) for w in live.windows)
+        known = set(live._carries)
 
 
 def test_a_hold_run_walks_each_race_once(monkeypatch):
@@ -156,7 +189,7 @@ def test_one_frame_under_two_patterns_is_two_races():
     assert live == polled
     s = world.agents["s"]
     assert sorted(key[4] for key in world._carries
-                  if key[2] is s) == [0, 1]
+                  if key[2] == world._order.index(s)) == [0, 1]
     heard = [e for e in map(json.loads, live[0].splitlines())
              if e["kind"] == "rx_frame" and e["node"] == "a"]
     assert len(heard) == 1 and heard[0]["cycle"] < world.clock.icycle_len
@@ -201,5 +234,76 @@ def test_racers_sum_their_light_in_transmitter_order():
     assert live == polled
     # a saw no bit of the race, so it decoded nothing
     assert '"node": "a"' not in live[0]
+    order = [agent.name for agent in world._order]
     assert [key[2::3] for key in world._carries][0] == tuple(
-        world.agents[name] for name in ("s3", "s1", "s2"))
+        order.index(name) for name in ("s3", "s1", "s2"))
+
+
+# draws backoffs; has exits and collisions; has cut windows; lights bottom
+# detectors
+SHARED_SOURCES = ("hidden_terminal", "clique_contention",
+                  "hidden_terminal_gaps.json", "hidden_terminal_layered.json")
+
+
+def _artifacts(cfg, seed, protocol, level):
+    """The World of one run and the four artifacts the CLI writes for it."""
+    trace = TraceWriter(level)
+    result = scenarios.run_scenario(cfg=cfg, protocol=protocol, seed=seed,
+                                    trace=trace)
+    return result.world, _artifact_map(result, trace)
+
+
+def _contents(obj):
+    """Every key and value held in ``obj``'s dicts, tuples and lists."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _contents(key)
+            yield from _contents(value)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _contents(item)
+    else:
+        yield obj
+
+
+@pytest.mark.parametrize("source", SHARED_SOURCES)
+def test_a_run_writes_no_shared_state(monkeypatch, source):
+    # each (seed, protocol, trace level) run of one config, in two shuffled
+    # orders over the config's shared memos, gives the four artifacts of a
+    # run on a copy of the config, whose memos are its own and empty.  The
+    # second pass walks no race, and the memos hold only ints, strings,
+    # flags and working modes, nothing of a run
+    base = (load_path(DATA / source) if source.endswith(".json")
+            else scenarios.default_config(source))
+    runs = [(seed, protocol, level) for seed in range(4)
+            for protocol in PROTOCOL_NAMES for level in LEVELS]
+    cold = {run: _artifacts(dataclasses.replace(base), *run)[1]
+            for run in runs}
+    cfg = dataclasses.replace(base)
+    monkeypatch.setattr(scenarios, "World", CountingWorld)
+    walks = []
+    for order in range(2):
+        random.Random(order).shuffle(runs)
+        walks.append(0)
+        for run in runs:
+            world, artifacts = _artifacts(cfg, *run)
+            assert artifacts == cold[run], run
+            walks[-1] += len(world.walked)
+    assert walks[0] > 0 and walks[1] == 0
+    # only a walk at the power level yields power lines: runs at the power
+    # level after every other level's, on fresh memos, must still write them
+    levelled = dataclasses.replace(base)
+    for run in sorted(runs, key=lambda run: LEVELS.index(run[2])):
+        assert _artifacts(levelled, *run)[1] == cold[run], run
+    assert {type(x) for x in _contents(cfg.memos)} <= {
+        bool, int, str, Subcycle, type(None)}
+    # so a run's World and agents are freed with its last reference, no
+    # cyclic collection needed
+    gc.disable()
+    try:
+        world, _ = _artifacts(cfg, *runs[0])
+        refs = [weakref.ref(x) for x in (world, *world._order)]
+        del world
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
