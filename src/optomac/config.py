@@ -105,10 +105,11 @@ class WorldConfig:
 
     @functools.cached_property
     def memos(self) -> dict:
-        """The lit-set and race memos of the Worlds built from this config
-        (``engine.World``), kept for the config's life so that its runs
-        share them.  Not a field: the config is frozen and the memos hold
-        only what it fixes, so no seed or protocol changes an entry."""
+        """The race memos of the Worlds built from this config
+        (``engine.World``), one for each value of whether the trace wants
+        power lines, kept for the config's life so that its runs share
+        them.  Not a field: the config is frozen and the memos hold only
+        what it fixes, so no seed or protocol changes an entry."""
         return {}
 
 

@@ -23,11 +23,11 @@ monotonic, so it leaves the wake time alone.
 A detector's bit is the sum of the emitters' power-table entries on its
 side, and its collision evidence the count of emitters whose own entry
 reaches the threshold; a node whose detectors see no bit is left
-unchanged.  One walk carries every frame (``World._walk``): while two or
-more race, each offset's emissions come from the frames still in the race
-and a sender lit on its own 0-bit exits there (``Agent.sense``); once one
-frame is left, alone from the start or not, the rest of it is one step.
-Each lit listener takes what it saw as one mask (``Agent.receive``).
+unchanged.  One walk carries every frame offset by offset
+(``World._walk``): each offset's emissions come from the frames still in
+the race, and a racer lit on its own 0-bit exits there (``Agent.sense``).
+Every other lit node takes what it saw as one mask (``Agent.receive``),
+which a node drops in its own subcycle.
 Subcycles without a transmitter and guard bits carry no light and are
 passed over to the subcycle's last cycle, where only the pending nodes
 close it: a bit mask in node order of the transmitters, the nodes that
@@ -36,9 +36,8 @@ Sensors get fluorescence readings at the end of T4 only after a stimulus
 changed, as only that pass moves a latch.  So an instruction cycle in
 which, once ``on_icycle_start`` has run, no node is pending or has send
 work, and that no laser gap or ``run_cycles`` boundary cuts, is one step:
-its T4 end, with the sensor pass and ``on_icycle_end``.  Which nodes see
-a bit, and what, is memoised per set of simultaneous emissions.  No node
-ever sees a partial cycle, so runs are reproducible bit-for-bit given the
+its T4 end, with the sensor pass and ``on_icycle_end``.  No node ever
+sees a partial cycle, so runs are reproducible bit-for-bit given the
 same seed and configuration.
 
 Each distinct race is walked once per deployment (``World._carry``).  A
@@ -49,20 +48,21 @@ an agent's index is its position in ``World._order``, the config's node
 order.  The walk changes no state and writes no line; it returns the
 outcome that ``_carry`` then replays, mapping each index back to its agent:
 each exit through ``Agent.sense`` and, at the ``power`` level, each power
-line, in cycle order with an exit before its cycle's line; collision
-evidence, counted once per agent per subcycle; the lit agents and the
-controller's bits, ORed into the subcycle's; and each lit listener's masks,
-through ``Agent.receive``.  This memo and the lit-set memo hold indices,
-names and bits, never an agent, and live in a store on the config
-(``WorldConfig.memos``) that ``build_world`` hands to each World, keyed by
-whether the trace wants power lines and by the agents' working modes; a
-World built without the store keeps a private one.  The memo is exact for
-the config's life, because the walk reads nothing else that can change: the
-power map, ``controller_hears`` and ``theta_detect`` come from the config;
-the working modes and the power flag key the store; a short laser gap
-enters through the window's first cycle and a ``run_cycles`` stop or a
-gap's start through its end; and a frame that has already exited does not
-race.  No seed, protocol or scenario hook enters a walk.
+line, in cycle order with an exit before its cycle's line; the agents
+with collision evidence as a bit mask, each counted once per subcycle; the
+lit agents and the controller's bits, ORed into the subcycle's; and each
+lit listener's masks, through ``Agent.receive``.  The memo holds indices
+and bits, never an agent, and names only in its power lines' sources.  It
+lives in a store on the config (``WorldConfig.memos``) that
+``build_world`` hands to each World, one memo per value of whether the
+trace wants power lines; a World built without the store keeps a private
+one.  The memo is exact for the config's life, because the walk reads
+nothing else that can change: the power map, ``controller_hears`` and
+``theta_detect`` come from the config; the power flag keys the store; a
+short laser gap enters through the window's first cycle and a
+``run_cycles`` stop or a gap's start through its end; and a frame that has
+already exited does not race.  No working mode, seed, protocol or scenario
+hook enters a walk.
 
 Timekeeping is phase-relative.  A gap in the external laser clock shorter
 than ``g_sync`` is flywheeled: the phase holds and its cycles run as usual,
@@ -193,16 +193,14 @@ class World:
                                           else self.agents)
         # what the controller saw this subcycle, as a bit mask
         self._controller_bits = 0
-        # the agents whose collision evidence this subcycle was counted
-        self._evidence_seen: set[str] = set()
-        # the lit-set memo, emissions -> (index, top bit, bottom bit,
-        # collision evidence) of each agent that sees a bit and those agents
-        # as a bit mask, and the race memo, race key -> its outcome (see
-        # ``_carry`` and ``_walk``); shared with every World built with the
-        # same ``memos`` store, power-line flag and working modes
+        # the agents whose collision evidence this subcycle was counted, as
+        # a bit mask
+        self._evidence_seen = 0
+        # the race memo, race key -> its outcome (see ``_carry`` and
+        # ``_walk``); shared with every World built with the same ``memos``
+        # store and power-line flag
         store = memos if memos is not None else {}
-        self._lit, self._carries = store.setdefault(
-            (self._trace_power, tuple(a.mode for a in self._order)), ({}, {}))
+        self._carries = store.setdefault(self._trace_power, {})
         # a stimulus changed since the last T4 sensor pass; before any, each
         # reading is 0, below theta_fluor, and each latch is off
         self._stimuli_changed = False
@@ -363,7 +361,7 @@ class World:
 
     def _begin_subcycle(self, sub: Subcycle, ic: int) -> None:
         self._controller_bits = 0
-        self._evidence_seen.clear()
+        self._evidence_seen = 0
         if sub is T1:
             self.scenario.on_icycle_start(self, ic)
 
@@ -378,7 +376,7 @@ class World:
         key = (first - start, end - start) + racers
         outcome = self._carries.get(key)
         if outcome is None:
-            outcome = self._carries[key] = self._walk(key, sub)
+            outcome = self._carries[key] = self._walk(key)
         events, evidence, lit_mask, controller_bits, listeners = outcome
         order = self._order
         for off, i, sources in events:
@@ -386,33 +384,29 @@ class World:
                 self.trace.power(start + off, sources)
             else:
                 order[i].sense(off, start + off)
+        evidence &= ~self._evidence_seen
         if evidence:
-            seen = self._evidence_seen
-            for name in evidence:
-                if name not in seen:
-                    seen.add(name)
-                    self.metrics.collisions += 1
+            self._evidence_seen |= evidence
+            self.metrics.collisions += evidence.bit_count()
         self._pending |= lit_mask
         self._controller_bits |= controller_bits
         for i, (top, bottom) in listeners:
             order[i].receive(sub, top, bottom)
 
-    def _walk(self, key: tuple, sub: Subcycle) -> tuple:
+    def _walk(self, key: tuple) -> tuple:
         """The outcome of the race ``key`` names (see ``_carry``), with
         offsets relative to the subcycle's start; it reads its senders from
         the key, changes no state and writes no trace line.
 
-        While two or more frames race it walks offset by offset.  Each
-        offset's emissions are the 1-bits of the frames still in the race,
-        and a lit sender mute on its own 0-bit exits there.  Once one frame
-        is left, the rest of it is one step: with no other emitter nothing
-        can make it exit or give evidence, and each of its 1-bits lights the
-        same detectors.  The outcome holds the exits ``(offset, index,
-        None)`` and, at the ``power`` level, the power lines ``(offset,
-        None, sources)``, in cycle order with each exit before its cycle's
-        line; the names of the agents with collision evidence; the lit
-        agents as a bit mask; the bits the controller saw; and each lit
-        listener's index with its ``(top, bottom)`` masks.
+        It walks offset by offset.  Each offset's emissions are the 1-bits
+        of the frames still in the race, and a lit racer mute on its own
+        0-bit exits there; every other lit agent is a listener, whatever its
+        working mode.  The outcome holds the exits ``(offset, index, None)``
+        and, at the ``power`` level, the power lines ``(offset, None,
+        sources)``, in cycle order with each exit before its cycle's line;
+        the agents with collision evidence as a bit mask; the lit agents as
+        a bit mask; the bits the controller saw; and each lit listener's
+        index with its ``(top, bottom)`` masks.
         """
         order = self._order
         hears = self.controller_hears
@@ -423,56 +417,34 @@ class World:
         for k in range(2, len(key), 3):
             i = key[k]
             racing[i] = key[k + 1], (i, key[k + 2])
-        events, evidence, heard = [], [], {}
-        lit_all = controller = 0
-        off, end = key[0], key[1]
-        exited = True
-        while off < end:
-            if exited:
-                # the masks of the racers the controller hears, ORed
-                audible = 0
-                for mask, (i, _) in racing.values():
-                    if order[i].name in hears:
-                        audible |= mask
-                exited = False
-            alone = len(racing) == 1
-            if alone:
-                # the rest of the lone frame: its 1-bits up to ``end``
-                (mask, emission), = racing.values()
-                bits = mask & (((1 << (end - off)) - 1) << (FRAME_BITS - end))
-                emissions = (emission,) if bits else ()
-                at, off = off, end
-            else:
-                bits = BIT_MASK[off]
-                emissions = tuple([emission for mask, emission
-                                   in racing.values() if mask & bits])
-                at, off = off, off + 1
+        events, heard = [], {}
+        evidence = lit_all = controller = 0
+        for off in range(key[0], key[1]):
+            bit = BIT_MASK[off]
+            emissions = tuple([emission for mask, emission
+                               in racing.values() if mask & bit])
             if not emissions:
                 continue
-            controller |= audible & bits
+            if any(order[i].name in hears for i, _ in emissions):
+                controller |= bit
             lit, lit_mask = self._lit_for(emissions)
             lit_all |= lit_mask
             for i, top, bottom, strong in lit:
-                agent = order[i]
-                if strong and agent.name not in evidence:
-                    evidence.append(agent.name)
-                if agent.mode is not sub:
+                if strong:
+                    evidence |= 1 << i
+                entry = racing.get(i)
+                if entry is None:
                     seen_top, seen_bottom = heard.get(i, (0, 0))
-                    heard[i] = (seen_top | (bits if top else 0),
-                                seen_bottom | (bits if bottom else 0))
-                elif not alone:
+                    heard[i] = (seen_top | (bit if top else 0),
+                                seen_bottom | (bit if bottom else 0))
+                elif not entry[0] & bit:
                     # carrier sense: a racer mute on this bit exits
-                    entry = racing.get(i)
-                    if entry is not None and not entry[0] & bits:
-                        del racing[i]
-                        events.append((at, i, None))
-                        exited = True
+                    del racing[i]
+                    events.append((off, i, None))
             if power:
-                sources = tuple(sorted(order[i].name for i, _ in emissions))
-                for c in range(at, off):
-                    if bits & BIT_MASK[c]:
-                        events.append((c, None, sources))
-        return (tuple(events), tuple(evidence), lit_all, controller,
+                events.append((off, None, tuple(sorted(
+                    order[i].name for i, _ in emissions))))
+        return (tuple(events), evidence, lit_all, controller,
                 tuple(heard.items()))
 
     def _end_subcycle(self, sub: Subcycle, ic: int) -> None:
@@ -514,8 +486,8 @@ class World:
         """The agents whose detectors see a bit while ``emissions``, the
         (index, pattern) of each emitter, pulse: the index of each, in agent
         order, with its top and bottom bit and whether either side has
-        collision evidence, and the same agents as a bit mask; memoised
-        with the race memo.
+        collision evidence, and the same agents as a bit mask.  Only a walk
+        computes it; the race memo keeps what the walk made of it.
 
         A side's bit is the sum of the emitters' entries reaching
         ``theta_detect``, as in ``superpose``; its evidence is two or more
@@ -524,38 +496,35 @@ class World:
         agent without a bit is left out: observing nothing changes nothing,
         and evidence implies a bit.
         """
-        entry = self._lit.get(emissions)
-        if entry is None:
-            pm = self.power_map
-            columns = self._columns
-            theta = self.channel_cfg.theta_detect
-            rows = []
-            for tx, pattern in emissions:
-                row = columns[tx]
-                rows.append((pm.power[row][pattern], pm.top[row]))
-            lit = []
-            mask = 0
-            for i, j in enumerate(columns):
-                # the same sums in the same order as ``superpose``; an
-                # emitter's own entry is 0.0, adds nothing and is not strong
-                top = bottom = 0.0
-                strong_top = strong_bottom = 0
-                for power, tops in rows:
-                    p = power[j]
-                    if tops[j]:
-                        top += p
-                        if p >= theta:
-                            strong_top += 1
-                    else:
-                        bottom += p
-                        if p >= theta:
-                            strong_bottom += 1
-                if top >= theta or bottom >= theta:
-                    lit.append((i, top >= theta, bottom >= theta,
-                                strong_top >= 2 or strong_bottom >= 2))
-                    mask |= 1 << i
-            entry = self._lit[emissions] = (lit, mask)
-        return entry
+        pm = self.power_map
+        columns = self._columns
+        theta = self.channel_cfg.theta_detect
+        rows = []
+        for tx, pattern in emissions:
+            row = columns[tx]
+            rows.append((pm.power[row][pattern], pm.top[row]))
+        lit = []
+        mask = 0
+        for i, j in enumerate(columns):
+            # the same sums in the same order as ``superpose``; an
+            # emitter's own entry is 0.0, adds nothing and is not strong
+            top = bottom = 0.0
+            strong_top = strong_bottom = 0
+            for power, tops in rows:
+                p = power[j]
+                if tops[j]:
+                    top += p
+                    if p >= theta:
+                        strong_top += 1
+                else:
+                    bottom += p
+                    if p >= theta:
+                        strong_bottom += 1
+            if top >= theta or bottom >= theta:
+                lit.append((i, top >= theta, bottom >= theta,
+                            strong_top >= 2 or strong_bottom >= 2))
+                mask |= 1 << i
+        return lit, mask
 
     def _controller_decode(self) -> None:
         """Decode the frame the ex-vivo controller saw this subcycle.

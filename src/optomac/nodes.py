@@ -305,17 +305,16 @@ class Agent:
             bit = BIT_MASK[offset]
             self.receive(sub, bit if top else 0, bit if bottom else 0)
 
-    def sense(self, offset: int, cycle: int) -> bool:
+    def sense(self, offset: int, cycle: int) -> None:
         """Carrier sense in the own subcycle, when either detector sees a
         bit at ``offset``: a frame in flight that is mute there (an own
-        0-bit) exits the subcycle.  Return whether it exited now."""
+        0-bit) exits the subcycle."""
         fl = self.inflight
         if (fl is None or fl.exited_at is not None
                 or fl.mask & BIT_MASK[offset]):
-            return False
+            return
         fl.exited_at = offset
         self.trace.tx_exit(cycle, self.name, offset, fl.mask)
-        return True
 
     def receive(self, sub: Subcycle, top: int, bottom: int) -> None:
         """Take the bits each detector saw in subcycle ``sub``, as masks

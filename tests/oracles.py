@@ -171,14 +171,14 @@ class PollingWorld(World):
     in agent order and each just before its turn, ``polled_subcycle_work``.
     The live World must give the same runs with its exact tests, its
     pending set, its one-step inert icycles, and its one walk over the
-    frames, which it starts at offset 0 once the frames are loaded and
-    which carries the rest of the last frame left in the race in one step.
-    Its lit sets come from a private memo, never from one the live Worlds
-    of its deployment filled.
+    frames, which it starts at offset 0 once the frames are loaded, replays
+    from the race memo and counts collision evidence as a bit mask.  It
+    reads no memo: it computes each cycle's lit set (``World._lit_for``)
+    and hands every lit agent its bits (``Agent.observe``).
     """
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **{**kwargs, "memos": {}})
+        super().__init__(*args, **kwargs)
         # never 0, so that every subcycle's end reaches ``_close_agents``
         self._pending = -1
         self._index = {agent: i for i, agent in enumerate(self._order)}
@@ -225,8 +225,8 @@ class PollingWorld(World):
         self._pending |= lit_mask
         for i, top, bottom, evidence in lit:
             agent = self._order[i]
-            if evidence and agent.name not in self._evidence_seen:
-                self._evidence_seen.add(agent.name)
+            if evidence and not self._evidence_seen >> i & 1:
+                self._evidence_seen |= 1 << i
                 self.metrics.collisions += 1
             agent.observe(top, bottom, sub, off, ic, self.cycle)
         if self.trace.wants("power"):
@@ -276,6 +276,6 @@ class WalkingWorld(World):
         self._carries = _Forgetful()
         self.walks = 0
 
-    def _walk(self, key: tuple, sub: Subcycle) -> tuple:
+    def _walk(self, key: tuple) -> tuple:
         self.walks += 1
-        return super()._walk(key, sub)
+        return super()._walk(key)

@@ -748,12 +748,17 @@ class StartAtIcycle(ScenarioHooks):
 # retry in 16, and each falls due in an icycle nothing else makes busy
 @example("pair", 4.0, 0.5, Variant.BASIC, [],
          [("chain", 0), ("request", 0)] + [("run", 70)] * 10, [])
+# a stop at offset 5 cuts T1's three-way race into two carries: each
+# agent's collision evidence counts once in the subcycle, not once a carry
+@example("clique", 2.0, 5.0, Variant.BASIC, [],
+         [("chain", 0), ("chain", 1), ("chain", 2), ("run", 5), ("run", 70)],
+         [])
 def test_pending_set_matches_polling_oracle(kind, side, gain, variant, gaps,
                                             steps, starts):
     # the World closes only the agents in its pending set, asks for send
     # work only once its wake time is reached and then only the senders
     # with exact send work at offset 0, runs an inert icycle in one step
-    # and a lone sender's frame in one step; the oracle polls every agent
+    # and replays each race from its memo; the oracle polls every agent
     # with the broad tests, every subcycle and every bit.  Hooks start work
     # at T1, and run chunks end inside icycles and subcycles.  Runs,
     # power-level traces and clocks must agree, and the live World checks

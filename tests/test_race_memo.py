@@ -4,11 +4,12 @@ replayed.
 ``World._carry`` keys a race by its window and by the (index, mask,
 pattern) of each sender still in it, in transmitter order, and replays the
 outcome ``World._walk`` gave the first time a World of the deployment met
-it: the Worlds built from one config share the memo
-(``WorldConfig.memos``).  These tests hold the replay to a World that walks
-every carry (``oracles.WalkingWorld``) on whole scenario runs, and to the
-per-bit ``PollingWorld`` where only one part of the key tells two races
-apart; and they hold a run on a shared memo to a run on a fresh one.
+it: the Worlds built from one config share one memo per trace power flag
+(``WorldConfig.memos``), which holds indices and bits.  These tests hold
+the replay to a World that walks every carry (``oracles.WalkingWorld``) on
+whole scenario runs, and to the per-bit ``PollingWorld`` where only one
+part of the key tells two races apart; and they hold a run on a shared
+memo to a run on a fresh one.
 """
 
 import dataclasses
@@ -59,9 +60,9 @@ class CountingWorld(World):
         self.windows.add((first - start, end - start))
         super()._carry(racers, sub, start, first, end)
 
-    def _walk(self, key, sub):
+    def _walk(self, key):
         self.walked.append(key)
-        return super()._walk(key, sub)
+        return super()._walk(key)
 
 
 @pytest.mark.parametrize("source,protocol", [
@@ -272,7 +273,7 @@ def test_a_run_writes_no_shared_state(monkeypatch, source):
     # orders over the config's shared memos, gives the four artifacts of a
     # run on a copy of the config, whose memos are its own and empty.  The
     # second pass walks no race, and the memos hold only ints, strings,
-    # flags and working modes, nothing of a run
+    # flags and None: no working mode and nothing of a run
     base = (load_path(DATA / source) if source.endswith(".json")
             else scenarios.default_config(source))
     runs = [(seed, protocol, level) for seed in range(4)
@@ -296,7 +297,7 @@ def test_a_run_writes_no_shared_state(monkeypatch, source):
     for run in sorted(runs, key=lambda run: LEVELS.index(run[2])):
         assert _artifacts(levelled, *run)[1] == cold[run], run
     assert {type(x) for x in _contents(cfg.memos)} <= {
-        bool, int, str, Subcycle, type(None)}
+        bool, int, str, type(None)}
     # so a run's World and agents are freed with its last reference, no
     # cyclic collection needed
     gc.disable()
